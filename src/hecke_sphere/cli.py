@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import asdict
 from fractions import Fraction
@@ -39,7 +38,6 @@ def _jsonable(v):
 
 def _config(args) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
-    cfg["threads"] = args.threads
     return _jsonable(cfg)
 
 
@@ -259,8 +257,6 @@ def main(argv=None) -> int:
         p.add_argument("--cutoff", type=int, default=0)
         p.add_argument("--grid", type=int, default=5000)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("HECKE_SPHERE_THREADS", "1")))
         p.add_argument("--out", default="out")
         p.add_argument("--precision", choices=("double", "extended"),
                        default="double")

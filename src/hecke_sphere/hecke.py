@@ -1,10 +1,16 @@
 """Hecke operators on the degree-n harmonic subspace.
 
 The unscaled operator is f(x) -> sum over nr(m) = N of f(m x); the Hecke
-operator T_N is that sum divided by 8 N^(n/2).  Matrices are computed
-exactly through the action of every left multiplication on the monomial
-basis, followed by coordinate extraction against the orthogonal harmonic
-basis.
+operator T_N is that sum divided by 8 N^(n/2).  The harmonic basis is
+made of the real and imaginary parts of the matrix coefficients t_{ba} of
+T(x) = Sym^n of the 2x2 model of x (see ``poly``).  Since T(m x) =
+T(m) T(x), the unscaled operator sends t_{ba} to sum_c S_N[b, c] t_{ca},
+where S_N = sum_{nr(m)=N} T(m) is an exact (n+1) x (n+1) matrix of
+Gaussian integers; it acts on the row label alone.  The matrix in the
+harmonic basis follows by taking real and imaginary parts, with the
+conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj t_{ba} and the contents of
+the basis polynomials.  The exact and float matrices are the same integer
+map, divided exactly or in floating point.
 """
 
 from __future__ import annotations
@@ -17,78 +23,12 @@ from math import isqrt
 
 import numpy as np
 
-from . import poly
-from .poly import harmonic_basis, monomials, _multifact, fischer_dot
-from .quat import enumerate_shell, r4_count
+from .poly import HarmonicBasis, harmonic_basis, sym_power_values
+from .quat import enumerate_shell
 
 
 class DegeneracyError(Exception):
     """Joint diagonalisation failed; re-draw the random combination."""
-
-
-def _left_mul_rows(w):
-    """Coefficient matrix of x -> m x on coordinates; row i gives (m x)_i."""
-    w1, w2, w3, w4 = w
-    return (
-        (w1, -w2, -w3, -w4),
-        (w2, w1, -w4, w3),
-        (w3, w4, w1, -w2),
-        (w4, -w3, w2, w1),
-    )
-
-
-@lru_cache(maxsize=None)
-def _degree_tables(d: int):
-    """Index plumbing for one multiplication-by-linear-form step.
-
-    Returns (shift, groups): shift[j] maps a degree-(d-1) monomial index to
-    the index of that monomial times x_j; groups[i] = (rows, parents) lists
-    the degree-d monomials whose first nonzero exponent sits at slot i
-    together with their quotient monomial by x_i.
-    """
-    mons_d, idx_d = monomials(d)
-    mons_p, idx_p = monomials(d - 1)
-    shift = []
-    for j in range(4):
-        arr = np.empty(len(mons_p), dtype=np.intp)
-        for p, a in enumerate(mons_p):
-            b = list(a)
-            b[j] += 1
-            arr[p] = idx_d[tuple(b)]
-        shift.append(arr)
-    groups = []
-    for i in range(4):
-        rows, parents = [], []
-        for r, a in enumerate(mons_d):
-            fi = next(t for t in range(4) if a[t] > 0)
-            if fi == i:
-                b = list(a)
-                b[i] -= 1
-                rows.append(r)
-                parents.append(idx_p[tuple(b)])
-        groups.append((np.array(rows, dtype=np.intp), np.array(parents, dtype=np.intp)))
-    return tuple(shift), tuple(groups)
-
-
-def left_mul_monomial_matrix(n: int, w, dtype=np.int64) -> np.ndarray:
-    """Matrix img with img[src, tgt] = coefficient of monomial tgt in (x^src)(m x)."""
-    V = _left_mul_rows(w)
-    img = np.ones((1, 1), dtype=dtype)
-    for d in range(1, n + 1):
-        nd = len(monomials(d)[0])
-        shift, groups = _degree_tables(d)
-        new = np.zeros((nd, nd), dtype=dtype)
-        for i in range(4):
-            rows, parents = groups[i]
-            if not len(rows):
-                continue
-            P = img[parents]
-            for j in range(4):
-                c = V[i][j]
-                if c:
-                    new[np.ix_(rows, shift[j])] += c * P
-        img = new
-    return img
 
 
 def _shell_true_coords(N: int):
@@ -96,39 +36,69 @@ def _shell_true_coords(N: int):
     return (sh.coords // 2).tolist()
 
 
-def _coeff_bound(n: int, N: int) -> int:
-    """Upper bound on any entry of the summed substitution matrix.
-
-    Each substitution matrix entry is a coefficient of a product of n
-    linear forms and is bounded by (sum |m_i|)^n; the shell sum multiplies
-    that by the shell size.
-    """
-    coords = _shell_true_coords(N)
-    if not coords:
-        return 0
-    width = max(sum(abs(c) for c in w) for w in coords)
-    return len(coords) * width ** n
-
-
 @lru_cache(maxsize=None)
 def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
-    """Sum of the monomial substitution matrices over the norm-N shell; exact."""
-    dtype = np.int64 if _coeff_bound(n, N) < 2 ** 62 else object
-    total = None
-    for w in _shell_true_coords(N):
-        img = left_mul_monomial_matrix(n, tuple(w), dtype=dtype)
-        total = img if total is None else total + img
-    if total is None:
-        nm = len(monomials(n)[0])
-        total = np.zeros((nm, nm), dtype=dtype)
+    """S_N = sum over the norm-N shell of T(m), exact; shape (2, n+1, n+1).
+
+    Entry [0] is the real part and [1] the imaginary part, as Python
+    integers in an object array.  T(m) acts on binary forms of degree n,
+    so its rows and columns are indexed by the monomials X^b Y^(n-b).
+    """
+    coords = np.array(_shell_true_coords(N), dtype=object)
+    re, im = sym_power_values(coords, n)
+    total = np.array([re.sum(axis=0), im.sum(axis=0)], dtype=object)
     total.setflags(write=False)
     return total
 
 
-@lru_cache(maxsize=None)
-def shell_monomial_matrix_float(n: int, N: int) -> np.ndarray:
-    M = shell_monomial_matrix(n, N)
-    return M.astype(float)
+def _part_coordinates(hb: HarmonicBasis):
+    """Where the real and imaginary parts of every t_{ca} sit in the basis.
+
+    Returns (index, factor), arrays of shape (2, n+1, n+1) indexed
+    [part, c, a], with part(t_{ca}) = factor * basis[index]; the factor is
+    0 for the vanishing imaginary part of a self-conjugate entry.
+    """
+    n = hb.n
+    where = {lab: i for i, lab in enumerate(hb.labels)}
+    index = np.zeros((2, n + 1, n + 1), dtype=np.intp)
+    factor = np.zeros((2, n + 1, n + 1), dtype=object)
+    for c in range(n + 1):
+        for a in range(n + 1):
+            rep = min((c, a), (n - c, n - a))
+            if rep == (c, a):
+                signs = (1, 1)
+            else:  # t_{n-c,n-a} = (-1)^(c+a) conj t_{ca}
+                s = (-1) ** (c + a)
+                signs = (s, -s)
+            for part in (0, 1):
+                i = where.get(rep + (part,))
+                if i is not None:
+                    index[part, c, a] = i
+                    factor[part, c, a] = signs[part] * hb.contents[i]
+    return index, factor
+
+
+def _unscaled_map(n: int, N: int):
+    """Integer matrix R and contents c; the unscaled operator is R[j, i] / c[i].
+
+    basis[i] = part(t_{ba}) / c[i] is sent to part(sum_c S_N[b, c] t_{ca})
+    / c[i]; R[:, i] holds the basis coordinates of the numerator.
+    """
+    hb = harmonic_basis(n)
+    s_re, s_im = shell_monomial_matrix(n, N)
+    index, factor = _part_coordinates(hb)
+    b, a, part = np.array(hb.labels, dtype=np.intp).T
+    imag = part[:, None] == 1
+    # Re(S t) = S_re Re t - S_im Im t and Im(S t) = S_im Re t + S_re Im t:
+    # coefficients of Re t_{c a} and Im t_{c a} in column i, shape (dim, n+1)
+    on_re = np.where(imag, s_im[b], s_re[b])
+    on_im = np.where(imag, s_re[b], -s_im[b])
+    R = np.zeros((hb.dim, hb.dim), dtype=object)
+    cols = np.arange(hb.dim)[:, None]
+    # a = n/2 sends t_{ca} and t_{n-c,a} to one basis vector: accumulate
+    np.add.at(R, (index[0][:, a].T, cols), on_re * factor[0][:, a].T)
+    np.add.at(R, (index[1][:, a].T, cols), on_im * factor[1][:, a].T)
+    return R, np.array(hb.contents, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -153,18 +123,9 @@ class HeckeMatrix:
         """Object array of the integer matrix ``denom * (8 N^(n/2) T_N)``."""
         return np.array([[v for v in row] for row in self.entries], dtype=object)
 
-    def fraction_matrix(self):
-        """Exact matrix of the unscaled operator sum_m L_m."""
-        d = self.denom
-        return [[Fraction(v, d) for v in row] for row in self.entries]
-
     def scale(self) -> Fraction:
         """T_N = scale * entries (requires n even or N a perfect square)."""
         return Fraction(1, 8 * self.denom * _int_pow_half(self.N, self.n))
-
-    def scaled_float(self) -> np.ndarray:
-        arr = np.array([[float(v) for v in row] for row in self.entries])
-        return arr / (8.0 * self.denom * float(self.N) ** (self.n / 2))
 
 
 def _int_pow_half(N: int, n: int) -> int:
@@ -181,53 +142,19 @@ def hecke_matrix(n: int, N: int) -> HeckeMatrix:
     """Exact Hecke matrix in the harmonic basis (columns = images of basis)."""
     if n < 0 or N < 1:
         raise ValueError("need n >= 0 and N >= 1")
-    hb = harmonic_basis(n)
-    mons, idx = monomials(n)
-    nm = len(mons)
-    M = shell_monomial_matrix(n, N)
-    diag_f = [fischer_dot(p, p) for p in hb.basis]
-    cols = []
-    for p in hb.basis:
-        w = [0] * nm
-        for a, c in p.coeffs.items():
-            row = M[idx[a]]
-            c = int(c)
-            for t in range(nm):
-                v = row[t]
-                if v:
-                    w[t] += c * int(v)
-        col = []
-        for i, q in enumerate(hb.basis):
-            num = 0
-            for a, c in q.coeffs.items():
-                v = w[idx[a]]
-                if v:
-                    num += _multifact(a) * c * v
-            col.append(Fraction(num, diag_f[i]))
-        cols.append(col)
-    d = 1
-    for col in cols:
-        for v in col:
-            d = d * v.denominator // math.gcd(d, v.denominator)
-    entries = tuple(
-        tuple(int(cols[j][i] * d) for j in range(hb.dim)) for i in range(hb.dim)
-    )
-    return HeckeMatrix(n, N, entries, d)
+    R, c = _unscaled_map(n, N)
+    # column i is R[:, i] / c[i] with reduced denominator c[i] / g[i]
+    g = np.gcd.reduce(np.vstack([R, c[None, :]]), axis=0)
+    d = math.lcm(*(abs(v) for v in c // g))
+    entries = (R // g) * (d // (c // g))
+    return HeckeMatrix(n, N, tuple(map(tuple, entries.tolist())), d)
 
 
 @lru_cache(maxsize=None)
 def hecke_matrix_float(n: int, N: int) -> np.ndarray:
     """Float matrix of the scaled operator T_N (harmonic-basis coordinates)."""
-    hb = harmonic_basis(n)
-    B = poly.basis_coeff_matrix(hb)
-    mons, _ = monomials(n)
-    wts = np.array([float(_multifact(a)) for a in mons])
-    diag_f = np.array([float(fischer_dot(p, p)) for p in hb.basis])
-    P = (B * wts[None, :]) / diag_f[:, None]
-    M = shell_monomial_matrix_float(n, N)
-    W = B @ M  # W[j] = monomial coefficients of sum_m b_j(m x)
-    A = P @ W.T
-    return A / (8.0 * float(N) ** (n / 2))
+    R, c = _unscaled_map(n, N)
+    return R.astype(float) / c.astype(float) / (8.0 * float(N) ** (n / 2))
 
 
 def t1_vanishing(n: int) -> bool:
@@ -247,10 +174,6 @@ def selfadjoint_check(n: int, N: int) -> bool:
             if g[i][i] * A[i][j] != g[j][j] * A[j][i]:
                 return False
     return True
-
-
-def _obj_matmul(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return A @ B
 
 
 def hecke_relations_check(n: int, primes=(3, 5), alpha_max: int = 2,
@@ -295,7 +218,7 @@ def hecke_relations_check(n: int, primes=(3, 5), alpha_max: int = 2,
             Ep, sp = TN(p)
             Eq, sq = TN(q)
             Epq, spq = TN(p * q)
-            lhs = _obj_matmul(Ep, Eq)
+            lhs = Ep @ Eq
             # sp*sq*lhs == spq*Epq  <=>  cross-multiplied integers agree
             c = sp * sq / spq
             ok = bool(np.all(lhs * c.numerator == Epq * c.denominator))
@@ -307,7 +230,7 @@ def hecke_relations_check(n: int, primes=(3, 5), alpha_max: int = 2,
         Ep, sp = TN(p)
         Ep2, sp2 = TN(p * p)
         E1, s1 = TN(1)
-        lhs = _obj_matmul(Ep, Ep)
+        lhs = Ep @ Ep
         # T_{p^2} = T_p^2 - p T_1
         c2 = sp * sp / sp2
         c1 = p * s1 / sp2
@@ -321,7 +244,7 @@ def hecke_relations_check(n: int, primes=(3, 5), alpha_max: int = 2,
         for b in range(a + 1, len(keys)):
             M1, _ = mats[keys[a]]
             M2, _ = mats[keys[b]]
-            ok = bool(np.all(_obj_matmul(M1, M2) == _obj_matmul(M2, M1)))
+            ok = bool(np.all(M1 @ M2 == M2 @ M1))
             report[f"[T{keys[a]},T{keys[b]}]=0"] = ok
 
     report["all_pass"] = all(v for k, v in report.items()

@@ -205,10 +205,12 @@ def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
     family, fourth, closure, sup_ind = _family_stats(hb, blocks, grid)
     target = float((n + 1) ** 2)
     closure_err = float(np.abs(closure - target).max() / target)
+    # both ascended statistics are sums over the flagged blocks alone
+    flagged = [blk for blk in blocks if blk[1]]
     i = int(np.argmax(family))
-    best, fam_val = _ascend(hb, blocks, grid[i], 0, refine_steps)
+    best, fam_val = _ascend(hb, flagged, grid[i], 0, refine_steps)
     j = int(np.argmax(fourth))
-    _, fourth_val = _ascend(hb, blocks, grid[j], 1, refine_steps)
+    _, fourth_val = _ascend(hb, flagged, grid[j], 1, refine_steps)
     return MomentReport(
         n=n, grid_size=grid.shape[0], seed=seed,
         sup_family=max(fam_val, float(family[i])),

@@ -135,11 +135,16 @@ class Poly4:
             g = gcd(g, v)
         return g or 1
 
-    def primitive(self):
-        """Divide by the content, signed so the lex-first coefficient is > 0."""
+    def signed_content(self) -> int:
+        """The content, negated when the lex-first coefficient is negative."""
         g = self.content()
         if self.coeffs and self.coeffs[min(self.coeffs)] < 0:
             g = -g
+        return g
+
+    def primitive(self):
+        """Divide by the content, signed so the lex-first coefficient is > 0."""
+        g = self.signed_content()
         if g == 1:
             return self
         out = Poly4.zero(self.n)
@@ -269,7 +274,6 @@ def _cadd(p, q):
 
 def _binary_mul(F, G):
     """Product of binary forms whose coefficients are complex polynomials."""
-    out = [({}, {})] * (len(F) + len(G) - 1)
     out = [({}, {}) for _ in range(len(F) + len(G) - 1)]
     for s, fc in enumerate(F):
         if not fc[0] and not fc[1]:
@@ -323,16 +327,17 @@ class HarmonicBasis:
 
     The Gram matrix is with respect to the uniform probability measure on
     S^3 and is diagonal for this basis by Schur orthogonality.  ``labels[i]``
-    is ``(b, a, part)``: ``basis[i]`` is a primitive integer multiple of the
-    real (part 0) or imaginary (part 1) part of t_{ba}.  Left
-    multiplication acts on the row label b, right multiplication on the
-    column label a.
+    is ``(b, a, part)`` and ``contents[i]`` a nonzero integer with
+    ``basis[i] = part(t_{ba}) / contents[i]``, the real (part 0) or
+    imaginary (part 1) part of t_{ba} made primitive.  Left multiplication
+    acts on the row label b, right multiplication on the column label a.
     """
 
     n: int
     basis: tuple
     gram: tuple
     labels: tuple
+    contents: tuple
 
     @property
     def dim(self):
@@ -364,13 +369,14 @@ def harmonic_basis(n: int) -> HarmonicBasis:
             if rep == (n - rb, n - ra):
                 # self-conjugate entry: exactly one of Re/Im survives
                 keep = p if not p.is_zero() else q
-                polys.append(keep.primitive())
+                polys.append(keep)
                 labels.append((rb, ra, 0 if keep is p else 1))
             else:
-                polys.append(p.primitive())
-                polys.append(q.primitive())
+                polys += [p, q]
                 labels += [(rb, ra, 0), (rb, ra, 1)]
     assert len(polys) == (n + 1) ** 2
+    contents = tuple(p.signed_content() for p in polys)
+    polys = [p.primitive() for p in polys]
 
     ratio = sphere_to_fischer_ratio(n)
     dim = len(polys)
@@ -386,7 +392,7 @@ def harmonic_basis(n: int) -> HarmonicBasis:
                 gram[i][j] = g
                 gram[j][i] = g
     return HarmonicBasis(n, tuple(polys), tuple(tuple(row) for row in gram),
-                         tuple(labels))
+                         tuple(labels), contents)
 
 
 def substitute_left_mul(f: Poly4, m: Quaternion) -> Poly4:
@@ -434,47 +440,67 @@ def substitute_left_mul(f: Poly4, m: Quaternion) -> Poly4:
 
 
 # ---------------------------------------------------------------------------
-# dense helpers for floating-point pipelines
+# batched values of the symmetric-power model
 
-@lru_cache(maxsize=None)
-def monomials(n: int):
-    """Sorted exponent tuples of total degree n, with their index map."""
-    out = []
-    for a1 in range(n + 1):
-        for a2 in range(n + 1 - a1):
-            for a3 in range(n + 1 - a1 - a2):
-                out.append((a1, a2, a3, n - a1 - a2 - a3))
-    out.sort()
-    return tuple(out), {a: i for i, a in enumerate(out)}
+def _form_mul(F, G):
+    """Product of complex binary forms, batched over points.
 
-
-def basis_coeff_matrix(hb: HarmonicBasis) -> np.ndarray:
-    """Float coefficient matrix, one basis polynomial per row."""
-    mons, idx = monomials(hb.n)
-    B = np.zeros((hb.dim, len(mons)))
-    for r, p in enumerate(hb.basis):
-        for a, v in p.coeffs.items():
-            B[r, idx[a]] = float(v)
-    return B
+    A form of degree d is a pair (re, im) of arrays of shape (#pts, d + 1)
+    whose entry k is the coefficient of X^(d-k) Y^k.
+    """
+    if F[0].shape[1] > G[0].shape[1]:
+        F, G = G, F
+    (fr, fi), (gr, gi) = F, G
+    shape = (fr.shape[0], fr.shape[1] + gr.shape[1] - 1)
+    re = np.zeros(shape, dtype=fr.dtype)
+    im = np.zeros(shape, dtype=fr.dtype)
+    d = gr.shape[1]
+    for s in range(fr.shape[1]):
+        ur, ui = fr[:, s:s + 1], fi[:, s:s + 1]
+        re[:, s:s + d] += ur * gr - ui * gi
+        im[:, s:s + d] += ur * gi + ui * gr
+    return re, im
 
 
-def monomial_values(n: int, pts: np.ndarray) -> np.ndarray:
-    """Values of every degree-n monomial at each point; shape (#mon, #pts)."""
-    pts = np.asarray(pts, dtype=float)
-    mons, _ = monomials(n)
-    pows = [np.ones((n + 1, len(pts))) for _ in range(4)]
-    for i in range(4):
-        for e in range(1, n + 1):
-            pows[i][e] = pows[i][e - 1] * pts[:, i]
-    out = np.empty((len(mons), len(pts)))
-    for r, a in enumerate(mons):
-        out[r] = pows[0][a[0]] * pows[1][a[1]] * pows[2][a[2]] * pows[3][a[3]]
-    return out
+def sym_power_values(pts, n: int):
+    """Real and imaginary parts of T(x) = [t_{ba}(x)] at each point.
+
+    ``pts`` has shape (#pts, 4) and holds floats, or Python integers in an
+    object array for exact values.  Returns two arrays of shape
+    (#pts, n + 1, n + 1) indexed [p, b, a], the entries of
+    ``_sym_power_entries`` evaluated at each point with O(n^3) work.  T is
+    the n-th symmetric power of the 2x2 model, so T(1) = I and
+    T(m x) = T(m) T(x).
+    """
+    pts = np.asarray(pts)
+    x1, x2, x3, x4 = (pts[:, k:k + 1] for k in range(4))
+    # the columns (z, -conj w) and (w, conj z) as linear forms in X, Y
+    col_a = (np.hstack([x1, -x3]), np.hstack([x2, x4]))
+    col_b = (np.hstack([x3, x1]), np.hstack([x4, -x2]))
+    one = (np.ones((len(pts), 1), dtype=pts.dtype),
+           np.zeros((len(pts), 1), dtype=pts.dtype))
+    pow_b = [one]
+    for _ in range(n):
+        pow_b.append(_form_mul(pow_b[-1], col_b))
+    re = np.empty((len(pts), n + 1, n + 1), dtype=pts.dtype)
+    im = np.empty_like(re)
+    pow_a = one
+    for a in range(n + 1):
+        if a:
+            pow_a = _form_mul(pow_a, col_a)
+        full_re, full_im = _form_mul(pow_a, pow_b[n - a])
+        # t_{ba} is the coefficient of X^b Y^(n-b), entry n - b of the product
+        re[:, :, a] = full_re[:, ::-1]
+        im[:, :, a] = full_im[:, ::-1]
+    return re, im
 
 
 def basis_values(hb: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
     """Values of each basis polynomial at each point; shape (dim, #pts)."""
-    return basis_coeff_matrix(hb) @ monomial_values(hb.n, pts)
+    re, im = sym_power_values(np.asarray(pts, dtype=float), hb.n)
+    b, a, part = np.array(hb.labels, dtype=np.intp).T
+    vals = np.where(part[:, None] == 1, im[:, b, a].T, re[:, b, a].T)
+    return vals / np.array(hb.contents, dtype=float)[:, None]
 
 
 def basis_to_json(hb: HarmonicBasis) -> dict:

@@ -110,16 +110,6 @@ XI = Quaternion(1, 1, 1, 1)
 UNITS = (ONE, -ONE, I, -I, J, -J, K, -K)
 
 
-def quat_mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product; nr is multiplicative."""
-    return a * b
-
-
-def quat_invariants(a: Quaternion):
-    """Return (conjugate, reduced norm, reduced trace)."""
-    return a.conjugate(), a.nr(), a.tr()
-
-
 # ---------------------------------------------------------------------------
 # shell enumeration and counting tables
 

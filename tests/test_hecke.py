@@ -26,7 +26,8 @@ def brute_hecke_matrix(n, N):
     return out
 
 
-@pytest.mark.parametrize("n,N", [(0, 3), (2, 3), (2, 5), (4, 3)])
+@pytest.mark.parametrize("n,N", [(0, 3), (1, 3), (2, 2), (2, 3), (2, 5),
+                                 (3, 9), (4, 3)])
 def test_matrix_against_direct_substitution(n, N):
     hm = hecke_matrix(n, N)
     brute = brute_hecke_matrix(n, N)

@@ -6,7 +6,7 @@ import pytest
 from hecke_sphere.poly import (
     Poly4, _sym_power_entries, basis_values, fischer_dot, harmonic_basis,
     monomial_sphere_integral, sphere_integral, sphere_to_fischer_ratio,
-    substitute_left_mul,
+    substitute_left_mul, sym_power_values,
 )
 from hecke_sphere.quat import Quaternion
 
@@ -99,8 +99,9 @@ def test_substitute_preserves_harmonicity():
         assert substitute_left_mul(f, m).laplacian().is_zero()
 
 
-def test_basis_values_shape():
-    hb = harmonic_basis(2)
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+def test_basis_values_shape(n):
+    hb = harmonic_basis(n)
     pts = np.random.default_rng(2).standard_normal((10, 4))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     vals = basis_values(hb, pts)
@@ -125,3 +126,22 @@ def test_labels_name_matrix_coefficients(n):
     assert len(hb.labels) == hb.dim
     for p, (b, a, part) in zip(hb.basis, hb.labels):
         assert Poly4(n, table[a][b][part]).primitive() == p
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_sym_power_multiplicative(n):
+    # T(m m') = T(m) T(m') exactly on integral quaternions; the Hecke
+    # matrices are built from this property
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        m, mp = (Quaternion.from_int_coords(*rng.integers(-4, 5, size=4).tolist())
+                 for _ in range(2))
+        pts = np.array([m.int_coords, mp.int_coords, (m * mp).int_coords],
+                       dtype=object)
+        re, im = sym_power_values(pts, n)
+        prod_re = re[0] @ re[1] - im[0] @ im[1]
+        prod_im = re[0] @ im[1] + im[0] @ re[1]
+        assert np.all(prod_re == re[2]) and np.all(prod_im == im[2])
+    one = np.array([[1, 0, 0, 0]], dtype=object)
+    re, im = sym_power_values(one, n)
+    assert np.all(re[0] == np.eye(n + 1, dtype=int)) and not np.any(im[0])
