@@ -4,6 +4,11 @@ Covers the quaternion shells by cylinder classes C(R) (imaginary part at
 most nr/R^2), counts them exactly against the predicted bounds, computes
 the capped counting function A(X), and verifies Minkowski's second theorem
 and the successive-minima product bound on concrete 4-dimensional bodies.
+
+Counting cost: one O(K)-memory r3 table per power of two K (2 sqrt(K) numpy
+passes) and one cached table of the class counts of all k <= K per (K, R)
+(sqrt(K) passes): ``shell_class_count`` is a lookup, ``dyadic_class_count``
+one prefix sum plus sqrt(M) window sums.
 """
 
 from __future__ import annotations
@@ -11,12 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iproduct
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
-from .quat import CapacityError, Quaternion, _r3_counts, r4_count
+from .quat import CapacityError, Quaternion, _round_up_pow2, r3_counts
 
 EPSILON = 0.1  # fixed exponent slack folded into fitted constants
 
@@ -40,45 +45,53 @@ def in_cylinder_class(m: Quaternion, R: int) -> bool:
     return R * R * s4 <= nr4
 
 
-def _m1_count(lo: int, hi: int) -> int:
-    """Number of integers m1 with lo <= m1^2 <= hi, signs included."""
-    if hi < 0 or hi < lo:
-        return 0
-    b = isqrt(hi)
-    a = 0 if lo <= 0 else isqrt(lo - 1) + 1
-    if a > b:
-        return 0
-    return 2 * (b - a + 1) if a >= 1 else 2 * b + 1
+@lru_cache(maxsize=None)
+def _class_counts(K: int, R2: int) -> np.ndarray:
+    """Read-only counts[k] = |{nr(m) = k, m in C(R)}| for k <= K, R2 = R^2.
+
+    Members with m1^2 + s = k lie in C(R) iff s (R^2 - 1) <= m1^2, a prefix
+    of s for each m1: one shifted add of the r3 table per m1.
+    """
+    r3 = r3_counts(K)
+    out = np.zeros(K + 1, dtype=np.int64)
+    for m1 in range(isqrt(K) + 1):
+        q = m1 * m1
+        top = K - q if R2 == 1 else min(K - q, q // (R2 - 1))
+        out[q: q + top + 1] += (2 if m1 else 1) * r3[: top + 1]
+    out.setflags(write=False)
+    return out
 
 
 def shell_class_count(k: int, R: int) -> CountRecord:
     """|{nr(m) = k, m in C(R)}| with the single-shell bound alongside."""
     if k < 1 or R < 1:
         raise ValueError("need k >= 1 and R >= 1")
-    r3 = _r3_counts(k)
-    count = 0
-    for s in range(0, k // (R * R) + 1):
-        rem = k - s
-        r = isqrt(rem)
-        if r * r == rem:
-            count += int(r3[s]) * (2 if rem > 0 else 1)
+    K = _round_up_pow2(max(k, 16))
+    # R^2 > K, like R^2 = K + 1, leaves only the s = 0 members: the clamp
+    # keeps the counts and bounds the cache keys (R = 2^40 is in use)
+    count = int(_class_counts(K, min(R * R, K + 1))[k])
     bound = (1 + math.sqrt(k) / R + k / R ** 3) * k ** EPSILON
     return CountRecord("singlebound", (k, R), count, bound)
 
 
 def dyadic_class_count(M: int, R: int) -> CountRecord:
-    """|{M < nr(m) <= 2M, m in C(R)}| with the cylinder bound alongside."""
+    """|{M < nr(m) <= 2M, m in C(R)}| with the cylinder bound alongside.
+
+    For each m1 the admitted imaginary norms form the window
+    M - m1^2 < s <= 2M - m1^2, s (R^2 - 1) <= m1^2, summed off a prefix sum.
+    """
     if M < 1 or R < 1:
         raise ValueError("need M >= 1 and R >= 1")
-    r3 = _r3_counts(2 * M)
-    count = 0
-    for s in range(0, 2 * M + 1):
-        # C(R) membership s R^2 <= m1^2 + s, plus the norm window
-        lo = max(s * (R * R - 1), M - s + 1)
-        hi = 2 * M - s
-        c = _m1_count(lo, hi)
-        if c:
-            count += int(r3[s]) * c
+    # clamped as in shell_class_count; R^2 - 1 <= 2M keeps the int64
+    # divisions of the m1^2 array in range (R^2 = 2^80 would overflow)
+    R2 = min(R * R, 2 * M + 1)
+    prefix = np.concatenate(([0], np.cumsum(r3_counts(2 * M)[: 2 * M + 1])))
+    m1 = np.arange(isqrt(2 * M) + 1, dtype=np.int64)
+    q = m1 * m1
+    lo = np.maximum(M + 1 - q, 0)
+    hi = 2 * M - q if R2 == 1 else np.minimum(2 * M - q, q // (R2 - 1))
+    window = np.where(hi >= lo, prefix[hi + 1] - prefix[lo], 0)
+    count = int((np.where(m1 > 0, 2, 1) * window).sum())
     bound = math.sqrt(M) + M ** 2 / R ** 3
     return CountRecord("intbound", (M, R), count, bound)
 
@@ -90,7 +103,7 @@ def d_class_counts(k: int, i_max: int):
     purely real members (imaginary part zero), which lie in every C(R).
     """
     cs = [shell_class_count(k, 2 ** i).count for i in range(i_max + 2)]
-    core = _m1_count(k, k)  # s = 0 members
+    core = 2 * (isqrt(k) ** 2 == k)  # s = 0 members: m1 = +-sqrt(k)
     counts = [cs[i] - cs[i + 1] for i in range(i_max + 1)]
     return counts, core
 
@@ -104,7 +117,7 @@ def a_of_x(n: int, X: int) -> float:
     """
     if X < 1:
         raise ValueError("need X >= 1")
-    r3 = _r3_counts(X)
+    r3 = r3_counts(X)
     total = 0.0
     for k in range(1, X + 1):
         inner = 0.0
@@ -185,21 +198,21 @@ class Box:
 
 
 def _exact_rank(rows) -> int:
-    """Rank of a list of integer 4-vectors by fraction-free elimination."""
-    mat = [list(map(Fraction, r)) for r in rows]
-    rank, col = 0, 0
-    while rank < len(mat) and col < 4:
+    """Rank of a list of integer 4-vectors by fraction-free (Bareiss)
+    elimination: every division by the previous pivot is exact."""
+    mat = [[int(a) for a in r] for r in rows]
+    rank, prev = 0, 1
+    for col in range(4):
         piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
         if piv is None:
-            col += 1
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
+        p = mat[rank]
         for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                f = mat[r][col] / mat[rank][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+            f = mat[r][col]
+            mat[r] = [(p[col] * a - f * b) // prev for a, b in zip(mat[r], p)]
+        prev = p[col]
         rank += 1
-        col += 1
     return rank
 
 
@@ -235,6 +248,7 @@ def _greedy_minima(C: np.ndarray, V: np.ndarray, body):
 def _body_region(basis: np.ndarray, body, t: float, budget: int):
     """All lattice points of t * body: per-axis coefficient box enumeration."""
     invB = np.linalg.inv(basis.astype(float))
+    # per-axis coefficient bounds: |c_i| <= t * sum_j |(B^-1)_ij| * bbox_j
     radii = np.floor(np.abs(invB) @ np.array(body.bbox()) * t + 1e-9).astype(int)
     npts = int(np.prod(2 * radii + 1))
     if npts > budget:
@@ -270,17 +284,7 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
 
 def lattice_point_count(basis, body, budget: int = 10 ** 7) -> int:
     """Exact |body ∩ lattice| by bounded enumeration (origin included)."""
-    B = np.asarray(basis, dtype=np.int64)
-    # per-axis coefficient bounds: |c_i| <= sum_j |(B^-1)_ij| * bbox_j
-    invB = np.linalg.inv(B.astype(float))
-    radii = np.floor(np.abs(invB) @ np.array(body.bbox()) + 1e-9).astype(int)
-    npts = int(np.prod(2 * radii + 1))
-    if npts > budget:
-        raise CapacityError(
-            f"enumeration of {npts} points exceeds the {budget} budget")
-    axes = [np.arange(-r, r + 1) for r in radii]
-    C = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    V = C @ B.T
+    _, V = _body_region(np.asarray(basis, dtype=np.int64), body, 1.0, budget)
     g = body.gauge_sq_float(V.astype(float))
     count = 0
     for v in V[g <= 1.0 + 1e-12]:

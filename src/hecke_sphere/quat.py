@@ -121,14 +121,29 @@ def _round_up_pow2(x):
     return n
 
 
+def _cube_sum_counts(limit: int, start: int) -> np.ndarray:
+    """Read-only r[s] = #{(a,b,c) : a^2+b^2+c^2 = s <= limit}, a, b, c of
+    parity ``start`` (0: all integers, 1: odd only), as r1 * r1 * r1 with r1
+    the +-weighted square indicator: one shifted add per square and factor.
+    """
+    r1 = np.zeros(limit + 1, dtype=np.int64)
+    squares = [a * a for a in range(start, isqrt(limit) + 1, 1 + start)]
+    for q in squares:
+        r1[q] += 2 if q else 1
+    r = r1
+    for _ in range(2):
+        acc = np.zeros_like(r1)
+        for q in squares:
+            acc[q:] += r1[q] * r[: limit + 1 - q]
+        r = acc
+    r.setflags(write=False)
+    return r
+
+
 @lru_cache(maxsize=None)
 def _r3_counts(limit: int) -> np.ndarray:
     """r3[s] = #{(a,b,c) in Z^3 : a^2+b^2+c^2 = s} for s <= limit."""
-    rmax = isqrt(limit)
-    ax = np.arange(-rmax, rmax + 1, dtype=np.int64) ** 2
-    s = ax[:, None, None] + ax[None, :, None] + ax[None, None, :]
-    cnt = np.bincount(s.ravel(), minlength=limit + 1)
-    return cnt[: limit + 1]
+    return _cube_sum_counts(limit, 0)
 
 
 def r3_counts(limit: int) -> np.ndarray:
@@ -138,11 +153,7 @@ def r3_counts(limit: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _r3_odd_counts(limit: int) -> np.ndarray:
     """Counts of odd triples (a,b,c), all odd, with a^2+b^2+c^2 = s <= limit."""
-    rmax = isqrt(limit)
-    vals = np.arange(-rmax | 1, rmax + 1, 2, dtype=np.int64) ** 2
-    s = vals[:, None, None] + vals[None, :, None] + vals[None, None, :]
-    cnt = np.bincount(s.ravel(), minlength=limit + 1)
-    return cnt[: limit + 1]
+    return _cube_sum_counts(limit, 1)
 
 
 def r3_odd_counts(limit: int) -> np.ndarray:
@@ -150,25 +161,10 @@ def r3_odd_counts(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triples_by_s(limit: int):
-    """All integer triples with norm <= limit, bucketed by their norm."""
+def _triples_by_s(limit: int, start: int = 0):
+    """Triples of parity ``start`` with norm <= limit, bucketed by norm."""
     rmax = isqrt(limit)
-    ax = np.arange(-rmax, rmax + 1, dtype=np.int64)
-    A, B, C = np.meshgrid(ax, ax, ax, indexing="ij")
-    T = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=1)
-    s = (T * T).sum(axis=1)
-    keep = s <= limit
-    T, s = T[keep], s[keep]
-    order = np.lexsort((T[:, 2], T[:, 1], T[:, 0], s))
-    T, s = T[order], s[order]
-    starts = np.searchsorted(s, np.arange(limit + 2))
-    return T, starts
-
-
-@lru_cache(maxsize=None)
-def _odd_triples_by_s(limit: int):
-    rmax = isqrt(limit)
-    ax = np.arange(-(rmax | 1), rmax + 1, 2, dtype=np.int64)
+    ax = np.arange(-(rmax | start), rmax + 1, 1 + start, dtype=np.int64)
     A, B, C = np.meshgrid(ax, ax, ax, indexing="ij")
     T = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=1)
     s = (T * T).sum(axis=1)
@@ -221,7 +217,7 @@ def enumerate_shell(k: int, parity: str = INTEGRAL) -> NormShell:
         if k % 2 == 0:
             return NormShell(k, parity, np.empty((0, 4), dtype=np.int64))
         S = 4 * k
-        T, starts = _odd_triples_by_s(_round_up_pow2(max(S, 16)))
+        T, starts = _triples_by_s(_round_up_pow2(max(S, 16)), 1)
         rows = []
         top = isqrt(S)
         for c1 in range(-(top | 1), top + 1, 2):

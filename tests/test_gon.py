@@ -1,16 +1,23 @@
+import csv
+import io
 import math
 from fractions import Fraction
+from math import isqrt
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
-    Box, CylinderSpec, a_of_x, d_class_counts, dyadic_class_count,
-    fit_constant, in_cylinder_class, lattice_point_count, minkowski_sandwich,
-    product_bound_check, shell_class_count, successive_minima,
+    EPSILON, Box, CylinderSpec, _exact_rank, a_of_x, d_class_counts,
+    dyadic_class_count, fit_constant, in_cylinder_class, lattice_point_count,
+    minkowski_sandwich, product_bound_check, shell_class_count,
+    successive_minima,
 )
-from hecke_sphere.quat import CapacityError, Quaternion, enumerate_shell, r4_count
+from hecke_sphere.quat import (
+    CapacityError, Quaternion, enumerate_shell, r3_counts, r4_count,
+)
 
 
 def brute_shell_class_count(k, R):
@@ -20,6 +27,53 @@ def brute_shell_class_count(k, R):
 
 def brute_dyadic_class_count(M, R):
     return sum(brute_shell_class_count(k, R) for k in range(M + 1, 2 * M + 1))
+
+
+def loop_shell_class_count(k, R):
+    # reference: per-s loop over imaginary norms s <= k / R^2, m1^2 = k - s
+    r3 = r3_counts(k)
+    count = 0
+    for s in range(0, k // (R * R) + 1):
+        rem = k - s
+        if isqrt(rem) ** 2 == rem:
+            count += int(r3[s]) * (2 if rem > 0 else 1)
+    return count
+
+
+def m1_count(lo, hi):
+    # number of integers m1 with lo <= m1^2 <= hi (hi >= 0), signs included
+    r = isqrt(hi)
+    return sum(1 for m1 in range(-r, r + 1) if lo <= m1 * m1)
+
+
+def loop_dyadic_class_count(M, R):
+    # reference: per-s loop, C(R) membership s R^2 <= m1^2 + s plus the window
+    r3 = r3_counts(2 * M)
+    count = 0
+    for s in range(0, 2 * M + 1):
+        if r3[s]:
+            lo = max(s * (R * R - 1), M - s + 1)
+            count += int(r3[s]) * m1_count(lo, 2 * M - s)
+    return count
+
+
+def fraction_rank(rows):
+    # reference: Gaussian elimination over the rationals
+    mat = [list(map(Fraction, r)) for r in rows]
+    rank, col = 0, 0
+    while rank < len(mat) and col < 4:
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                f = mat[r][col] / mat[rank][col]
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
 
 
 def test_in_cylinder_class():
@@ -48,6 +102,42 @@ def test_shell_count_r_one_is_whole_shell():
 def test_dyadic_count_brute_force(M, R):
     rec = dyadic_class_count(M, R)
     assert rec.count == brute_dyadic_class_count(M, R)
+
+
+@pytest.mark.parametrize("R", [1, 2, 4, 8, 16, 2 ** 40])
+def test_shell_count_matches_loop(R):
+    for k in range(1, 301):
+        assert shell_class_count(k, R).count == loop_shell_class_count(k, R)
+
+
+@pytest.mark.parametrize("R", [1, 2, 4, 8, 2 ** 40])
+def test_dyadic_count_brute_force_up_to_32(R):
+    for M in range(1, 33):
+        brute = brute_dyadic_class_count(M, R)
+        assert dyadic_class_count(M, R).count == brute
+        assert loop_dyadic_class_count(M, R) == brute
+
+
+def test_counting_csv_matches_loops(tmp_path):
+    assert cli_main(["counting", "--cutoff", "128", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "counting.csv", newline="") as fh:
+        lines = fh.readlines()
+    rows = []
+    for k in range(1, 129):
+        for b in range(7):
+            R = 2 ** b
+            count = loop_shell_class_count(k, R)
+            bound = (1 + math.sqrt(k) / R + k / R ** 3) * k ** EPSILON
+            rows.append(("singlebound", k, R, count, bound, count / bound))
+    for a in range(4, 13):
+        for b in range(7):
+            M, R = 2 ** a, 2 ** b
+            count = loop_dyadic_class_count(M, R)
+            bound = math.sqrt(M) + M ** 2 / R ** 3
+            rows.append(("intbound", M, R, count, bound, count / bound))
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(rows)
+    assert "".join(lines[2:]) == expected.getvalue()
 
 
 def test_dyadic_large_r_keeps_only_near_real():
@@ -96,6 +186,20 @@ def test_fit_constant():
 
 # ---------------------------------------------------------------------------
 # bodies and minima
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
+                max_size=5),
+       st.booleans(), st.integers(0, 4), st.integers(-3, 3), st.integers(-3, 3))
+def test_exact_rank_matches_fractions(rows, plant, zero_col, a, b):
+    # optionally plant a dependent row and a zero column
+    if plant and len(rows) >= 3:
+        rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    if zero_col < 4:
+        for r in rows:
+            r[zero_col] = 0
+    assert _exact_rank(rows) == fraction_rank(rows)
 
 
 def test_box_minima_identity_lattice():

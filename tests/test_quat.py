@@ -1,10 +1,13 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from hecke_sphere.quat import (
     ONE, I, J, K, XI, UNITS,
-    Quaternion, enumerate_shell, m1_profile, r4_count,
+    Quaternion, _r3_counts, _r3_odd_counts, enumerate_shell, m1_profile,
+    r3_counts, r4_count,
 )
 
 
@@ -126,3 +129,25 @@ def test_shell_norms():
     for k in (5, 13):
         for m in enumerate_shell(k, "integral").elements:
             assert m.nr() == k
+
+
+def cube_bincount(limit, odd):
+    # reference: histogram of a^2 + b^2 + c^2 over the full coordinate cube
+    rmax = isqrt(limit)
+    ax = np.arange(-rmax | 1, rmax + 1, 2) if odd else np.arange(-rmax, rmax + 1)
+    q = ax.astype(np.int64) ** 2
+    s = q[:, None, None] + q[None, :, None] + q[None, None, :]
+    return np.bincount(s.ravel(), minlength=limit + 1)[: limit + 1]
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 17, 100, 1000, 4096])
+def test_r3_tables_match_cube_bincount(limit):
+    assert np.array_equal(_r3_counts(limit), cube_bincount(limit, False))
+    assert np.array_equal(_r3_odd_counts(limit), cube_bincount(limit, True))
+
+
+def test_r3_tables_read_only():
+    for table in (_r3_counts(100), _r3_odd_counts(100), r3_counts(5)):
+        assert table.flags.owndata
+        with pytest.raises(ValueError):
+            table[0] = 7
