@@ -114,7 +114,7 @@ def cmd_spectral(args) -> int:
     for n in _ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         payload = {
-            "n": n, "spaces": [
+            "n": n, "seed_used": dec.seed, "spaces": [
                 {"lams": sp.lams, "multiplicity": sp.multiplicity,
                  "t1_flag": sp.t1_flag} for sp in dec.spaces],
         }
@@ -258,8 +258,6 @@ def main(argv=None) -> int:
         p.add_argument("--grid", type=int, default=5000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--precision", choices=("double", "extended"),
-                       default="double")
 
     p = sub.add_parser("shells", help="enumerate a norm shell to CSV")
     common(p)
@@ -275,7 +273,7 @@ def main(argv=None) -> int:
         ("pretrace-check", cmd_pretrace_check, ("pairs",)),
         ("theta-identity", cmd_theta_identity, ("x", "y")),
         ("modularity", cmd_modularity, ("im",)),
-        ("petersson", cmd_petersson, ()),
+        ("petersson", cmd_petersson, ("precision",)),
         ("counting", cmd_counting, ()),
         ("moments", cmd_moments, ()),
         ("report", cmd_report, ()),
@@ -289,6 +287,9 @@ def main(argv=None) -> int:
             p.add_argument("--y", default="1,0,0,0")
         if "im" in extra:
             p.add_argument("--im", type=float, default=0.5)
+        if "precision" in extra:
+            p.add_argument("--precision", choices=("double", "extended"),
+                           default="double")
         p.set_defaults(func=fn)
 
     args = ap.parse_args(argv)

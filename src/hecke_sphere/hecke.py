@@ -45,8 +45,7 @@ def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
     so its rows and columns are indexed by the monomials X^b Y^(n-b).
     """
     coords = np.array(_shell_true_coords(N), dtype=object)
-    re, im = sym_power_values(coords, n)
-    total = np.array([re.sum(axis=0), im.sum(axis=0)], dtype=object)
+    total = sym_power_values(coords, n).sum(axis=-1)
     total.setflags(write=False)
     return total
 
@@ -171,7 +170,7 @@ def selfadjoint_check(n: int, N: int) -> bool:
     dim = hb.dim
     for i in range(dim):
         for j in range(dim):
-            if g[i][i] * A[i][j] != g[j][j] * A[j][i]:
+            if g[i] * A[i][j] != g[j] * A[j][i]:
                 return False
     return True
 
@@ -315,7 +314,7 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
         raise ValueError("need at least one odd prime")
     hb = harmonic_basis(n)
     dim = hb.dim
-    sqrt_g = np.sqrt(np.array([float(hb.gram[i][i]) for i in range(dim)]))
+    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
 
     Ns = sorted(set(primes) | set(even_extras) | {1})
     ops = {N: _whitened_operator(n, N, sqrt_g) for N in Ns}

@@ -1,9 +1,11 @@
 """Moment statistics of joint eigenfunction families on the 3-sphere.
 
-Evaluates an orthonormal joint eigenbasis on a seeded grid, forms the
-family fourth moment (restricted to eigenvalue classes with unit odd part
-at N = 1), the plain fourth moment, and individual sup proxies, then
-refines the best grid point by local coordinate ascent.
+Evaluates an orthonormal joint eigenbasis on a seeded grid and forms the
+plain fourth moment and the individual sup proxy over the eigenvalue
+classes with unit odd part at N = 1 (the flagged blocks), refining the
+best grid point of the fourth moment by local coordinate ascent.  The
+family fourth moment needs no grid: it is constant on S^3 (see below), so
+``sup_family`` is set to that constant exactly.
 
 Which statistics depend on a basis.  A joint eigenspace V_lambda factors
 as W_lambda (x) C^{n+1}: left multiplication, and with it every Hecke
@@ -59,11 +61,12 @@ def sphere_grid(size: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MomentReport:
-    """Grid sups of the moment statistics at degree n.
+    """Sups of the moment statistics at degree n.
 
-    ``sup_family`` equals the sum over flagged blocks of (dim V_lambda)^2
-    exactly; ``sup_fourth`` and ``sup_individual`` are taken in the pinned
-    basis described in the module docstring.
+    ``sup_family`` is the sum over flagged blocks of (dim V_lambda)^2, the
+    value of the family statistic at every point; ``sup_fourth`` and
+    ``sup_individual`` are taken in the pinned basis described in the
+    module docstring.
     """
 
     n: int
@@ -72,7 +75,6 @@ class MomentReport:
     sup_family: float
     sup_fourth: float
     sup_individual: float
-    argmax_family: tuple
     closure_error: float  # max relative deviation of sum |phi_j|^2 from (n+1)^2
 
 
@@ -140,7 +142,7 @@ def pinned_blocks(dec: SpectralDecomposition):
     """
     n = dec.n
     hb = harmonic_basis(n)
-    sqrt_g = np.sqrt([float(hb.gram[i][i]) for i in range(hb.dim)])
+    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
     perm, sign = _right_j(hb)
     b, a = np.array([lab[:2] for lab in hb.labels]).T
     # label pair {a, n-a}, then the row label's class mod 4: even classes
@@ -156,9 +158,9 @@ def pinned_blocks(dec: SpectralDecomposition):
     return blocks
 
 
-def _family_stats(hb: HarmonicBasis, blocks, pts: np.ndarray):
+def _block_stats(hb: HarmonicBasis, blocks, pts: np.ndarray):
+    """Plain fourth moment and closure sum at each point, individual sup."""
     B = basis_values(hb, pts)  # (dim, npts)
-    family = np.zeros(pts.shape[0])
     fourth = np.zeros(pts.shape[0])
     closure = np.zeros(pts.shape[0])
     sup_ind = 0.0
@@ -167,56 +169,55 @@ def _family_stats(hb: HarmonicBasis, blocks, pts: np.ndarray):
         sq = vals ** 2
         closure += sq.sum(axis=0)
         if t1_flag:
-            block = sq.sum(axis=0)
-            family += block ** 2
             fourth += (sq ** 2).sum(axis=0)
             sup_ind = max(sup_ind, float(np.abs(vals).max()))
-    return family, fourth, closure, sup_ind
+    return fourth, closure, sup_ind
 
 
-def _ascend(hb: HarmonicBasis, blocks, x: np.ndarray, which: int,
-            steps: int = 20):
-    """Coordinate ascent of one statistic (0 = family, 1 = fourth)."""
+def _ascend(hb: HarmonicBasis, blocks, x: np.ndarray, steps: int = 20):
+    """Coordinate ascent of the plain fourth moment from x; its best value."""
     best = x / np.linalg.norm(x)
-    val = float(_family_stats(hb, blocks, best[None, :])[which][0])
+    val = float(_block_stats(hb, blocks, best[None, :])[0][0])
     step = 0.05
     for _ in range(steps):
         cands = np.vstack([best + d * step * e
                            for e in np.eye(4) for d in (1.0, -1.0)])
         cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-        stat = _family_stats(hb, blocks, cands)[which]
+        stat = _block_stats(hb, blocks, cands)[0]
         i = int(np.argmax(stat))
         if stat[i] > val:
             best, val = cands[i], float(stat[i])
         else:
             step *= 0.5
-    return best, val
+    return val
 
 
 def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
                  seed: int = 0, refine_steps: int = 20) -> MomentReport:
-    """Grid sups of the three moment statistics with local refinement."""
+    """Moment statistics at degree n on a grid.
+
+    ``sup_family`` is exact, the sum over flagged blocks of their squared
+    dimensions; ``sup_fourth`` is the grid sup refined by coordinate ascent
+    from the best grid point; ``sup_individual`` is the grid sup.
+    """
     if dec.n != n:
         raise ValueError("decomposition degree mismatch")
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     hb = harmonic_basis(n)
     blocks = pinned_blocks(dec)
-    family, fourth, closure, sup_ind = _family_stats(hb, blocks, grid)
+    fourth, closure, sup_ind = _block_stats(hb, blocks, grid)
     target = float((n + 1) ** 2)
     closure_err = float(np.abs(closure - target).max() / target)
-    # both ascended statistics are sums over the flagged blocks alone
+    # the fourth moment is a sum over the flagged blocks alone
     flagged = [blk for blk in blocks if blk[1]]
-    i = int(np.argmax(family))
-    best, fam_val = _ascend(hb, flagged, grid[i], 0, refine_steps)
     j = int(np.argmax(fourth))
-    _, fourth_val = _ascend(hb, flagged, grid[j], 1, refine_steps)
+    fourth_val = _ascend(hb, flagged, grid[j], refine_steps)
     return MomentReport(
         n=n, grid_size=grid.shape[0], seed=seed,
-        sup_family=max(fam_val, float(family[i])),
+        sup_family=float(sum(vecs.shape[1] ** 2 for vecs, _ in flagged)),
         sup_fourth=max(fourth_val, float(fourth[j])),
         sup_individual=sup_ind,
-        argmax_family=tuple(float(v) for v in best),
         closure_error=closure_err,
     )
 
@@ -227,9 +228,10 @@ def pretrace_residual(dec: SpectralDecomposition, xs: np.ndarray,
     from .zonal import chebyshev_U_vec
 
     hb = harmonic_basis(dec.n)
-    Bx = basis_values(hb, xs)
-    By = basis_values(hb, ys)
-    lhs = np.zeros(xs.shape[0])
+    m = xs.shape[0]
+    B = basis_values(hb, np.vstack([xs, ys]))
+    Bx, By = B[:, :m], B[:, m:]
+    lhs = np.zeros(m)
     for sp in dec.spaces:
         lhs += np.einsum("jp,jp->p", sp.vectors.T @ Bx, sp.vectors.T @ By)
     rhs = (dec.n + 1) * chebyshev_U_vec(dec.n, np.einsum("pi,pi->p", xs, ys))

@@ -4,8 +4,9 @@ The degree-n harmonic subspace (the (-n(n+2))-Laplace eigenspace on S^3,
 of dimension (n+1)^2) is built from the matrix coefficients of the n-th
 symmetric power of the standard 2x2 complex realisation of a quaternion:
 those coefficients are harmonic, have integer coefficients, and are
-mutually orthogonal on the sphere, which keeps every later Gram matrix
-diagonal and exactly computable.
+mutually orthogonal on the sphere.  So the Gram matrix is diagonal and
+known in closed form: by Schur orthogonality, int_{S^3} |t_{ba}|^2 =
+C(n, b) / (C(n, a) (n + 1)) under the uniform probability measure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 import numpy as np
 
@@ -227,62 +228,12 @@ def sphere_to_fischer_ratio(n: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # harmonic basis via symmetric-power matrix coefficients
 
-def _cmul(p, q):
-    """Product of complex polynomials given as (real dict, imag dict)."""
-    pr, pi = p
-    qr, qi = q
-    re = {}
-    im = {}
-    for a, u in pr.items():
-        for b, v in qr.items():
-            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-            re[key] = re.get(key, 0) + u * v
-    for a, u in pi.items():
-        for b, v in qi.items():
-            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-            re[key] = re.get(key, 0) - u * v
-    for a, u in pr.items():
-        for b, v in qi.items():
-            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-            im[key] = im.get(key, 0) + u * v
-    for a, u in pi.items():
-        for b, v in qr.items():
-            key = (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
-            im[key] = im.get(key, 0) + u * v
-    return ({k: v for k, v in re.items() if v}, {k: v for k, v in im.items() if v})
-
-
-def _cadd(p, q):
-    pr, pi = p
-    qr, qi = q
-    re = dict(pr)
-    for a, v in qr.items():
-        w = re.get(a, 0) + v
-        if w:
-            re[a] = w
-        else:
-            re.pop(a, None)
-    im = dict(pi)
-    for a, v in qi.items():
-        w = im.get(a, 0) + v
-        if w:
-            im[a] = w
-        else:
-            im.pop(a, None)
-    return re, im
-
-
-def _binary_mul(F, G):
-    """Product of binary forms whose coefficients are complex polynomials."""
-    out = [({}, {}) for _ in range(len(F) + len(G) - 1)]
-    for s, fc in enumerate(F):
-        if not fc[0] and not fc[1]:
-            continue
-        for t, gc in enumerate(G):
-            if not gc[0] and not gc[1]:
-                continue
-            out[s + t] = _cadd(out[s + t], _cmul(fc, gc))
-    return out
+@lru_cache(maxsize=None)
+def _conj_power(p: int, q: int) -> tuple:
+    """K with z^p conj(z)^q = sum_m i^m K[m] u^(p+q-m) v^m for z = u + i v."""
+    return tuple(sum((-1) ** (m - k) * comb(p, k) * comb(q, m - k)
+                     for k in range(max(0, m - q), min(p, m) + 1))
+                 for m in range(p + q + 1))
 
 
 @lru_cache(maxsize=None)
@@ -293,44 +244,47 @@ def _sym_power_entries(n: int):
     [[z, w], [-conj(w), conj(z)]]; expanding
     (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a) = sum_b t[b][a] X^b Y^(n-b)
     gives harmonic degree-n polynomials with t[.][a](m x) = Sym^n(m) t[.][a](x).
+    Returns table[a][b] = (re, im), coefficient dicts of Re and Im t_{ba}.
+
+    The X^b coefficient is the sum over i of C(a, i) C(n-a, b-i) (-1)^(a-i)
+    z^i conj(z)^(n-a-b+i) w^(b-i) conj(w)^(a-i).  Terms of different i
+    have different degree in (x1, x2), so no monomial occurs twice.
     """
-    one = ({(0, 0, 0, 0): 1}, {})
-    z = ({(1, 0, 0, 0): 1}, {(0, 1, 0, 0): 1})
-    zbar = ({(1, 0, 0, 0): 1}, {(0, 1, 0, 0): -1})
-    w = ({(0, 0, 1, 0): 1}, {(0, 0, 0, 1): 1})
-    mwbar = ({(0, 0, 1, 0): -1}, {(0, 0, 0, 1): 1})
-
-    # column a of M: (z, -conj(w)); column b... second column: (w, conj(z))
-    colA = [z, mwbar]            # coefficients of X, Y in (z X - conj(w) Y)
-    colB = [w, zbar]
-
-    powA = [[one]]
-    for _ in range(n):
-        powA.append(_binary_mul(powA[-1], colA))
-    powB = [[one]]
-    for _ in range(n):
-        powB.append(_binary_mul(powB[-1], colB))
-
     table = []
     for a in range(n + 1):
-        full = _binary_mul(powA[a], powB[n - a])
-        # full[t] is the coefficient of X^(n-t) Y^t; entry (b, a) sits at t = n-b
-        col = [full[n - b] for b in range(n + 1)]
+        col = []
+        for b in range(n + 1):
+            re, im = {}, {}
+            for i in range(max(0, a + b - n), min(a, b) + 1):
+                c = (-1) ** (a - i) * comb(a, i) * comb(n - a, b - i)
+                kz = _conj_power(i, n - a - b + i)
+                kw = _conj_power(b - i, a - i)
+                dz, dw = len(kz) - 1, len(kw) - 1
+                for m, u in enumerate(kz):
+                    for mw, v in enumerate(kw):
+                        if u and v:
+                            # i^(m + mw) is real for even m + mw
+                            s = m + mw
+                            part = im if s % 2 else re
+                            part[(dz - m, m, dw - mw, mw)] = (
+                                (-1) ** (s // 2) * c * u * v)
+            col.append((re, im))
         table.append(col)
-    # table[a][b] = t_{b a}
     return table
 
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Exact basis of the degree-n harmonic polynomials with its Gram matrix.
+    """Exact basis of the degree-n harmonic polynomials with its Gram diagonal.
 
-    The Gram matrix is with respect to the uniform probability measure on
-    S^3 and is diagonal for this basis by Schur orthogonality.  ``labels[i]``
-    is ``(b, a, part)`` and ``contents[i]`` a nonzero integer with
-    ``basis[i] = part(t_{ba}) / contents[i]``, the real (part 0) or
+    ``labels[i]`` is ``(b, a, part)`` and ``contents[i]`` a nonzero integer
+    with ``basis[i] = part(t_{ba}) / contents[i]``, the real (part 0) or
     imaginary (part 1) part of t_{ba} made primitive.  Left multiplication
     acts on the row label b, right multiplication on the column label a.
+    The Gram matrix with respect to the uniform probability measure on S^3
+    is diagonal by Schur orthogonality; ``gram[i]`` is its i-th diagonal
+    entry, C(n, b) / (C(n, a) (n + 1) contents[i]^2), halved unless
+    (b, a) = (n - b, n - a).
     """
 
     n: int
@@ -342,9 +296,6 @@ class HarmonicBasis:
     @property
     def dim(self):
         return len(self.basis)
-
-    def gram_diag(self):
-        return tuple(self.gram[i][i] for i in range(self.dim))
 
 
 @lru_cache(maxsize=None)
@@ -377,22 +328,13 @@ def harmonic_basis(n: int) -> HarmonicBasis:
     assert len(polys) == (n + 1) ** 2
     contents = tuple(p.signed_content() for p in polys)
     polys = [p.primitive() for p in polys]
-
-    ratio = sphere_to_fischer_ratio(n)
-    dim = len(polys)
-    supports = [frozenset(p.coeffs) for p in polys]
-    gram = [[Fraction(0)] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            if i != j and supports[i].isdisjoint(supports[j]):
-                continue
-            v = fischer_dot(polys[i], polys[j])
-            if v:
-                g = ratio * v
-                gram[i][j] = g
-                gram[j][i] = g
-    return HarmonicBasis(n, tuple(polys), tuple(tuple(row) for row in gram),
-                         tuple(labels), contents)
+    # int |t_{ba}|^2 = C(n, b) / (C(n, a) (n + 1)); Re and Im share it
+    # equally unless t_{ba} is self-conjugate
+    gram = tuple(
+        Fraction(comb(n, b), comb(n, a) * (n + 1) * c * c
+                 * (1 if (b, a) == (n - b, n - a) else 2))
+        for (b, a, _), c in zip(labels, contents))
+    return HarmonicBasis(n, tuple(polys), gram, tuple(labels), contents)
 
 
 def substitute_left_mul(f: Poly4, m: Quaternion) -> Poly4:
@@ -445,20 +387,20 @@ def substitute_left_mul(f: Poly4, m: Quaternion) -> Poly4:
 def _form_mul(F, G):
     """Product of complex binary forms, batched over points.
 
-    A form of degree d is a pair (re, im) of arrays of shape (#pts, d + 1)
-    whose entry k is the coefficient of X^(d-k) Y^k.
+    A form of degree d is a pair (re, im) of arrays of shape (d + 1, #pts)
+    whose row k is the coefficient of X^(d-k) Y^k.
     """
-    if F[0].shape[1] > G[0].shape[1]:
+    if len(F[0]) > len(G[0]):
         F, G = G, F
     (fr, fi), (gr, gi) = F, G
-    shape = (fr.shape[0], fr.shape[1] + gr.shape[1] - 1)
+    shape = (len(fr) + len(gr) - 1, fr.shape[1])
     re = np.zeros(shape, dtype=fr.dtype)
     im = np.zeros(shape, dtype=fr.dtype)
-    d = gr.shape[1]
-    for s in range(fr.shape[1]):
-        ur, ui = fr[:, s:s + 1], fi[:, s:s + 1]
-        re[:, s:s + d] += ur * gr - ui * gi
-        im[:, s:s + d] += ur * gi + ui * gr
+    d = len(gr)
+    for s in range(len(fr)):
+        ur, ui = fr[s], fi[s]
+        re[s:s + d] += ur * gr - ui * gi
+        im[s:s + d] += ur * gi + ui * gr
     return re, im
 
 
@@ -466,41 +408,41 @@ def sym_power_values(pts, n: int):
     """Real and imaginary parts of T(x) = [t_{ba}(x)] at each point.
 
     ``pts`` has shape (#pts, 4) and holds floats, or Python integers in an
-    object array for exact values.  Returns two arrays of shape
-    (#pts, n + 1, n + 1) indexed [p, b, a], the entries of
-    ``_sym_power_entries`` evaluated at each point with O(n^3) work.  T is
-    the n-th symmetric power of the 2x2 model, so T(1) = I and
-    T(m x) = T(m) T(x).
+    object array for exact values.  Returns one array of shape
+    (2, n + 1, n + 1, #pts) indexed [part, b, a, p], part 0 real and 1
+    imaginary: the entries of ``_sym_power_entries`` evaluated at each
+    point with O(n^3) work.  T is the n-th symmetric power of the 2x2
+    model, so T(1) = I and T(m x) = T(m) T(x).
     """
     pts = np.asarray(pts)
-    x1, x2, x3, x4 = (pts[:, k:k + 1] for k in range(4))
+    x1, x2, x3, x4 = pts.T
     # the columns (z, -conj w) and (w, conj z) as linear forms in X, Y
-    col_a = (np.hstack([x1, -x3]), np.hstack([x2, x4]))
-    col_b = (np.hstack([x3, x1]), np.hstack([x4, -x2]))
-    one = (np.ones((len(pts), 1), dtype=pts.dtype),
-           np.zeros((len(pts), 1), dtype=pts.dtype))
+    col_a = (np.stack([x1, -x3]), np.stack([x2, x4]))
+    col_b = (np.stack([x3, x1]), np.stack([x4, -x2]))
+    one = (np.ones((1, len(pts)), dtype=pts.dtype),
+           np.zeros((1, len(pts)), dtype=pts.dtype))
     pow_b = [one]
     for _ in range(n):
         pow_b.append(_form_mul(pow_b[-1], col_b))
-    re = np.empty((len(pts), n + 1, n + 1), dtype=pts.dtype)
-    im = np.empty_like(re)
+    T = np.empty((2, n + 1, n + 1, len(pts)), dtype=pts.dtype)
     pow_a = one
     for a in range(n + 1):
         if a:
             pow_a = _form_mul(pow_a, col_a)
         full_re, full_im = _form_mul(pow_a, pow_b[n - a])
-        # t_{ba} is the coefficient of X^b Y^(n-b), entry n - b of the product
-        re[:, :, a] = full_re[:, ::-1]
-        im[:, :, a] = full_im[:, ::-1]
-    return re, im
+        # t_{ba} is the coefficient of X^b Y^(n-b), row n - b of the product
+        T[0, :, a] = full_re[::-1]
+        T[1, :, a] = full_im[::-1]
+    return T
 
 
 def basis_values(hb: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
     """Values of each basis polynomial at each point; shape (dim, #pts)."""
-    re, im = sym_power_values(np.asarray(pts, dtype=float), hb.n)
+    T = sym_power_values(np.asarray(pts, dtype=float), hb.n)
     b, a, part = np.array(hb.labels, dtype=np.intp).T
-    vals = np.where(part[:, None] == 1, im[:, b, a].T, re[:, b, a].T)
-    return vals / np.array(hb.contents, dtype=float)[:, None]
+    vals = T[part, b, a]
+    vals /= np.array(hb.contents, dtype=float)[:, None]
+    return vals
 
 
 def basis_to_json(hb: HarmonicBasis) -> dict:

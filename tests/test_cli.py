@@ -43,6 +43,27 @@ def test_spectral_multiplicities(tmp_path):
     assert sum(s["multiplicity"] for s in doc["spaces"]) == 25
 
 
+def test_spectral_records_seed_used(tmp_path, monkeypatch):
+    from hecke_sphere import hecke
+
+    assert run(tmp_path, "spectral", "--n", "4", "--seed", "3") == 0
+    doc = json.loads((tmp_path / "spectral-4.json").read_text())
+    assert doc["seed_used"] == hecke.decompose(4, seed=3).seed == 3
+
+    # a DegeneracyError on the requested seed makes decompose re-draw
+    solve = hecke.joint_eigenspaces
+
+    def degenerate_at_3(n, primes, even_extras, seed):
+        if seed == 3:
+            raise hecke.DegeneracyError("forced")
+        return solve(n, primes, even_extras, seed=seed)
+
+    monkeypatch.setattr(hecke, "joint_eigenspaces", degenerate_at_3)
+    assert run(tmp_path, "spectral", "--n", "4", "--seed", "3") == 0
+    doc = json.loads((tmp_path / "spectral-4.json").read_text())
+    assert doc["seed_used"] == hecke.decompose(4, seed=3).seed == 4
+
+
 def test_pretrace_check(tmp_path):
     assert run(tmp_path, "pretrace-check", "--n", "4", "--pairs", "20") == 0
 
@@ -57,6 +78,15 @@ def test_modularity(tmp_path):
     assert run(tmp_path, "modularity", "--n", "4") == 0
     doc = json.loads((tmp_path / "modularity-4.json").read_text())
     assert doc["residual"] <= 1e-6
+
+
+def test_precision_flag_only_on_petersson(tmp_path):
+    assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "80",
+               "--precision", "extended") == 0
+    header = (tmp_path / "petersson.csv").read_text().splitlines()[0]
+    assert '"precision": "extended"' in header
+    with pytest.raises(SystemExit):
+        run(tmp_path, "moments", "--n", "4", "--precision", "extended")
 
 
 def test_counting_small(tmp_path):

@@ -22,7 +22,7 @@ def brute_hecke_matrix(n, N):
             g = substitute_left_mul(p, m)
             img = g if img is None else img + g
         for i, q in enumerate(hb.basis):
-            out[i][j] = sphere_integral(img * q) / hb.gram[i][i]
+            out[i][j] = sphere_integral(img * q) / hb.gram[i]
     return out
 
 
@@ -90,7 +90,7 @@ def test_decomposition_invariants(n):
     assert dec.dim == hb.dim
 
     # vectors are G-orthonormal across the whole decomposition
-    g = np.array([float(hb.gram[i][i]) for i in range(hb.dim)])
+    g = np.array(hb.gram, dtype=float)
     V = dec.all_vectors()
     gram = (V * g[:, None]).T @ V
     assert np.allclose(gram, np.eye(hb.dim), atol=1e-9)

@@ -51,7 +51,6 @@ def test_sweep_invariants(dec6):
     assert rep.sup_fourth <= rep.sup_family + 1e-9
     # sup over a nonnegative statistic never drops under refinement
     assert rep.sup_individual > 0
-    assert abs(np.linalg.norm(rep.argmax_family) - 1.0) < 1e-9
 
 
 def test_sweep_refinement_monotone(dec6):
@@ -93,7 +92,7 @@ def test_right_j_is_exact_signed_permutation(n):
         image = Poly4(n, {(al[2], al[3], al[0], al[1]): (-1) ** (al[0] + al[1]) * v
                           for al, v in p.coeffs.items()})
         assert image == hb.basis[perm[i]].scale(int(sign[i]))
-        assert hb.gram[i][i] == hb.gram[perm[i]][perm[i]]
+        assert hb.gram[i] == hb.gram[perm[i]]
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 10))
@@ -132,7 +131,7 @@ def test_pinned_statistics_basis_invariant(n):
 def test_pinned_basis_spans_each_block(n):
     dec = decompose(n, primes=(3, 5))
     hb = harmonic_basis(n)
-    sqrt_g = np.sqrt([float(hb.gram[i][i]) for i in range(hb.dim)])
+    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
     for sp, (vecs, flag) in zip(dec.spaces, pinned_blocks(dec)):
         assert flag == sp.t1_flag
         Q, V = sqrt_g[:, None] * sp.vectors, sqrt_g[:, None] * vecs
@@ -144,7 +143,7 @@ def test_family_sup_is_sum_of_squared_dimensions():
     dec = decompose(8, primes=(3, 5))
     rep = moment_sweep(8, dec, sphere_grid(200, seed=7), seed=7)
     dims = [sp.multiplicity for sp in dec.spaces if sp.t1_flag]
-    assert rep.sup_family == pytest.approx(sum(d * d for d in dims), rel=1e-9)
+    assert rep.sup_family == sum(d * d for d in dims)
 
 
 def test_unsplit_block_raises():

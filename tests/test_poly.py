@@ -54,14 +54,25 @@ def test_basis_degree_one_spans_coordinates():
 @pytest.mark.parametrize("n", range(0, 5))
 def test_gram_diagonal_matches_direct_integrals(n):
     hb = harmonic_basis(n)
+    assert len(hb.gram) == hb.dim
     for i, p in enumerate(hb.basis):
         for j, q in enumerate(hb.basis):
-            assert sphere_integral(p * q) == hb.gram[i][j]
-        assert hb.gram[i][i] > 0
-    for i in range(hb.dim):
-        for j in range(hb.dim):
-            if i != j:
-                assert hb.gram[i][j] == 0
+            assert sphere_integral(p * q) == (hb.gram[i] if i == j else 0)
+        assert hb.gram[i] > 0
+
+
+@pytest.mark.parametrize("n", range(0, 11))
+def test_closed_form_gram_matches_pairwise_fischer(n):
+    # the pairwise Gram computation the closed form replaced, as the oracle
+    hb = harmonic_basis(n)
+    ratio = sphere_to_fischer_ratio(n)
+    supports = [frozenset(p.coeffs) for p in hb.basis]
+    for i, p in enumerate(hb.basis):
+        for j in range(i, hb.dim):
+            if i != j and supports[i].isdisjoint(supports[j]):
+                continue
+            g = ratio * fischer_dot(p, hb.basis[j])
+            assert g == (hb.gram[i] if i == j else 0)
 
 
 @pytest.mark.parametrize("n", range(0, 6))
@@ -99,7 +110,7 @@ def test_substitute_preserves_harmonicity():
         assert substitute_left_mul(f, m).laplacian().is_zero()
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 5, 8])
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12])
 def test_basis_values_shape(n):
     hb = harmonic_basis(n)
     pts = np.random.default_rng(2).standard_normal((10, 4))
@@ -128,6 +139,22 @@ def test_labels_name_matrix_coefficients(n):
         assert Poly4(n, table[a][b][part]).primitive() == p
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+def test_sym_power_entries_match_batched_values(n):
+    # the symbolic entries against the batched evaluator, exactly, at
+    # integer points; a nonzero difference of degree n vanishes at a random
+    # point with probability at most n / 201 (Schwartz-Zippel)
+    table = _sym_power_entries(n)
+    rng = np.random.default_rng(n)
+    pts = rng.integers(-100, 101, size=(12, 4)).tolist()
+    T = sym_power_values(np.array(pts, dtype=object), n)
+    for a in range(n + 1):
+        for b in range(n + 1):
+            for part in (0, 1):
+                f = Poly4(n, table[a][b][part])
+                assert [f.evaluate(x) for x in pts] == T[part, b, a].tolist()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
 def test_sym_power_multiplicative(n):
     # T(m m') = T(m) T(m') exactly on integral quaternions; the Hecke
@@ -138,10 +165,13 @@ def test_sym_power_multiplicative(n):
                  for _ in range(2))
         pts = np.array([m.int_coords, mp.int_coords, (m * mp).int_coords],
                        dtype=object)
-        re, im = sym_power_values(pts, n)
+        T = sym_power_values(pts, n)
+        assert T.shape == (2, n + 1, n + 1, 3)
+        (re, im) = (np.moveaxis(T[part], -1, 0) for part in (0, 1))
         prod_re = re[0] @ re[1] - im[0] @ im[1]
         prod_im = re[0] @ im[1] + im[0] @ re[1]
         assert np.all(prod_re == re[2]) and np.all(prod_im == im[2])
     one = np.array([[1, 0, 0, 0]], dtype=object)
-    re, im = sym_power_values(one, n)
-    assert np.all(re[0] == np.eye(n + 1, dtype=int)) and not np.any(im[0])
+    T = sym_power_values(one, n)
+    assert np.all(T[0, :, :, 0] == np.eye(n + 1, dtype=int))
+    assert not np.any(T[1, :, :, 0])
