@@ -114,7 +114,8 @@ def cmd_spectral(args) -> int:
     for n in _ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         payload = {
-            "n": n, "seed_used": dec.seed, "spaces": [
+            "n": n, "seed_used": dec.seed, "group_tol": dec.group_tol,
+            "group_margin": dec.group_margin, "spaces": [
                 {"lams": sp.lams, "multiplicity": sp.multiplicity,
                  "t1_flag": sp.t1_flag} for sp in dec.spaces],
         }

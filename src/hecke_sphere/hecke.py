@@ -1,16 +1,26 @@
 """Hecke operators on the degree-n harmonic subspace.
 
 The unscaled operator is f(x) -> sum over nr(m) = N of f(m x); the Hecke
-operator T_N is that sum divided by 8 N^(n/2).  The harmonic basis is
-made of the real and imaginary parts of the matrix coefficients t_{ba} of
-T(x) = Sym^n of the 2x2 model of x (see ``poly``).  Since T(m x) =
-T(m) T(x), the unscaled operator sends t_{ba} to sum_c S_N[b, c] t_{ca},
-where S_N = sum_{nr(m)=N} T(m) is an exact (n+1) x (n+1) matrix of
-Gaussian integers; it acts on the row label alone.  The matrix in the
-harmonic basis follows by taking real and imaginary parts, with the
-conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj t_{ba} and the contents of
-the basis polynomials.  The exact and float matrices are the same integer
-map, divided exactly or in floating point.
+operator T_N is that sum divided by 8 N^(n/2).  The degree-n harmonics are
+spanned by the matrix coefficients t_{ba} of T(x) = Sym^n of the 2x2 model
+of x (see ``poly``).  Since T(m x) = T(m) T(x), the unscaled operator sends
+f_{v,a}(x) = sum_b v_b t_{ba}(x) to f_{S_N^T v, a}, where
+S_N = sum_{nr(m)=N} T(m) is an exact (n+1) x (n+1) matrix of Gaussian
+integers: every Hecke operator acts on the row label alone.  The exact
+checks read S_N directly.  The matrices in the harmonic basis (real and
+imaginary parts of the t_{ba}, made primitive) follow from S_N by the
+conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj t_{ba} and the contents.
+
+The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
+and v (x) e_a <-> f_{v,a}, each joint eigenspace is
+V_lambda = W_lambda (x) C^(n+1), W_lambda a joint eigenspace of the S_N^T.
+By Schur orthogonality int f_{v,a} conj f_{w,c} = delta_{ac} sum_b v_b
+conj(w_b) C(n, b) / (C(n, a) (n + 1)), so the S_N^T are self-adjoint for
+the weights C(n, b).  The conjugation rule gives conj f_{v,a} =
+(-1)^a f_{v*,n-a} with v* = ((-1)^b conj v_b)_{n-b}, and v -> v* commutes
+with the real T_N.  In a weighted orthonormal basis of its fixed vectors
+(``row_basis``) every T_N is a real symmetric (n+1) x (n+1) matrix, which
+``joint_eigenspaces`` diagonalises.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -118,10 +128,6 @@ class HeckeMatrix:
     def dim(self):
         return len(self.entries)
 
-    def unscaled(self) -> np.ndarray:
-        """Object array of the integer matrix ``denom * (8 N^(n/2) T_N)``."""
-        return np.array([[v for v in row] for row in self.entries], dtype=object)
-
     def scale(self) -> Fraction:
         """T_N = scale * entries (requires n even or N a perfect square)."""
         return Fraction(1, 8 * self.denom * _int_pow_half(self.N, self.n))
@@ -163,125 +169,132 @@ def t1_vanishing(n: int) -> bool:
 
 
 def selfadjoint_check(n: int, N: int) -> bool:
-    """Exact self-adjointness test G A = A^T G against the Gram matrix."""
-    hb = harmonic_basis(n)
-    A = hecke_matrix(n, N).entries
-    g = hb.gram
-    dim = hb.dim
-    for i in range(dim):
-        for j in range(dim):
-            if g[i] * A[i][j] != g[j] * A[j][i]:
-                return False
-    return True
+    """Exact self-adjointness: C(n, c) S_N[b, c] = conj(S_N[c, b]) C(n, b).
+
+    With the weights C(n, b) of the module docstring this is G T = T^T G.
+    """
+    s_re, s_im = shell_monomial_matrix(n, N)
+    w = np.array([comb(n, b) for b in range(n + 1)], dtype=object)
+    return bool(np.all(s_re * w == s_re.T * w[:, None])
+                and np.all(s_im * w == -s_im.T * w[:, None]))
 
 
-def hecke_relations_check(n: int, primes=(3, 5), alpha_max: int = 2,
-                          extra_commuting=()) -> dict:
-    """Exact integer-matrix verification of the Hecke algebra relations.
+def _gauss_matmul(A, B):
+    """Product of Gaussian-integer matrices stored as (real, imaginary)."""
+    return np.stack([A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]])
 
-    Checks multiplicativity T_M T_N = T_{MN} for distinct odd primes,
-    the recursion T_{p^2} = T_p^2 - p T_1, and vanishing commutators over
+
+def hecke_relations_check(n: int, primes=(3, 5), extra_commuting=()) -> dict:
+    """Exact verification of the Hecke algebra relations on the shell sums.
+
+    T_N = S_N / (8 N^(n/2)) acts through S_N on the row label, so
+    multiplicativity T_p T_q = T_{pq} for distinct odd primes reads
+    S_p S_q = 8 S_{pq}, the recursion T_{p^2} = T_p^2 - p T_1 reads
+    8 S_{p^2} = S_p^2 - 8 p^(n+1) S_1, and the commutators are taken over
     the primes, their squares, products, and ``extra_commuting``.
     """
     if n % 2:
         raise ValueError("relations are checked on even n")
     report = {}
     primes = tuple(sorted(primes))
+    Ns = {1} | set(primes) | {p * p for p in primes} | set(extra_commuting)
+    Ns |= {p * q for p in primes for q in primes if p < q}
+    S = {N: shell_monomial_matrix(n, N) for N in sorted(Ns)}
 
-    def U(N):
-        hm = hecke_matrix(n, N)
-        if hm.denom != 1:
-            # unscaled matrix should be integral; fall back to cleared entries
-            report.setdefault("nonintegral", []).append((N, hm.denom))
-        return hm.unscaled(), hm.denom
-
-    mats = {}
-    Ns = set([1]) | set(primes) | {p * p for p in primes} | set(extra_commuting)
     for p in primes:
         for q in primes:
             if p < q:
-                Ns.add(p * q)
-    for N in sorted(Ns):
-        mats[N] = U(N)
-
-    def TN(N):
-        # exact Fraction matrix of T_N
-        E, d = mats[N]
-        s = Fraction(1, 8 * d * N ** (n // 2))
-        return E, s
-
+                report[f"T{p}*T{q}=T{p*q}"] = bool(np.all(
+                    _gauss_matmul(S[p], S[q]) == 8 * S[p * q]))
     for p in primes:
-        for q in primes:
-            if p >= q:
-                continue
-            Ep, sp = TN(p)
-            Eq, sq = TN(q)
-            Epq, spq = TN(p * q)
-            lhs = Ep @ Eq
-            # sp*sq*lhs == spq*Epq  <=>  cross-multiplied integers agree
-            c = sp * sq / spq
-            ok = bool(np.all(lhs * c.numerator == Epq * c.denominator))
-            report[f"T{p}*T{q}=T{p*q}"] = ok
+        report[f"T{p * p}=T{p}^2-{p}*T1"] = bool(np.all(
+            8 * S[p * p] == _gauss_matmul(S[p], S[p]) - 8 * p ** (n + 1) * S[1]))
+    keys = sorted(S)
+    for i, a in enumerate(keys):
+        for b in keys[i + 1:]:
+            report[f"[T{a},T{b}]=0"] = bool(np.all(
+                _gauss_matmul(S[a], S[b]) == _gauss_matmul(S[b], S[a])))
 
-    for p in primes:
-        if alpha_max < 2:
-            continue
-        Ep, sp = TN(p)
-        Ep2, sp2 = TN(p * p)
-        E1, s1 = TN(1)
-        lhs = Ep @ Ep
-        # T_{p^2} = T_p^2 - p T_1
-        c2 = sp * sp / sp2
-        c1 = p * s1 / sp2
-        ok = bool(np.all(Ep2 * (c2.denominator * c1.denominator)
-                         == lhs * (c2.numerator * c1.denominator)
-                         - E1 * (c1.numerator * c2.denominator)))
-        report[f"T{p * p}=T{p}^2-{p}*T1"] = ok
-
-    keys = sorted(mats)
-    for a in range(len(keys)):
-        for b in range(a + 1, len(keys)):
-            M1, _ = mats[keys[a]]
-            M2, _ = mats[keys[b]]
-            ok = bool(np.all(M1 @ M2 == M2 @ M1))
-            report[f"[T{keys[a]},T{keys[b]}]=0"] = ok
-
-    report["all_pass"] = all(v for k, v in report.items()
-                             if isinstance(v, bool))
+    report["all_pass"] = all(report.values())
     return report
 
 
 # ---------------------------------------------------------------------------
-# joint spectral decomposition
+# joint spectral decomposition on the row space
+
+
+@lru_cache(maxsize=None)
+def row_basis(n: int) -> np.ndarray:
+    """Columns P of row vectors v with P^H diag(C(n, b)) P = I and v* = v.
+
+    Column k < n/2 is (e_k + (-1)^k e_{n-k}) / sqrt 2, column n - k is
+    i (e_k - (-1)^k e_{n-k}) / sqrt 2 and column n/2 is e_{n/2} or
+    i e_{n/2} as n/2 is even or odd, each row b divided by sqrt C(n, b).
+    """
+    if n % 2:
+        raise ValueError("the real row basis is built for even n")
+    h = n // 2
+    P = np.zeros((n + 1, n + 1), dtype=complex)
+    for k in range(h):
+        s = (-1) ** k
+        P[[k, n - k], k] = np.array([1, s]) / math.sqrt(2)
+        P[[k, n - k], n - k] = np.array([1j, -1j * s]) / math.sqrt(2)
+    P[h, h] = 1j ** (h % 2)
+    P /= np.sqrt([float(comb(n, b)) for b in range(n + 1)])[:, None]
+    P.setflags(write=False)
+    return P
+
+
+def _row_operator(n: int, N: int) -> np.ndarray:
+    """P^H diag(C(n, b)) S_N^T P / (8 N^(n/2)), T_N on W in ``row_basis(n)``."""
+    s_re, s_im = shell_monomial_matrix(n, N)
+    P = row_basis(n)
+    w = np.array([float(comb(n, b)) for b in range(n + 1)])
+    S_T = (s_re.T.astype(float) + 1j * s_im.T.astype(float)) * w[:, None]
+    M = P.conj().T @ S_T @ P / (8.0 * float(N) ** (n / 2))
+    scale = max(np.abs(M).max(), 1e-30)
+    off = max(np.abs(M.imag).max(), np.abs(M.real - M.real.T).max()) / scale
+    if off > 1e-9:
+        raise DegeneracyError(f"T_{N} not real symmetric (off by {off:.2e})")
+    return 0.5 * (M.real + M.real.T)
 
 
 @dataclass(frozen=True)
 class EigenSpace:
-    """One joint eigenspace V_lambda with its eigenvalue table."""
+    """One joint eigenspace V_lambda = W_lambda (x) C^(n+1).
+
+    ``basis`` holds an orthonormal basis of W_lambda as real columns, in
+    the coordinates of ``row_basis(n)``; the column label a of t_{ba}
+    spans the other factor.
+    """
 
     lams: dict
-    vectors: np.ndarray  # (dim, multiplicity), coordinates in the rational basis
+    basis: np.ndarray  # (n+1, dim W_lambda), real
     t1_flag: int
 
     @property
     def multiplicity(self):
-        return self.vectors.shape[1]
+        return self.basis.shape[0] * self.basis.shape[1]
 
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """Joint eigenspaces of the odd Hecke operators at degree n.
+
+    ``group_margin`` is the smallest relative gap between the prime
+    eigenvalue tables of two distinct spaces (None with fewer than two);
+    tables within ``group_tol`` of each other were grouped together.
+    """
+
     n: int
-    primes: tuple
-    extras: tuple
     seed: int
     spaces: tuple
+    group_tol: float
+    group_margin: float | None
 
     @property
     def dim(self):
         return sum(s.multiplicity for s in self.spaces)
-
-    def all_vectors(self):
-        return np.concatenate([s.vectors for s in self.spaces], axis=1)
 
     def eigenvalue_of(self, space: EigenSpace, N: int) -> float:
         lam = space.lams.get(N)
@@ -291,33 +304,27 @@ class SpectralDecomposition:
         return lam
 
 
-def _whitened_operator(n: int, N: int, sqrt_g: np.ndarray) -> np.ndarray:
-    T = hecke_matrix_float(n, N)
-    S = (sqrt_g[:, None] * T) / sqrt_g[None, :]
-    asym = np.abs(S - S.T).max() / max(np.abs(S).max(), 1e-30)
-    if asym > 1e-9:
-        raise DegeneracyError(f"whitened T_{N} not symmetric (asym {asym:.2e})")
-    return 0.5 * (S + S.T)
+def _group_margin(spaces, primes):
+    L = np.array([[sp.lams[p] for p in primes] for sp in spaces])
+    gap = (np.abs(L[:, None] - L[None]) / (1 + np.maximum(
+        np.abs(L[:, None]), np.abs(L[None])))).max(axis=2)
+    return float(gap[~np.eye(len(L), dtype=bool)].min()) if len(L) > 1 else None
 
 
 def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
                       group_tol: float = 1e-7) -> SpectralDecomposition:
-    """Simultaneous diagonalisation of the odd Hecke operators.
+    """Simultaneous diagonalisation of the odd Hecke operators on W.
 
-    A fixed-seed random integer combination of the whitened prime operators
-    is diagonalised; eigenvectors are validated per operator by residual and
-    grouped into V_lambda by matching eigenvalue tables.
+    A fixed-seed random integer combination of the prime operators on the
+    row space is diagonalised; eigenvectors are validated per operator by
+    residual and grouped into W_lambda by matching eigenvalue tables.
     """
     if n % 2:
         raise ValueError("joint decomposition is computed for even n")
     if not primes:
         raise ValueError("need at least one odd prime")
-    hb = harmonic_basis(n)
-    dim = hb.dim
-    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
-
     Ns = sorted(set(primes) | set(even_extras) | {1})
-    ops = {N: _whitened_operator(n, N, sqrt_g) for N in Ns}
+    ops = {N: _row_operator(n, N) for N in Ns}
 
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(1, 1000, size=len(primes))
@@ -341,15 +348,13 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
     order = np.lexsort(tuple(tables[p] for p in reversed(primes)))
     groups = []
     for j in order:
-        placed = False
         for g in groups:
             r = g[0]
             if all(abs(tables[p][j] - tables[p][r]) <= group_tol * (1 + abs(tables[p][r]))
                    for p in primes):
                 g.append(j)
-                placed = True
                 break
-        if placed is False:
+        else:
             groups.append([j])
 
     spaces = []
@@ -357,13 +362,10 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
         idxs = np.array(g)
         lams = {N: float(np.mean(tables[N][idxs])) for N in Ns}
         t1 = 1 if lams[1] > 0.5 else 0
-        coords = vecs[:, idxs] / sqrt_g[:, None]
-        spaces.append(EigenSpace(lams=lams, vectors=coords, t1_flag=t1))
-    dec = SpectralDecomposition(n=n, primes=tuple(primes),
-                                extras=tuple(even_extras), seed=seed,
-                                spaces=tuple(spaces))
-    assert dec.dim == dim
-    return dec
+        spaces.append(EigenSpace(lams=lams, basis=vecs[:, idxs], t1_flag=t1))
+    return SpectralDecomposition(
+        n=n, seed=seed, spaces=tuple(spaces), group_tol=group_tol,
+        group_margin=_group_margin(spaces, primes))
 
 
 def decompose(n: int, primes=(3, 5), even_extras=(), seed: int = 0,

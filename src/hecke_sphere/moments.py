@@ -7,12 +7,20 @@ best grid point of the fourth moment by local coordinate ascent.  The
 family fourth moment needs no grid: it is constant on S^3 (see below), so
 ``sup_family`` is set to that constant exactly.
 
-Which statistics depend on a basis.  A joint eigenspace V_lambda factors
-as W_lambda (x) C^{n+1}: left multiplication, and with it every Hecke
-operator, acts on the row label b of the matrix coefficients t_{ba} that
-``harmonic_basis`` is built from, while the column label a spans the
-multiplicity factor.  Hence sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda
-at every x, and ``sup_family`` is exactly the sum over flagged blocks of
+Evaluation.  Each joint eigenspace is V_lambda = W_lambda (x) C^(n+1)
+(see ``hecke``): the Hecke operators act on the row label b of the matrix
+coefficients t_{ba} of T(x) = Sym^n(x), the column label a spans the
+multiplicity factor.  For a real vector of W_lambda in ``row_basis``
+coordinates, with row vector v, the g_a = sqrt((n + 1) C(n, a)) sum_b v_b
+t_{ba} are orthonormal and conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and
+sqrt 2 Im g_a for a < n/2, with g_{n/2} (real for even n/2, imaginary for
+odd), are n + 1 real orthonormal eigenfunctions.  ``eigen_values``
+contracts the row vectors against the row label of ``sym_power_values``
+over the columns a <= n/2: O(n^3) work per point for the whole eigenbasis.
+
+Which statistics depend on a basis.  Since the multiplicity factor is the
+column label, sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda at every x,
+and ``sup_family`` is exactly the sum over flagged blocks of
 (dim V_lambda)^2 in any orthonormal basis.  For the same reason no
 basis-invariant pointwise statistic of a block varies with x, so the plain
 fourth moment sum_j phi_j^4 and the individual sup max_j |phi_j| are only
@@ -20,36 +28,38 @@ defined once a basis inside each V_lambda is fixed.  The paper text kept
 with this package (the abstract) does not say which orthonormal
 eigenbasis its plain fourth moment is taken over; this module decides it.
 
-The pinned basis of a flagged V_lambda is the product basis: a fixed basis
-of W_lambda tensor the weight basis of the multiplicity factor, in real
-form.  It is made of the joint eigenlines, inside V_lambda, of three real
-operators that commute with every T_N:
+The pinned basis of a flagged V_lambda is made of the joint eigenlines of
+three real operators that commute with every T_N:
 
-- right rotation x -> x e^{i theta}, diagonal on the column labels; its
-  isotypic pieces are the label pairs {a, n - a}, a coordinate grouping of
-  the harmonic basis;
-- right multiplication by j, a signed swap a <-> n - a, which picks the
-  two real lines inside each pair;
+- right rotation x -> x e^{i theta}, diagonal on the column label a; its
+  isotypic pieces are the column pairs {a, n - a};
+- right multiplication by j, which sends column a to (-1)^a times column
+  n - a, so g_a(x j) = conj g_a(x): Re g_a and Im g_a are its eigenlines;
 - left multiplication by u = (1 + i)/sqrt(2), which normalises the
-  Lipschitz order and so commutes with every T_N.  A flagged block is
-  fixed by the units, so u^2 = i acts trivially on it and u acts as the
-  sign (-1)^((b - n/2)/2) on the row label b.  It breaks the tie where
-  dim W_lambda > 1 (n = 4, 8, 10, ...), which more primes do not split.
+  Lipschitz order.  A flagged block is fixed by the units, so u^2 = i acts
+  trivially on it and u acts as the sign (-1)^((b - n/2)/2) on the row
+  label b.  It breaks the tie where dim W_lambda > 1 (n = 4, 8, 10, ...),
+  which more primes do not split.
 
-Each joint eigenline is one real function up to sign, which no statistic
-sees, so ``sup_fourth`` and ``sup_individual`` do not depend on the basis
-LAPACK returns.  A block these operators leave unsplit raises
-``DegeneracyError`` instead of falling back to an arbitrary basis.
+That is the construction above on a real basis of W_lambda with each
+vector in one sign class of u, fixed up to signs that no statistic sees,
+so ``sup_fourth`` and ``sup_individual`` do not depend on the basis LAPACK
+returns.  A block with more than one dimension of W_lambda in a sign
+class is left unsplit and raises ``DegeneracyError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .hecke import DegeneracyError, SpectralDecomposition
-from .poly import HarmonicBasis, basis_values, harmonic_basis
+from .hecke import DegeneracyError, SpectralDecomposition, row_basis
+from .poly import sym_power_values
+
+#: points per evaluation chunk; every statistic is taken per point
+CHUNK = 1024
 
 
 def sphere_grid(size: int, seed: int = 0) -> np.ndarray:
@@ -78,112 +88,92 @@ class MomentReport:
     closure_error: float  # max relative deviation of sum |phi_j|^2 from (n+1)^2
 
 
-def _right_j(hb: HarmonicBasis):
-    """Signed permutation of f(x) -> f(x j) on the harmonic basis.
+def eigen_values(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Real orthonormal eigenfunctions at pts, shape (2, k, n/2 + 1, #pts).
 
-    Right multiplication by j sends t_{ba} to +-t_{b,n-a}, so basis[i] goes
-    to sign[i] * basis[perm[i]] with perm read off the labels; the sign is
-    read off one coefficient, using x j = (-x3, -x4, x1, x2).
+    ``R`` holds k real vectors of W in ``row_basis(n)`` coordinates.
+    Entries [0, i, a] and [1, i, a] are sqrt 2 Re g_a and sqrt 2 Im g_a of
+    vector i; at a = n/2 the sqrt 2 is dropped and the vanishing part is 0.
     """
-    n = hb.n
-    index = {lab: i for i, lab in enumerate(hb.labels)}
-    perm = np.empty(hb.dim, dtype=np.intp)
-    sign = np.empty(hb.dim)
-    for i, (b, a, part) in enumerate(hb.labels):
-        rb, ra = min((b, n - a), (n - b, a))
-        perm[i] = k = index[(rb, ra, part)]
-        alpha, v = next(iter(hb.basis[i].coeffs.items()))
-        image = (alpha[2], alpha[3], alpha[0], alpha[1])
-        sign[i] = (-1) ** (alpha[0] + alpha[1]) * v / hb.basis[k].coeffs[image]
-    return perm, sign
+    h = n // 2
+    V = row_basis(n) @ R
+    # real and imaginary parts of sum_b v_b t_{ba} in one real product
+    E = np.block([[V.real.T, -V.imag.T], [V.imag.T, V.real.T]])
+    T = sym_power_values(np.asarray(pts, dtype=float), n, cols=h + 1)
+    F = E @ T.reshape(2 * (n + 1), -1)
+    F = F.reshape(2, R.shape[1], h + 1, len(pts))
+    F *= np.sqrt([(n + 1) * comb(n, a) * (1 if a == h else 2)
+                  for a in range(h + 1)])[:, None]
+    F[(h + 1) % 2, :, h] = 0.0
+    return F
 
 
-def _pin_block(Q: np.ndarray, key: np.ndarray, perm: np.ndarray,
-               sign: np.ndarray) -> np.ndarray:
-    """Joint eigenlines of one flagged block given by orthonormal columns Q.
+def pinned_blocks(dec: SpectralDecomposition):
+    """(basis, t1_flag) per eigenspace; flagged bases of W_lambda pinned."""
+    n = dec.n
+    k = np.arange(n + 1)
+    # vector k of the real row basis lives on the rows k and n - k, which
+    # share their class of b - n/2 mod 4 when it is even; even classes
+    # carry the sign of u, odd ones are moved by the units
+    cls = (np.minimum(k, n - k) - n // 2) % 4
+    blocks = []
+    for sp in dec.spaces:
+        basis = sp.basis
+        if sp.t1_flag:
+            basis = _pin_block(basis, cls)
+        blocks.append((basis, sp.t1_flag))
+    return blocks
 
-    Q is in whitened coordinates; ``key`` groups the coordinates by label
-    pair and by the row-label class that fixes the sign of u.
-    """
+
+def _pin_block(R: np.ndarray, cls: np.ndarray) -> np.ndarray:
+    """Basis of the W_lambda spanned by R with each vector in one class."""
     cols = []
-    for g in sorted(set(key.tolist())):
-        rows = np.flatnonzero(key == g)
-        # Q[rows] Q[rows]^T projects onto the block's part in group g, so
+    for c in range(4):
+        rows = cls == c
+        # R[rows] R[rows]^T projects onto the block's part in class c, so
         # the Gram matrix below has only the eigenvalues 0 and 1
-        s, V = np.linalg.eigh(Q[rows].T @ Q[rows])
+        s, V = np.linalg.eigh(R[rows].T @ R[rows])
         if np.any((s > 1e-6) & (s < 1 - 1e-6)):
-            raise DegeneracyError("eigenspace does not split over the labels")
+            raise DegeneracyError("eigenspace does not split over the sign of u")
         keep = s > 0.5
         r = int(np.count_nonzero(keep))
         if r == 0:
             continue
-        if g % 2:
+        if c % 2:
             raise DegeneracyError("flagged eigenspace not fixed by the units")
-        E = np.zeros((Q.shape[0], r))
-        E[rows] = Q[rows] @ V[:, keep]
         if r > 1:
-            JE = np.empty_like(E)
-            JE[perm] = sign[:, None] * E
-            ev, W = np.linalg.eigh(0.5 * (E.T @ JE + JE.T @ E))
-            if np.diff(ev).min() < 1.0:
-                raise DegeneracyError(
-                    f"eigenspace left unsplit: {r} lines share the "
-                    f"eigenvalues {np.round(ev, 6).tolist()} of right j")
-            E = E @ W
+            raise DegeneracyError(f"eigenspace left unsplit: {r} dimensions "
+                                  f"of W share the sign {1 - c} of left u")
+        E = np.zeros((R.shape[0], 1))
+        E[rows] = R[rows] @ V[:, keep]
         cols.append(E)
     return np.hstack(cols)
 
 
-def pinned_blocks(dec: SpectralDecomposition):
-    """(vectors, t1_flag) per eigenspace, flagged ones in the pinned basis.
-
-    Vectors are coordinates in the rational harmonic basis, as in
-    ``EigenSpace.vectors``; unflagged spaces keep the basis of ``dec``.
-    """
-    n = dec.n
-    hb = harmonic_basis(n)
-    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
-    perm, sign = _right_j(hb)
-    b, a = np.array([lab[:2] for lab in hb.labels]).T
-    # label pair {a, n-a}, then the row label's class mod 4: even classes
-    # carry the sign of u, odd ones are moved by the units
-    key = 4 * np.minimum(a, n - a) + (b - n // 2) % 4
-    blocks = []
-    for sp in dec.spaces:
-        vecs = sp.vectors
-        if sp.t1_flag:
-            Q = vecs * sqrt_g[:, None]
-            vecs = _pin_block(Q, key, perm, sign) / sqrt_g[:, None]
-        blocks.append((vecs, sp.t1_flag))
-    return blocks
-
-
-def _block_stats(hb: HarmonicBasis, blocks, pts: np.ndarray):
-    """Plain fourth moment and closure sum at each point, individual sup."""
-    B = basis_values(hb, pts)  # (dim, npts)
-    fourth = np.zeros(pts.shape[0])
-    closure = np.zeros(pts.shape[0])
+def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
+    """Fourth moment of R's first ``flagged`` columns, closure sum, sup."""
+    fourth = np.empty(len(pts))
+    closure = np.empty(len(pts))
     sup_ind = 0.0
-    for vectors, t1_flag in blocks:
-        vals = vectors.T @ B  # (mult, npts)
-        sq = vals ** 2
-        closure += sq.sum(axis=0)
-        if t1_flag:
-            fourth += (sq ** 2).sum(axis=0)
-            sup_ind = max(sup_ind, float(np.abs(vals).max()))
+    for i in range(0, len(pts), CHUNK):
+        F = eigen_values(n, R, pts[i:i + CHUNK])
+        closure[i:i + CHUNK] = np.einsum("jkap,jkap->p", F, F)
+        sq = F[:, :flagged] ** 2
+        fourth[i:i + CHUNK] = np.einsum("jkap,jkap->p", sq, sq)
+        sup_ind = max(sup_ind, float(np.sqrt(sq.max(initial=0.0))))
     return fourth, closure, sup_ind
 
 
-def _ascend(hb: HarmonicBasis, blocks, x: np.ndarray, steps: int = 20):
-    """Coordinate ascent of the plain fourth moment from x; its best value."""
+def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int = 20):
+    """Coordinate ascent of the plain fourth moment of R's functions from x."""
     best = x / np.linalg.norm(x)
-    val = float(_block_stats(hb, blocks, best[None, :])[0][0])
+    val = float(_block_stats(n, R, R.shape[1], best[None, :])[0][0])
     step = 0.05
     for _ in range(steps):
         cands = np.vstack([best + d * step * e
                            for e in np.eye(4) for d in (1.0, -1.0)])
         cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-        stat = _block_stats(hb, blocks, cands)[0]
+        stat = _block_stats(n, R, R.shape[1], cands)[0]
         i = int(np.argmax(stat))
         if stat[i] > val:
             best, val = cands[i], float(stat[i])
@@ -204,18 +194,20 @@ def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
         raise ValueError("decomposition degree mismatch")
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    hb = harmonic_basis(n)
     blocks = pinned_blocks(dec)
-    fourth, closure, sup_ind = _block_stats(hb, blocks, grid)
+    # the fourth moment is a sum over the flagged blocks alone: put them first
+    flagged = [basis for basis, flag in blocks if flag]
+    R = np.hstack(flagged + [basis for basis, flag in blocks if not flag])
+    k = sum(basis.shape[1] for basis in flagged)
+    fourth, closure, sup_ind = _block_stats(n, R, k, grid)
     target = float((n + 1) ** 2)
     closure_err = float(np.abs(closure - target).max() / target)
-    # the fourth moment is a sum over the flagged blocks alone
-    flagged = [blk for blk in blocks if blk[1]]
     j = int(np.argmax(fourth))
-    fourth_val = _ascend(hb, flagged, grid[j], refine_steps)
+    fourth_val = _ascend(n, R[:, :k], grid[j], refine_steps)
     return MomentReport(
         n=n, grid_size=grid.shape[0], seed=seed,
-        sup_family=float(sum(vecs.shape[1] ** 2 for vecs, _ in flagged)),
+        sup_family=float(sum(((n + 1) * basis.shape[1]) ** 2
+                             for basis in flagged)),
         sup_fourth=max(fourth_val, float(fourth[j])),
         sup_individual=sup_ind,
         closure_error=closure_err,
@@ -227,13 +219,10 @@ def pretrace_residual(dec: SpectralDecomposition, xs: np.ndarray,
     """Max deviation of sum_j phi_j(x) phi_j(y) from (n+1) U_n(x . y)."""
     from .zonal import chebyshev_U_vec
 
-    hb = harmonic_basis(dec.n)
     m = xs.shape[0]
-    B = basis_values(hb, np.vstack([xs, ys]))
-    Bx, By = B[:, :m], B[:, m:]
-    lhs = np.zeros(m)
-    for sp in dec.spaces:
-        lhs += np.einsum("jp,jp->p", sp.vectors.T @ Bx, sp.vectors.T @ By)
+    R = np.hstack([sp.basis for sp in dec.spaces])
+    F = eigen_values(dec.n, R, np.vstack([xs, ys]))
+    lhs = np.einsum("jkap,jkap->p", F[..., :m], F[..., m:])
     rhs = (dec.n + 1) * chebyshev_U_vec(dec.n, np.einsum("pi,pi->p", xs, ys))
     return float(np.abs(lhs - rhs).max())
 

@@ -404,16 +404,18 @@ def _form_mul(F, G):
     return re, im
 
 
-def sym_power_values(pts, n: int):
+def sym_power_values(pts, n: int, cols: int | None = None):
     """Real and imaginary parts of T(x) = [t_{ba}(x)] at each point.
 
     ``pts`` has shape (#pts, 4) and holds floats, or Python integers in an
     object array for exact values.  Returns one array of shape
-    (2, n + 1, n + 1, #pts) indexed [part, b, a, p], part 0 real and 1
-    imaginary: the entries of ``_sym_power_entries`` evaluated at each
-    point with O(n^3) work.  T is the n-th symmetric power of the 2x2
-    model, so T(1) = I and T(m x) = T(m) T(x).
+    (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 real and 1
+    imaginary: the entries of ``_sym_power_entries`` in the first ``cols``
+    columns (all n + 1 by default) evaluated at each point with O(n^3)
+    work.  T is the n-th symmetric power of the 2x2 model, so T(1) = I and
+    T(m x) = T(m) T(x).
     """
+    cols = n + 1 if cols is None else cols
     pts = np.asarray(pts)
     x1, x2, x3, x4 = pts.T
     # the columns (z, -conj w) and (w, conj z) as linear forms in X, Y
@@ -424,9 +426,9 @@ def sym_power_values(pts, n: int):
     pow_b = [one]
     for _ in range(n):
         pow_b.append(_form_mul(pow_b[-1], col_b))
-    T = np.empty((2, n + 1, n + 1, len(pts)), dtype=pts.dtype)
+    T = np.empty((2, n + 1, cols, len(pts)), dtype=pts.dtype)
     pow_a = one
-    for a in range(n + 1):
+    for a in range(cols):
         if a:
             pow_a = _form_mul(pow_a, col_a)
         full_re, full_im = _form_mul(pow_a, pow_b[n - a])

@@ -21,7 +21,7 @@ from math import isqrt
 import numpy as np
 
 from .hecke import SpectralDecomposition
-from .poly import basis_values, harmonic_basis
+from .moments import eigen_values
 from .quat import Quaternion, enumerate_shell, m1_profile
 from .zonal import cheb_coeffs, chebyshev_U_vec
 
@@ -99,14 +99,11 @@ def spectral_coefficient(n: int, x, y, k: int,
     if dec.n != n:
         raise ValueError("decomposition was computed for a different degree")
     qx, qy = _as_quat(x), _as_quat(y)
-    hb = harmonic_basis(n)
-    pts = np.stack([_point(qx), _point(qy)])
-    B = basis_values(hb, pts)  # (dim, 2)
-    total = 0.0
-    for sp in dec.spaces:
-        lam = dec.eigenvalue_of(sp, k)
-        vals = sp.vectors.T @ B  # (mult, 2)
-        total += lam * float(vals[:, 0] @ vals[:, 1])
+    R = np.hstack([sp.basis for sp in dec.spaces])
+    lam = np.concatenate([np.full(sp.basis.shape[1], dec.eigenvalue_of(sp, k))
+                          for sp in dec.spaces])
+    F = eigen_values(n, R, np.stack([_point(qx), _point(qy)]))
+    total = float(lam @ np.einsum("jka,jka->k", F[..., 0], F[..., 1]))
     return (8.0 / (n + 1)) * total * float(k) ** (n / 2)
 
 

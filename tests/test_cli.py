@@ -43,6 +43,14 @@ def test_spectral_multiplicities(tmp_path):
     assert sum(s["multiplicity"] for s in doc["spaces"]) == 25
 
 
+@pytest.mark.parametrize("n", [4, 12])
+def test_spectral_records_group_margin(tmp_path, n):
+    # distinct eigenvalue classes sit far outside the grouping tolerance
+    assert run(tmp_path, "spectral", "--n", str(n)) == 0
+    doc = json.loads((tmp_path / f"spectral-{n}.json").read_text())
+    assert doc["group_margin"] > doc["group_tol"] > 0
+
+
 def test_spectral_records_seed_used(tmp_path, monkeypatch):
     from hecke_sphere import hecke
 

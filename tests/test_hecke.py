@@ -1,11 +1,14 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
 
+import dense_oracle
+from hecke_sphere import hecke
 from hecke_sphere.hecke import (
     decompose, hecke_matrix, hecke_matrix_float, hecke_relations_check,
-    selfadjoint_check, t1_vanishing,
+    row_basis, selfadjoint_check, shell_monomial_matrix, t1_vanishing,
 )
 from hecke_sphere.poly import harmonic_basis, sphere_integral, substitute_left_mul
 from hecke_sphere.quat import enumerate_shell, r4_count
@@ -72,10 +75,48 @@ def test_selfadjoint(n):
         assert selfadjoint_check(n, N)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+def test_selfadjoint_matches_dense_oracle(n):
+    # the shell-sum identity against G A = A^T G on the dense matrices
+    for N in (1, 2, 3, 5, 9, 15):
+        assert selfadjoint_check(n, N) == dense_oracle.selfadjoint_check(n, N)
+
+
+@pytest.mark.parametrize("n,N", [(2, 3), (4, 5), (6, 9)])
+def test_selfadjoint_rejects_perturbed_sum(n, N, monkeypatch):
+    S = shell_monomial_matrix(n, N).copy()
+    S[1, 0, n] += 1  # one imaginary entry off its conjugate partner
+    monkeypatch.setattr(hecke, "shell_monomial_matrix", lambda n, N: S)
+    assert not selfadjoint_check(n, N)
+
+
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_relations(n):
     report = hecke_relations_check(n, primes=(3, 5), extra_commuting=(15,))
     assert report["all_pass"], report
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_relations_match_dense_oracle(n):
+    # same keys and the same verdicts as the dense integer matrices
+    kw = dict(primes=(3, 5, 7), extra_commuting=(9, 15))
+    report = hecke_relations_check(n, **kw)
+    assert report == dense_oracle.hecke_relations_check(n, **kw)
+    assert report["all_pass"]
+
+
+def test_relations_detect_a_broken_sum(monkeypatch):
+    good = shell_monomial_matrix
+
+    def broken(n, N):
+        S = good(n, N)
+        return S + 1 if N == 15 else S
+
+    monkeypatch.setattr(hecke, "shell_monomial_matrix", broken)
+    report = hecke_relations_check(4, primes=(3, 5))
+    assert report["T3*T5=T15"] is False
+    assert report["T9=T3^2-3*T1"] is True
+    assert report["all_pass"] is False
 
 
 def test_relations_reject_odd_degree():
@@ -83,37 +124,72 @@ def test_relations_reject_odd_degree():
         hecke_relations_check(3)
 
 
+def _shell_operator(n, N):
+    """Float S_N^T / (8 N^(n/2)), the action of T_N on row vectors."""
+    s_re, s_im = shell_monomial_matrix(n, N)
+    S = s_re.astype(float) + 1j * s_im.astype(float)
+    return S.T / (8.0 * N ** (n / 2))
+
+
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_decomposition_invariants(n):
     dec = decompose(n, primes=(3, 5), even_extras=(9, 15))
-    hb = harmonic_basis(n)
-    assert dec.dim == hb.dim
+    assert dec.dim == (n + 1) ** 2
 
-    # vectors are G-orthonormal across the whole decomposition
-    g = np.array(hb.gram, dtype=float)
-    V = dec.all_vectors()
-    gram = (V * g[:, None]).T @ V
-    assert np.allclose(gram, np.eye(hb.dim), atol=1e-9)
+    # the bases of the W_lambda are orthonormal across the decomposition,
+    # and the row vectors are orthonormal for the weights C(n, b)
+    R = np.hstack([sp.basis for sp in dec.spaces])
+    assert np.allclose(R.T @ R, np.eye(n + 1), atol=1e-12)
+    P = row_basis(n)
+    w = np.array([comb(n, b) for b in range(n + 1)], dtype=float)
+    assert np.allclose(P.conj().T @ (w[:, None] * P), np.eye(n + 1), atol=1e-12)
 
     for sp in dec.spaces:
-        # eigenvalue table is internally consistent with the exact operators
+        # eigenvalue table is internally consistent with the exact shell sums
+        V = P @ sp.basis
         for N in (3, 5, 9, 15):
-            T = hecke_matrix_float(n, N)
-            R = T @ sp.vectors - sp.lams[N] * sp.vectors
-            assert np.abs(R).max() < 1e-8
+            R_N = _shell_operator(n, N) @ V - sp.lams[N] * V
+            assert np.abs(R_N).max() < 1e-8
         # multiplicativity on the eigenvalue level
         assert sp.lams[15] == pytest.approx(sp.lams[3] * sp.lams[5], abs=1e-9)
         assert sp.lams[9] == pytest.approx(
             sp.lams[3] ** 2 - 3 * sp.lams[1], abs=1e-8)
         assert sp.t1_flag in (0, 1)
-        if sp.t1_flag:
-            assert sp.multiplicity % (n + 1) == 0
+        assert sp.multiplicity % (n + 1) == 0
 
     # T_1 eigenvalues are exactly 0 or 1 (projector onto the flagged part)
     flags = sorted({sp.t1_flag for sp in dec.spaces})
     lam1 = [sp.lams[1] for sp in dec.spaces]
     assert all(abs(l) < 1e-9 or abs(l - 1) < 1e-9 for l in lam1)
     assert flags in ([0], [1], [0, 1])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_dense_oracle_invariants(n):
+    # the reference itself: G-orthonormal eigenvectors of the dense matrices
+    dec = dense_oracle.decompose(n, primes=(3, 5), even_extras=(9, 15))
+    hb = harmonic_basis(n)
+    g = np.array(hb.gram, dtype=float)
+    V = dec.all_vectors()
+    assert np.allclose((V * g[:, None]).T @ V, np.eye(hb.dim), atol=1e-9)
+    for sp in dec.spaces:
+        for N in (3, 5, 9, 15):
+            T = hecke_matrix_float(n, N)
+            assert np.abs(T @ sp.vectors - sp.lams[N] * sp.vectors).max() < 1e-8
+
+
+@pytest.mark.parametrize("n", [4, 8, 12, 24])
+def test_decomposition_matches_dense_oracle(n):
+    extras = (9, 15)
+    dec = decompose(n, primes=(3, 5), even_extras=extras)
+    ref = dense_oracle.decompose(n, primes=(3, 5), even_extras=extras)
+    assert ([(sp.multiplicity, sp.t1_flag) for sp in dec.spaces]
+            == [(sp.multiplicity, sp.t1_flag) for sp in ref.spaces])
+    for sp, rp in zip(dec.spaces, ref.spaces):
+        assert sp.lams.keys() == rp.lams.keys()
+        for N, lam in sp.lams.items():
+            assert lam == pytest.approx(rp.lams[N], abs=1e-9)
+    assert dec.group_margin > dec.group_tol
 
 
 def test_eigenvalue_of_missing_raises():

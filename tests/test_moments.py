@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
+import dense_oracle
+from dense_oracle import _right_j
 from hecke_sphere.hecke import DegeneracyError, EigenSpace, decompose
 from hecke_sphere.moments import (
-    _right_j, growth_fit, moment_sweep, pinned_blocks, pretrace_residual,
+    eigen_values, growth_fit, moment_sweep, pinned_blocks, pretrace_residual,
     sphere_grid,
 )
 from hecke_sphere.poly import Poly4, harmonic_basis
+from hecke_sphere.quat import enumerate_shell
 
 
 def test_grid_deterministic_and_unit():
@@ -107,8 +110,9 @@ def _rotated(dec, seed):
     rng = np.random.default_rng(seed)
     spaces = []
     for sp in dec.spaces:
-        O, _ = np.linalg.qr(rng.standard_normal((sp.multiplicity,) * 2))
-        spaces.append(dataclasses.replace(sp, vectors=sp.vectors @ O))
+        k = sp.basis.shape[1]
+        O, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        spaces.append(dataclasses.replace(sp, basis=sp.basis @ O))
     return dataclasses.replace(dec, spaces=tuple(spaces))
 
 
@@ -130,13 +134,18 @@ def test_pinned_statistics_basis_invariant(n):
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_pinned_basis_spans_each_block(n):
     dec = decompose(n, primes=(3, 5))
-    hb = harmonic_basis(n)
-    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
-    for sp, (vecs, flag) in zip(dec.spaces, pinned_blocks(dec)):
+    k = np.arange(n + 1)
+    cls = (np.minimum(k, n - k) - n // 2) % 4
+    for sp, (basis, flag) in zip(dec.spaces, pinned_blocks(dec)):
         assert flag == sp.t1_flag
-        Q, V = sqrt_g[:, None] * sp.vectors, sqrt_g[:, None] * vecs
-        assert np.allclose(V.T @ V, np.eye(sp.multiplicity), atol=1e-10)
-        assert np.allclose(V @ V.T, Q @ Q.T, atol=1e-10)
+        dim = sp.basis.shape[1]
+        assert np.allclose(basis.T @ basis, np.eye(dim), atol=1e-10)
+        assert np.allclose(basis @ basis.T, sp.basis @ sp.basis.T, atol=1e-10)
+        if flag:
+            # each pinned vector lies in one even class of the sign of u
+            for col in basis.T:
+                assert len({int(c) for c in cls[np.abs(col) > 1e-12]}) == 1
+                assert np.all(cls[np.abs(col) > 1e-12] % 2 == 0)
 
 
 def test_family_sup_is_sum_of_squared_dimensions():
@@ -152,7 +161,86 @@ def test_unsplit_block_raises():
     dec = decompose(8, primes=(3, 5))
     flagged = [sp for sp in dec.spaces if sp.t1_flag]
     merged = EigenSpace(lams=flagged[0].lams, t1_flag=1,
-                        vectors=np.hstack([sp.vectors for sp in flagged]))
+                        basis=np.hstack([sp.basis for sp in flagged]))
     bad = dataclasses.replace(dec, spaces=(merged,))
     with pytest.raises(DegeneracyError):
         pinned_blocks(bad)
+
+
+def test_dense_oracle_unsplit_block_raises():
+    dec = dense_oracle.decompose(8, primes=(3, 5))
+    flagged = [sp for sp in dec.spaces if sp.t1_flag]
+    merged = dense_oracle.DenseSpace(
+        lams=flagged[0].lams, t1_flag=1,
+        vectors=np.hstack([sp.vectors for sp in flagged]))
+    with pytest.raises(DegeneracyError):
+        dense_oracle.pinned_blocks(dataclasses.replace(dec, spaces=(merged,)))
+
+
+def _left_mul(m, x):
+    """Coordinates of the quaternion product m x, m integral, x float."""
+    w1, w2, w3, w4 = m.int_coords
+    return np.stack([w1 * x[:, 0] - w2 * x[:, 1] - w3 * x[:, 2] - w4 * x[:, 3],
+                     w2 * x[:, 0] + w1 * x[:, 1] - w4 * x[:, 2] + w3 * x[:, 3],
+                     w3 * x[:, 0] + w4 * x[:, 1] + w1 * x[:, 2] - w2 * x[:, 3],
+                     w4 * x[:, 0] - w3 * x[:, 1] + w2 * x[:, 2] + w1 * x[:, 3]],
+                    axis=1)
+
+
+@pytest.mark.parametrize("n", (4, 6, 8))
+def test_eigenfunctions_satisfy_the_shell_sum(n):
+    # T_N phi(x) = (1/8) sum_{nr(m)=N} phi(m x / sqrt N) = lambda_N phi(x),
+    # summed over the shell itself rather than through S_N
+    dec = decompose(n, primes=(3, 5), even_extras=(9,))
+    xs = sphere_grid(6, seed=3)
+    for N in (3, 5, 9):
+        images = [_left_mul(m, xs) / np.sqrt(N)
+                  for m in enumerate_shell(N, "integral").elements]
+        for sp in dec.spaces:
+            phi = eigen_values(n, sp.basis, xs)
+            Tphi = sum(eigen_values(n, sp.basis, y) for y in images) / 8
+            assert np.abs(Tphi - sp.lams[N] * phi).max() < 1e-10 * (n + 1)
+
+
+def test_eigenfunctions_are_real_parts_fixed_by_right_j():
+    # the pinned lines Re g_a and Im g_a have eigenvalues +1 and -1 under
+    # x -> x j = (-x3, -x4, x1, x2)
+    n = 8
+    dec = decompose(n, primes=(3, 5))
+    xs = sphere_grid(20, seed=4)
+    xj = np.stack([-xs[:, 2], -xs[:, 3], xs[:, 0], xs[:, 1]], axis=1)
+    R = np.hstack([basis for basis, _ in pinned_blocks(dec)])
+    F, Fj = eigen_values(n, R, xs), eigen_values(n, R, xj)
+    assert np.allclose(Fj[0], F[0], atol=1e-12)
+    assert np.allclose(Fj[1], -F[1], atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def grid7():
+    return sphere_grid(5000, seed=7)
+
+
+@pytest.mark.parametrize("n", (2, 6, 10, 16, 24))
+def test_moments_match_dense_oracle(n, grid7):
+    rep = moment_sweep(n, decompose(n, primes=(3, 5)), grid7, seed=7)
+    ref = dense_oracle.moment_sweep(
+        n, dense_oracle.decompose(n, primes=(3, 5)), grid7, seed=7)
+    assert rep.sup_family == ref.sup_family
+    for stat in ("sup_fourth", "sup_individual"):
+        assert getattr(rep, stat) == pytest.approx(getattr(ref, stat),
+                                                   rel=1e-9)
+    # closure_error is itself relative to (n+1)^2: this is rel 1e-9 on the
+    # closure sums
+    assert abs(rep.closure_error - ref.closure_error) <= 1e-9
+
+
+@pytest.mark.parametrize("n", (4, 10))
+def test_pretrace_matches_dense_oracle(n):
+    xs, ys = sphere_grid(50, seed=1), sphere_grid(50, seed=2)
+    dec = decompose(n, primes=(3, 5))
+    R = np.hstack([sp.basis for sp in dec.spaces])
+    F = eigen_values(n, R, np.vstack([xs, ys]))
+    lhs = np.einsum("jkap,jkap->p", F[..., :50], F[..., 50:])
+    ref = dense_oracle.pretrace_sum(dense_oracle.decompose(n), xs, ys)
+    assert np.allclose(lhs, ref, rtol=0, atol=1e-10 * (n + 1) ** 2)
+    assert pretrace_residual(dec, xs, ys) < 1e-10 * (n + 1) ** 2

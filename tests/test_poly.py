@@ -153,6 +153,9 @@ def test_sym_power_entries_match_batched_values(n):
             for part in (0, 1):
                 f = Poly4(n, table[a][b][part])
                 assert [f.evaluate(x) for x in pts] == T[part, b, a].tolist()
+    # the leading columns alone, as the eigenfunction evaluator takes them
+    half = sym_power_values(np.array(pts, dtype=object), n, cols=n // 2 + 1)
+    assert np.array_equal(half, T[:, :, :n // 2 + 1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])

@@ -4,10 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import dense_oracle
 from hecke_sphere.hecke import decompose
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.theta import (
-    DEFAULT_X, DEFAULT_Y,
+    DEFAULT_X, DEFAULT_Y, _point,
     coset_coefficient, modularity_check, petersson_estimate,
     spectral_coefficient, theta_coefficient,
 )
@@ -83,6 +84,19 @@ def test_central_identity_small(n):
             sc = spectral_coefficient(n, x, y, k, dec)
             ref = max(1.0, abs(tc.float_value))
             assert abs(tc.float_value - sc) < 1e-9 * ref
+
+
+def test_spectral_coefficient_matches_dense_oracle():
+    n = 4
+    dec = decompose(n, primes=(3, 5), even_extras=tuple(range(1, 25)))
+    ref = dense_oracle.decompose(n, primes=(3, 5),
+                                 even_extras=tuple(range(1, 25)))
+    for x, y in [(ONE, ONE), ((1, 2, 2, 0), ONE), ((1, 1, 1, 0), (1, 2, 0, 0))]:
+        px, py = (_point(Quaternion.from_int_coords(*q)) for q in (x, y))
+        for k in range(1, 25):
+            sc = spectral_coefficient(n, x, y, k, dec)
+            rc = dense_oracle.spectral_coefficient(n, px, py, k, ref)
+            assert abs(sc - rc) <= 1e-9 * (1 + abs(rc))
 
 
 def test_spectral_requires_matching_degree():
