@@ -58,9 +58,7 @@ def _write_csv(args, name: str, header, rows):
         fh.write(f"# schema={SCHEMA} config={json.dumps(_config(args), sort_keys=True)}\n")
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_jsonable(v) if isinstance(v, Fraction) else v
-                        for v in row])
+        w.writerows(rows)
     return path
 
 
@@ -81,9 +79,8 @@ def cmd_shells(args) -> int:
     from .quat import enumerate_shell
 
     sh = enumerate_shell(args.k, args.parity)
-    rows = [tuple(c) for c in sh.coords.tolist()]
     _write_csv(args, f"shells-{args.parity}-{args.k}",
-               ["c1", "c2", "c3", "c4"], rows)
+               ["c1", "c2", "c3", "c4"], sh.coords.tolist())
     return 0
 
 
@@ -172,7 +169,9 @@ def cmd_modularity(args) -> int:
                              K=args.cutoff)
         _write_json(args, f"modularity-{n}", {
             "n": n, "K": r.K, "residual": r.residual,
-            "tail_bound": r.tail_bound})
+            "tail_bound": r.tail_bound,
+            "exact_coefficients": r.exact_coefficients,
+            "max_exact_gap": r.max_exact_gap})
         ok = ok and r.residual <= 1e-6 and r.tail_bound < 1e-8
     return 0 if ok else 1
 

@@ -117,9 +117,15 @@ def a_of_x(n: int, X: int) -> float:
     """
     if X < 1:
         raise ValueError("need X >= 1")
-    r3 = r3_counts(X)
-    total = 0.0
-    for k in range(1, X + 1):
+    return _a_prefix(n, _round_up_pow2(X))[X]
+
+
+@lru_cache(maxsize=None)
+def _a_prefix(n: int, limit: int) -> tuple:
+    """Running totals A(0), ..., A(limit), accumulated in k order."""
+    r3 = r3_counts(limit)
+    total, prefix = 0.0, [0.0]
+    for k in range(1, limit + 1):
         inner = 0.0
         for m1 in range(0, isqrt(k) + 1):
             s = k - m1 * m1
@@ -129,7 +135,8 @@ def a_of_x(n: int, X: int) -> float:
             elif r3[s]:
                 inner += mult * int(r3[s]) * min(n + 1.0, math.sqrt(k / s))
         total += inner * inner
-    return total
+        prefix.append(total)
+    return tuple(prefix)
 
 
 def fit_constant(records) -> float:

@@ -6,8 +6,10 @@ n+2 cusp form whose k-th Fourier coefficient is
     c_k(x, y) = k^(n/2) * sum_{nr(m)=k} U_n( tr(m x conj(y)) / (2 sqrt(k)) )
 
 over the integer quaternion shell.  With x = q_x/sqrt(N_x) for an integral
-q_x, the Chebyshev re-expansion keeps every coefficient an exact rational
-whenever N_x N_y is a perfect square.
+q_x and N_x N_y = S^2, W_n(T) = (2S sqrt k)^n U_n(T / (2S sqrt k)) obeys the
+integer recurrence W_m = 2T W_(m-1) - 4 S^2 k W_(m-2) (W_0 = 1, W_1 = 2T),
+so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is exact.
+The Petersson strips are batched per degree over one cached profile table.
 """
 
 from __future__ import annotations
@@ -16,14 +18,15 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 import numpy as np
 
 from .hecke import SpectralDecomposition
 from .moments import eigen_values
-from .quat import Quaternion, enumerate_shell, m1_profile
-from .zonal import cheb_coeffs, chebyshev_U_vec
+from .quat import Quaternion, _round_up_pow2, enumerate_shell, m1_profile
+from .zonal import chebyshev_U_vec
 
 
 def _as_quat(q) -> Quaternion:
@@ -70,15 +73,11 @@ def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
         return ThetaCoefficient(n, k, qx, qy, None, fv)
 
     tvals, counts = np.unique(traces, return_counts=True)
-    a = cheb_coeffs(n)
-    total = Fraction(0)
-    for T, cnt in zip(tvals.tolist(), counts.tolist()):
-        acc = Fraction(0)
-        for j in range(n % 2, n + 1, 2):
-            if a[j]:
-                acc += Fraction(a[j] * T ** j * k ** ((n - j) // 2),
-                                (2 * S) ** j)
-        total += cnt * acc
+    T = tvals.astype(object)  # W_n outgrows int64: Python integers
+    prev, cur = 0 * T, 0 * T + 1  # W_(-1), W_0
+    for _ in range(n):
+        prev, cur = cur, 2 * T * cur - 4 * S * S * k * prev
+    total = Fraction(int(cur @ counts.astype(object)), (2 * S) ** n)
     if total != 0:
         rel = abs(fv - float(total)) / abs(float(total))
         if rel > 1e-9:
@@ -152,6 +151,8 @@ class ModularityResult:
     residual: float
     tail_bound: float
     value: complex
+    exact_coefficients: int  # how many of the K coefficients were exact
+    max_exact_gap: float  # largest relative float/exact gap among them
 
 
 def modularity_check(n: int, gamma, z: complex, K: int = 0,
@@ -174,22 +175,28 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
         raise ValueError("both points must lie in the upper half-plane")
 
     K = K or 64
-    coeffs = {}
+    coeffs, gaps = {}, {}
     while True:
         for k in range(1, K + 1):
             if k not in coeffs:
                 tc = theta_coefficient(n, x, y, k)
                 # exact rationals kill roundoff; identically-zero kernels
                 # (possible when the cusp space is trivial) stay exact zeros
-                coeffs[k] = float(tc.value) if tc.value is not None else tc.float_value
+                coeffs[k] = tc.float_value
+                if tc.value is not None:
+                    coeffs[k] = v = float(tc.value)
+                    # relative float/exact gap; exact zeros count as 0
+                    gaps[k] = abs(tc.float_value - v) / (abs(v) or math.inf)
         tail = _coeff_tail_bound(n, K, ymin)
+        stats = dict(exact_coefficients=len(gaps),
+                     max_exact_gap=max(gaps.values(), default=0.0))
         scale = abs(c * z + d) ** (n + 2)
         if all(v == 0.0 for v in coeffs.values()):
             # kernel vanishes identically up to K; residual is the tail alone
             if tail * (1 + scale) < tail_tol:
                 return ModularityResult(n=n, K=K, residual=0.0,
                                         tail_bound=tail * (1 + scale),
-                                        value=0j)
+                                        value=0j, **stats)
         else:
             Fz = sum(coeffs[k] * cmath.exp(2j * math.pi * k * z)
                      for k in range(1, K + 1))
@@ -203,7 +210,7 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
             if rel_tail < tail_tol:
                 residual = abs(Fgz - (c * z + d) ** (n + 2) * Fz) / abs(Fz)
                 return ModularityResult(n=n, K=K, residual=residual,
-                                        tail_bound=rel_tail, value=Fz)
+                                        tail_bound=rel_tail, value=Fz, **stats)
         if K >= 4096:
             raise ValueError(f"tail bound not certified by K=4096")
         K *= 2
@@ -233,12 +240,27 @@ def _log_upper_gamma(n_plus_1: int, x: np.ndarray, dtype) -> np.ndarray:
     return g
 
 
-def _shell_kernel_sum(n: int, k: int, parity: str) -> float:
-    c1s, counts = m1_profile(k, parity)
-    if not len(c1s):
-        return 0.0
-    vals = chebyshev_U_vec(n, c1s / (2.0 * math.sqrt(k)))
-    return float(counts @ vals)
+@lru_cache(maxsize=None)
+def _profile_table(K: int, parity: str):
+    """The m1 profiles of the shells k <= K concatenated in k order, as
+    read-only (k, t = c1 / (2 sqrt k), count) arrays."""
+    prof = [m1_profile(k, parity) for k in range(1, K + 1)]
+    table = (np.repeat(np.arange(1, K + 1, dtype=np.int32),
+                       [len(c) for c, _ in prof]),
+             np.concatenate([c / (2.0 * math.sqrt(k))
+                             for k, (c, _) in enumerate(prof, 1)]),
+             np.concatenate([m for _, m in prof]).astype(np.int32))
+    for v in table:
+        v.setflags(write=False)
+    return table
+
+
+def _strip_sums(n: int, K: int, parity: str) -> np.ndarray:
+    """S_k = sum over the norm-k shell of U_n(tr(m) / (2 sqrt k)), k = 1..K."""
+    ks, ts, cs = _profile_table(_round_up_pow2(K), parity)
+    end = int(np.searchsorted(ks, K, side="right"))
+    vals = chebyshev_U_vec(n, ts[:end])
+    return np.bincount(ks[:end], weights=cs[:end] * vals, minlength=K + 1)[1:]
 
 
 def _logsumexp(v: np.ndarray) -> float:
@@ -262,6 +284,8 @@ def petersson_estimate(n: int, K: int,
     """
     if n < 0 or n % 2:
         raise ValueError("n must be a nonnegative even integer")
+    if n == 2:  # U_2 = 4x^2 - 1 and sum m1^2 = k r4(k) / 4 give S_k = 0
+        raise ValueError("n = 2: both strips vanish (S_4(Gamma0(4)) = 0)")
     if K < 10 * n:
         raise ValueError(
             f"K={K} < 10n={10 * n}: the tail certificate needs K >= 10n")
@@ -269,7 +293,7 @@ def petersson_estimate(n: int, K: int,
     ks = np.arange(1, K + 1)
 
     def strip(parity):
-        S = np.array([_shell_kernel_sum(n, int(k), parity) for k in ks])
+        S = _strip_sums(n, K, parity)
         mask = S != 0.0
         kk = ks[mask].astype(dtype)
         logS2 = 2.0 * np.log(np.abs(S[mask]).astype(dtype))

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,20 +20,6 @@ RECURRENCE = "recurrence"
 class KernelValue:
     value: float
     regime: str
-
-
-@lru_cache(maxsize=None)
-def cheb_coeffs(n: int):
-    """Integer coefficients of U_n, index = power of x (zeros interleaved)."""
-    if n == 0:
-        return (1,)
-    prev, cur = [1], [0, 2]
-    for _ in range(n - 1):
-        nxt = [0] + [2 * c for c in cur]
-        for i, c in enumerate(prev):
-            nxt[i] -= c
-        prev, cur = cur, nxt
-    return tuple(cur)
 
 
 def _recurrence(n, x):

@@ -88,6 +88,14 @@ def test_modularity(tmp_path):
     assert doc["residual"] <= 1e-6
 
 
+def test_modularity_records_exact_coefficients(tmp_path):
+    # N_x N_y = 9 for the default points, so every coefficient is exact
+    assert run(tmp_path, "modularity", "--n", "4") == 0
+    doc = json.loads((tmp_path / "modularity-4.json").read_text())
+    assert doc["exact_coefficients"] == doc["K"]
+    assert 0.0 <= doc["max_exact_gap"] < 1e-9
+
+
 def test_precision_flag_only_on_petersson(tmp_path):
     assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "80",
                "--precision", "extended") == 0

@@ -177,6 +177,27 @@ def test_a_of_x_brute_force():
     assert a_of_x(n, X) == pytest.approx(total, rel=1e-12)
 
 
+def test_a_of_x_prefix_is_the_direct_sum():
+    # the cached running total adds the same floats in the same order as a
+    # fresh accumulation up to X, so the values agree bit for bit
+    n = 64
+    r3 = r3_counts(200)
+    direct, total = {}, 0.0
+    for k in range(1, 200):
+        inner = 0.0
+        for m1 in range(0, math.isqrt(k) + 1):
+            s = k - m1 * m1
+            mult = 2 if m1 > 0 else 1
+            if s == 0:
+                inner += mult * (n + 1)
+            elif r3[s]:
+                inner += mult * int(r3[s]) * min(n + 1.0, math.sqrt(k / s))
+        total += inner * inner
+        direct[k] = total
+    for X in (1, 2, 7, 16, 17, 64, 100, 128, 199):
+        assert a_of_x(n, X) == direct[X]
+
+
 def test_fit_constant():
     recs = [shell_class_count(k, 2) for k in range(1, 50)]
     c = fit_constant(recs)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import theta_oracle
+from hecke_sphere import theta
 from hecke_sphere.hecke import decompose
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.theta import (
-    DEFAULT_X, DEFAULT_Y, _point,
+    DEFAULT_X, DEFAULT_Y, _point, _strip_sums, _trace_values,
     coset_coefficient, modularity_check, petersson_estimate,
     spectral_coefficient, theta_coefficient,
 )
@@ -59,6 +61,38 @@ def test_diagonal_depends_only_on_trace():
         a = theta_coefficient(4, (1, 2, 2, 0), (1, 2, 2, 0), k)
         b = theta_coefficient(4, ONE, ONE, k)
         assert a.value == b.value
+
+
+# N_x N_y = 9 (the defaults, (1,2,2,0) and 1), 4 and 225
+ORACLE_PAIRS = [(DEFAULT_X, DEFAULT_Y),
+                (Quaternion.from_int_coords(1, 1, 1, 1), DEFAULT_Y),
+                (Quaternion.from_int_coords(3, 0, 4, 0), DEFAULT_X)]
+
+
+def _reexpansion(n, qx, qy, k, bump=0):
+    """The Fraction re-expansion of c_k; ``bump`` adds to the last count."""
+    S = math.isqrt(qx.nr() * qy.nr())
+    tvals, counts = np.unique(_trace_values(k, qx, qy), return_counts=True)
+    counts = counts.tolist()
+    counts[-1] += bump
+    return theta_oracle.reexpansion_value(n, k, S, tvals.tolist(), counts)
+
+
+@pytest.mark.parametrize("qx,qy", ORACLE_PAIRS, ids=["9", "4", "225"])
+def test_integer_recurrence_matches_reexpansion(qx, qy):
+    for n in range(13):
+        for k in range(1, 61):
+            assert theta_coefficient(n, qx, qy, k).value == \
+                _reexpansion(n, qx, qy, k)
+
+
+@pytest.mark.parametrize("n,k", [(0, 3), (4, 5), (7, 12), (12, 60)])
+def test_reexpansion_oracle_sees_a_perturbed_count(n, k):
+    # negative control: one extra element at the largest trace T, where
+    # |U_n| is near its cap n + 1, must break the equality
+    qx, qy = ORACLE_PAIRS[2]
+    assert theta_coefficient(n, qx, qy, k).value != \
+        _reexpansion(n, qx, qy, k, bump=1)
 
 
 def test_irrational_norm_product_gives_float_only():
@@ -144,6 +178,41 @@ def test_petersson_guard():
         petersson_estimate(8, 40)
     with pytest.raises(ValueError):
         petersson_estimate(3, 100)
+
+
+def test_petersson_degree_two_is_refused():
+    # U_2(x) = 4x^2 - 1 and sum_shell m1^2 = k r4(k) / 4: every S_k is zero
+    # (S_4(Gamma0(4)) = 0), so an estimate would only measure roundoff
+    for parity in ("integral", "coset"):
+        S = theta_oracle.strip_sums(2, 200, parity)
+        assert np.max(np.abs(S)) < 1e-9
+    with pytest.raises(ValueError, match="n = 2"):
+        petersson_estimate(2, 20)
+
+
+@pytest.mark.parametrize("n", [0, 4, 8, 12, 32])
+def test_batched_strip_sums_match_per_shell(n):
+    for K in sorted({10 * n + 1, 10 * n + 37, 400}):
+        for parity in ("integral", "coset"):
+            got = _strip_sums(n, K, parity)
+            want = theta_oracle.strip_sums(n, K, parity)
+            assert got.shape == want.shape == (K,)
+            assert np.all(np.abs(got - want)
+                          <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+def test_petersson_matches_per_shell_strips(precision, monkeypatch):
+    batched = {n: petersson_estimate(n, 10 * n, precision)
+               for n in (4, 8, 12, 32)}
+    monkeypatch.setattr(theta, "_strip_sums", theta_oracle.strip_sums)
+    for n, est in batched.items():
+        ref = petersson_estimate(n, 10 * n, precision)
+        # bit-identical with numpy's own summation; another BLAS may sum
+        # the per-shell dot products in another order
+        for field in ("rho", "log_I1", "log_I2", "tail_ratio"):
+            assert getattr(est, field) == pytest.approx(
+                getattr(ref, field), rel=1e-13, abs=0)
 
 
 def test_petersson_basic():

@@ -7,9 +7,10 @@ from hypothesis import given, strategies as st
 
 from hecke_sphere.zonal import (
     CAPPED, RECURRENCE, TRIG,
-    cheb_coeffs, chebyshev_U, chebyshev_U_info, chebyshev_U_vec,
+    chebyshev_U, chebyshev_U_info, chebyshev_U_vec,
     kernel_cap, pretrace_kernel,
 )
+from theta_oracle import cheb_coeffs
 
 
 def test_low_degree_closed_forms():

@@ -1,0 +1,62 @@
+"""Per-shell and Fraction references for the batched theta layer.
+
+The package sums the Petersson strips for all k <= K in one pass over a
+cached profile table, and takes exact theta coefficients from an integer
+recurrence.  This module keeps the earlier computations, one shell at a
+time, so the tests can compare the two: the per-k strip sum S_k, and the
+Chebyshev re-expansion of U_n into its integer monomial coefficients,
+summed power by power in ``Fraction``s.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+import numpy as np
+
+from hecke_sphere.quat import m1_profile
+from hecke_sphere.zonal import chebyshev_U_vec
+
+
+@lru_cache(maxsize=None)
+def cheb_coeffs(n: int):
+    """Integer coefficients of U_n, index = power of x (zeros interleaved)."""
+    if n == 0:
+        return (1,)
+    prev, cur = [1], [0, 2]
+    for _ in range(n - 1):
+        nxt = [0] + [2 * c for c in cur]
+        for i, c in enumerate(prev):
+            nxt[i] -= c
+        prev, cur = cur, nxt
+    return tuple(cur)
+
+
+def shell_kernel_sum(n: int, k: int, parity: str) -> float:
+    """S_k = sum over the norm-k shell of U_n(tr(m) / (2 sqrt k))."""
+    c1s, counts = m1_profile(k, parity)
+    if not len(c1s):
+        return 0.0
+    vals = chebyshev_U_vec(n, c1s / (2.0 * math.sqrt(k)))
+    return float(counts @ vals)
+
+
+def strip_sums(n: int, K: int, parity: str) -> np.ndarray:
+    """S_1, ..., S_K one shell at a time."""
+    return np.array([shell_kernel_sum(n, k, parity) for k in range(1, K + 1)])
+
+
+def reexpansion_value(n: int, k: int, S: int, tvals, counts) -> Fraction:
+    """k^(n/2) sum cnt * U_n(T / (2 S sqrt k)) through the monomial
+    coefficients a_j of U_n: only powers j of the parity of n occur, so
+    each term a_j k^((n-j)/2) sum cnt T^j / (2S)^j is rational."""
+    a = cheb_coeffs(n)
+    total = Fraction(0)
+    for j in range(n % 2, n + 1, 2):
+        if a[j]:
+            power_sum = sum(c * T ** j for T, c in zip(tvals, counts))
+            total += Fraction(a[j] * power_sum * k ** ((n - j) // 2),
+                              (2 * S) ** j)
+    return total
