@@ -27,7 +27,7 @@ from .hecke import (
     t1_vanishing,
 )
 from .moments import MomentReport, growth_fit, moment_sweep, pretrace_residual, sphere_grid
-from .poly import HarmonicBasis, Poly4, fischer_dot, harmonic_basis, sphere_integral
+from .poly import HarmonicBasis, harmonic_basis
 from .quat import CapacityError, NormShell, Quaternion, enumerate_shell, m1_profile, r4_count
 from .theta import (
     ModularityResult,

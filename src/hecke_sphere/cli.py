@@ -12,7 +12,6 @@ import csv
 import json
 import sys
 from dataclasses import asdict
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,6 @@ SCHEMA = "hecke-sphere/1"
 
 
 def _jsonable(v):
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
     if isinstance(v, (np.integer,)):
         return int(v)
     if isinstance(v, (np.floating,)):
@@ -244,59 +241,55 @@ def cmd_report(args) -> int:
     return 0
 
 
+# flag -> add_argument keywords; ``--cutoff`` is added per subcommand with
+# its own default
+FLAGS = {
+    "n": {"type": int},
+    "n-range": {"help": "a:b:step inclusive range of n"},
+    "primes": {"default": "3,5"},
+    "seed": {"type": int, "default": 0},
+    "grid": {"type": int, "default": 5000},
+    "pairs": {"type": int, "default": 100},
+    "x": {"default": "1,2,2,0"},
+    "y": {"default": "1,0,0,0"},
+    "im": {"type": float, "default": 0.5},
+    "precision": {"choices": ("double", "extended"), "default": "double"},
+    "k": {"type": int, "required": True},
+    "parity": {"choices": ("integral", "coset"), "default": "integral"},
+}
+
+_NS = ("n", "n-range")
+
+# subcommand, handler, the flags it reads (besides --out), its --cutoff default
+COMMANDS = (
+    ("shells", cmd_shells, ("k", "parity"), None),
+    ("basis", cmd_basis, _NS, None),
+    ("hecke-check", cmd_hecke_check, _NS + ("primes",), None),
+    ("spectral", cmd_spectral, _NS + ("primes", "seed"), None),
+    ("pretrace-check", cmd_pretrace_check, _NS + ("primes", "seed", "pairs"), None),
+    ("theta-identity", cmd_theta_identity, _NS + ("primes", "seed", "x", "y"), 40),
+    ("modularity", cmd_modularity, _NS + ("im",), 0),
+    ("petersson", cmd_petersson, _NS + ("precision",), 0),
+    ("counting", cmd_counting, (), 4096),
+    ("moments", cmd_moments, _NS + ("primes", "grid", "seed"), None),
+    ("report", cmd_report, _NS, None),
+)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="hecke-sphere",
         description="Hecke eigenform experiments on the 3-sphere")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--n", type=int)
-        p.add_argument("--n-range", help="a:b:step inclusive range of n")
-        p.add_argument("--primes", default="3,5")
-        p.add_argument("--cutoff", type=int, default=0)
-        p.add_argument("--grid", type=int, default=5000)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default="out")
-
-    p = sub.add_parser("shells", help="enumerate a norm shell to CSV")
-    common(p)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--parity", choices=("integral", "coset"),
-                   default="integral")
-    p.set_defaults(func=cmd_shells)
-
-    for name, fn, extra in (
-        ("basis", cmd_basis, ()),
-        ("hecke-check", cmd_hecke_check, ()),
-        ("spectral", cmd_spectral, ()),
-        ("pretrace-check", cmd_pretrace_check, ("pairs",)),
-        ("theta-identity", cmd_theta_identity, ("x", "y")),
-        ("modularity", cmd_modularity, ("im",)),
-        ("petersson", cmd_petersson, ("precision",)),
-        ("counting", cmd_counting, ()),
-        ("moments", cmd_moments, ()),
-        ("report", cmd_report, ()),
-    ):
+    for name, fn, flags, cutoff in COMMANDS:
         p = sub.add_parser(name)
-        common(p)
-        if "pairs" in extra:
-            p.add_argument("--pairs", type=int, default=100)
-        if "x" in extra:
-            p.add_argument("--x", default="1,2,2,0")
-            p.add_argument("--y", default="1,0,0,0")
-        if "im" in extra:
-            p.add_argument("--im", type=float, default=0.5)
-        if "precision" in extra:
-            p.add_argument("--precision", choices=("double", "extended"),
-                           default="double")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
+        if cutoff is not None:
+            p.add_argument("--cutoff", type=int, default=cutoff)
+        p.add_argument("--out", default="out")
         p.set_defaults(func=fn)
-
     args = ap.parse_args(argv)
-    if args.command == "counting" and not args.cutoff:
-        args.cutoff = 4096
-    if args.command == "theta-identity" and not args.cutoff:
-        args.cutoff = 40
     return args.func(args)
 
 

@@ -163,9 +163,8 @@ def hecke_matrix_float(n: int, N: int) -> np.ndarray:
 
 
 def t1_vanishing(n: int) -> bool:
-    """Exact vanishing of the T_1 matrix; true for every odd n."""
-    hm = hecke_matrix(n, 1)
-    return all(v == 0 for row in hm.entries for v in row)
+    """Exact vanishing of T_1, read off S_1; true for every odd n."""
+    return not np.any(shell_monomial_matrix(n, 1))
 
 
 def selfadjoint_check(n: int, N: int) -> bool:

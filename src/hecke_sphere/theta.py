@@ -86,11 +86,6 @@ def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
     return ThetaCoefficient(n, k, qx, qy, total, fv)
 
 
-def _point(q: Quaternion) -> np.ndarray:
-    c = np.array([q.c1, q.c2, q.c3, q.c4], dtype=float) / 2.0
-    return c / math.sqrt(q.nr())
-
-
 def spectral_coefficient(n: int, x, y, k: int,
                          dec: SpectralDecomposition) -> float:
     """Spectral side of the central identity: the k-th coefficient of
@@ -101,7 +96,7 @@ def spectral_coefficient(n: int, x, y, k: int,
     R = np.hstack([sp.basis for sp in dec.spaces])
     lam = np.concatenate([np.full(sp.basis.shape[1], dec.eigenvalue_of(sp, k))
                           for sp in dec.spaces])
-    F = eigen_values(n, R, np.stack([_point(qx), _point(qy)]))
+    F = eigen_values(n, R, np.stack([qx.unit_vector(), qy.unit_vector()]))
     total = float(lam @ np.einsum("jka,jka->k", F[..., 0], F[..., 1]))
     return (8.0 / (n + 1)) * total * float(k) ** (n / 2)
 

@@ -22,6 +22,7 @@ from hecke_sphere.hecke import (
 )
 from hecke_sphere.moments import MomentReport
 from hecke_sphere.poly import HarmonicBasis, basis_values, harmonic_basis
+from poly_oracle import basis_polys
 
 
 @dataclass(frozen=True)
@@ -118,15 +119,16 @@ def _right_j(hb: HarmonicBasis):
     coefficient, using x j = (-x3, -x4, x1, x2).
     """
     n = hb.n
+    basis = basis_polys(n)
     index = {lab: i for i, lab in enumerate(hb.labels)}
     perm = np.empty(hb.dim, dtype=np.intp)
     sign = np.empty(hb.dim)
     for i, (b, a, part) in enumerate(hb.labels):
         rb, ra = min((b, n - a), (n - b, a))
         perm[i] = k = index[(rb, ra, part)]
-        alpha, v = next(iter(hb.basis[i].coeffs.items()))
+        alpha, v = next(iter(basis[i].coeffs.items()))
         image = (alpha[2], alpha[3], alpha[0], alpha[1])
-        sign[i] = (-1) ** (alpha[0] + alpha[1]) * v / hb.basis[k].coeffs[image]
+        sign[i] = (-1) ** (alpha[0] + alpha[1]) * v / basis[k].coeffs[image]
     return perm, sign
 
 

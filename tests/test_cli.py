@@ -103,6 +103,20 @@ def test_precision_flag_only_on_petersson(tmp_path):
     assert '"precision": "extended"' in header
     with pytest.raises(SystemExit):
         run(tmp_path, "moments", "--n", "4", "--precision", "extended")
+    # every subcommand registers only the flags it reads
+    for argv in (("shells", "--k", "1", "--seed", "1"),
+                 ("basis", "--n", "2", "--primes", "3,5"),
+                 ("hecke-check", "--n", "2", "--seed", "1"),
+                 ("spectral", "--n", "4", "--grid", "100"),
+                 ("pretrace-check", "--n", "4", "--cutoff", "10"),
+                 ("theta-identity", "--n", "2", "--grid", "100"),
+                 ("modularity", "--n", "4", "--primes", "3,5"),
+                 ("petersson", "--n", "8", "--seed", "1"),
+                 ("counting", "--n", "4"),
+                 ("moments", "--n", "4", "--cutoff", "10"),
+                 ("report", "--n", "8", "--cutoff", "80")):
+        with pytest.raises(SystemExit):
+            run(tmp_path, *argv)
 
 
 def test_counting_small(tmp_path):

@@ -10,21 +10,23 @@ from hecke_sphere.hecke import (
     decompose, hecke_matrix, hecke_matrix_float, hecke_relations_check,
     row_basis, selfadjoint_check, shell_monomial_matrix, t1_vanishing,
 )
-from hecke_sphere.poly import harmonic_basis, sphere_integral, substitute_left_mul
+from hecke_sphere.poly import harmonic_basis
 from hecke_sphere.quat import enumerate_shell, r4_count
+from poly_oracle import basis_polys, sphere_integral, substitute_left_mul
 
 
 def brute_hecke_matrix(n, N):
     """Unscaled operator via direct substitution and exact projection."""
     hb = harmonic_basis(n)
+    basis = basis_polys(n)
     shell = enumerate_shell(N, "integral")
     out = [[Fraction(0)] * hb.dim for _ in range(hb.dim)]
-    for j, p in enumerate(hb.basis):
+    for j, p in enumerate(basis):
         img = None
         for m in shell.elements:
             g = substitute_left_mul(p, m)
             img = g if img is None else img + g
-        for i, q in enumerate(hb.basis):
+        for i, q in enumerate(basis):
             out[i][j] = sphere_integral(img * q) / hb.gram[i]
     return out
 

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from hecke_sphere.poly import (
-    Poly4, _sym_power_entries, basis_values, fischer_dot, harmonic_basis,
-    monomial_sphere_integral, sphere_integral, sphere_to_fischer_ratio,
-    substitute_left_mul, sym_power_values,
+    _sym_power_entries, basis_to_json, basis_values, harmonic_basis,
+    sym_power_values,
 )
 from hecke_sphere.quat import Quaternion
+from poly_oracle import (
+    Poly4, basis_polys, fischer_dot, monomial_sphere_integral, sphere_integral,
+    sphere_to_fischer_ratio, substitute_left_mul,
+)
 
 
 def test_monomial_integral_values():
@@ -40,23 +43,23 @@ def test_norm_poly_integrates_to_one():
 def test_basis_harmonic_and_dimension(n):
     hb = harmonic_basis(n)
     assert hb.dim == (n + 1) ** 2
-    for p in hb.basis:
+    for p in basis_polys(n):
         assert p.laplacian().is_zero()
         assert p.content() == 1
 
 
 def test_basis_degree_one_spans_coordinates():
-    hb = harmonic_basis(1)
-    mons = sorted(a for p in hb.basis for a in p.coeffs)
+    mons = sorted(a for p in basis_polys(1) for a in p.coeffs)
     assert mons == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
 
 
 @pytest.mark.parametrize("n", range(0, 5))
 def test_gram_diagonal_matches_direct_integrals(n):
     hb = harmonic_basis(n)
+    basis = basis_polys(n)
     assert len(hb.gram) == hb.dim
-    for i, p in enumerate(hb.basis):
-        for j, q in enumerate(hb.basis):
+    for i, p in enumerate(basis):
+        for j, q in enumerate(basis):
             assert sphere_integral(p * q) == (hb.gram[i] if i == j else 0)
         assert hb.gram[i] > 0
 
@@ -65,13 +68,14 @@ def test_gram_diagonal_matches_direct_integrals(n):
 def test_closed_form_gram_matches_pairwise_fischer(n):
     # the pairwise Gram computation the closed form replaced, as the oracle
     hb = harmonic_basis(n)
+    basis = basis_polys(n)
     ratio = sphere_to_fischer_ratio(n)
-    supports = [frozenset(p.coeffs) for p in hb.basis]
-    for i, p in enumerate(hb.basis):
+    supports = [frozenset(p.coeffs) for p in basis]
+    for i, p in enumerate(basis):
         for j in range(i, hb.dim):
             if i != j and supports[i].isdisjoint(supports[j]):
                 continue
-            g = ratio * fischer_dot(p, hb.basis[j])
+            g = ratio * fischer_dot(p, basis[j])
             assert g == (hb.gram[i] if i == j else 0)
 
 
@@ -79,8 +83,7 @@ def test_closed_form_gram_matches_pairwise_fischer(n):
 def test_fischer_to_sphere_ratio(n):
     # ratio relates the apolar pairing to the sphere integral on degree n
     ratio = sphere_to_fischer_ratio(n)
-    hb = harmonic_basis(n)
-    p = hb.basis[0]
+    p = basis_polys(n)[0]
     assert ratio * fischer_dot(p, p) == sphere_integral(p * p)
 
 
@@ -88,8 +91,8 @@ def test_substitute_left_mul_numeric():
     rng = np.random.default_rng(1)
     m = Quaternion.from_int_coords(2, -1, 3, 1)
     for n in (1, 2, 5):
-        hb = harmonic_basis(n)
-        f = hb.basis[min(2, hb.dim - 1)]
+        basis = basis_polys(n)
+        f = basis[min(2, len(basis) - 1)]
         g = substitute_left_mul(f, m)
         for _ in range(5):
             x = rng.standard_normal(4)
@@ -105,8 +108,7 @@ def test_substitute_left_mul_numeric():
 
 def test_substitute_preserves_harmonicity():
     m = Quaternion.from_int_coords(1, 1, 1, 0)
-    hb = harmonic_basis(3)
-    for f in hb.basis[:3]:
+    for f in basis_polys(3)[:3]:
         assert substitute_left_mul(f, m).laplacian().is_zero()
 
 
@@ -117,7 +119,7 @@ def test_basis_values_shape(n):
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
     vals = basis_values(hb, pts)
     assert vals.shape == (hb.dim, 10)
-    direct = np.array([[float(p.evaluate(x)) for x in pts] for p in hb.basis])
+    direct = np.array([[float(p.evaluate(x)) for x in pts] for p in basis_polys(n)])
     assert np.allclose(vals, direct)
 
 
@@ -130,13 +132,23 @@ def test_primitive_normalization():
     assert q.coeffs[first] > 0
 
 
-@pytest.mark.parametrize("n", range(0, 6))
+@pytest.mark.parametrize("n", range(0, 19))
 def test_labels_name_matrix_coefficients(n):
+    # the contents come from the entry formula without a polynomial; the
+    # oracle builds each labelled entry and takes its signed content
     hb = harmonic_basis(n)
     table = _sym_power_entries(n)
     assert len(hb.labels) == hb.dim
-    for p, (b, a, part) in zip(hb.basis, hb.labels):
-        assert Poly4(n, table[a][b][part]).primitive() == p
+    for c, (b, a, part) in zip(hb.contents, hb.labels):
+        assert c == Poly4(n, table[a][b][part]).signed_content()
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_basis_json_matches_oracle_polynomials(n):
+    doc = basis_to_json(harmonic_basis(n))
+    polys = [[[list(al), str(v)] for al, v in sorted(p.coeffs.items())]
+             for p in basis_polys(n)]
+    assert doc == {"n": n, "dim": (n + 1) ** 2, "polys": polys}
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])

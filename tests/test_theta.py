@@ -10,7 +10,7 @@ from hecke_sphere import theta
 from hecke_sphere.hecke import decompose
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.theta import (
-    DEFAULT_X, DEFAULT_Y, _point, _strip_sums, _trace_values,
+    DEFAULT_X, DEFAULT_Y, _strip_sums, _trace_values,
     coset_coefficient, modularity_check, petersson_estimate,
     spectral_coefficient, theta_coefficient,
 )
@@ -126,7 +126,7 @@ def test_spectral_coefficient_matches_dense_oracle():
     ref = dense_oracle.decompose(n, primes=(3, 5),
                                  even_extras=tuple(range(1, 25)))
     for x, y in [(ONE, ONE), ((1, 2, 2, 0), ONE), ((1, 1, 1, 0), (1, 2, 0, 0))]:
-        px, py = (_point(Quaternion.from_int_coords(*q)) for q in (x, y))
+        px, py = (Quaternion.from_int_coords(*q).unit_vector() for q in (x, y))
         for k in range(1, 25):
             sc = spectral_coefficient(n, x, y, k, dec)
             rc = dense_oracle.spectral_coefficient(n, px, py, k, ref)
