@@ -69,7 +69,12 @@ def _ns(args):
 
 
 def _primes(args):
-    return tuple(int(p) for p in args.primes.split(","))
+    from .hecke import odd_primes
+
+    try:
+        return odd_primes(int(p) for p in args.primes.split(","))
+    except ValueError as exc:
+        raise SystemExit(f"--primes: {exc}")
 
 
 def cmd_shells(args) -> int:
@@ -92,10 +97,11 @@ def cmd_basis(args) -> int:
 def cmd_hecke_check(args) -> int:
     from .hecke import hecke_relations_check, selfadjoint_check
 
+    primes = _primes(args)
     ok = True
     for n in _ns(args):
-        rep = hecke_relations_check(n, primes=_primes(args))
-        rep["selfadjoint"] = {p: selfadjoint_check(n, p) for p in _primes(args)}
+        rep = hecke_relations_check(n, primes=primes)
+        rep["selfadjoint"] = {p: selfadjoint_check(n, p) for p in primes}
         rep["all_pass"] = rep["all_pass"] and all(rep["selfadjoint"].values())
         ok = ok and rep["all_pass"]
         _write_json(args, f"hecke-check-{n}", {"report": rep})
@@ -141,14 +147,14 @@ def cmd_theta_identity(args) -> int:
 
     x = tuple(int(t) for t in args.x.split(","))
     y = tuple(int(t) for t in args.y.split(","))
+    ks = range(1, args.cutoff + 1)
     ok = True
     rows = []
     for n in _ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed,
-                        even_extras=tuple(range(1, args.cutoff + 1)))
-        for k in range(1, args.cutoff + 1):
+                        even_extras=tuple(ks))
+        for k, sv in zip(ks, spectral_coefficient(n, x, y, ks, dec)):
             tv = theta_coefficient(n, x, y, k).float_value
-            sv = spectral_coefficient(n, x, y, k, dec)
             good = abs(sv - tv) <= 1e-8 * (1 + abs(tv))
             rows.append((n, k, "theta", tv))
             rows.append((n, k, "spectral", sv))

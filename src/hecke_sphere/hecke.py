@@ -41,9 +41,14 @@ class DegeneracyError(Exception):
     """Joint diagonalisation failed; re-draw the random combination."""
 
 
-def _shell_true_coords(N: int):
-    sh = enumerate_shell(N, "integral")
-    return (sh.coords // 2).tolist()
+def _int64_exact(n: int, N: int, size: int) -> bool:
+    """Whether ``size`` points of norm N give S_N exactly in int64.
+
+    True iff size 2^n N^(n/2) < 2^63, the bound of ``shell_monomial_matrix``;
+    it is compared squared, size^2 4^n N^n < 2^126, so that odd n stays in
+    exact integers.
+    """
+    return size * size * 4 ** n * N ** n < 2 ** 126
 
 
 @lru_cache(maxsize=None)
@@ -51,11 +56,28 @@ def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
     """S_N = sum over the norm-N shell of T(m), exact; shape (2, n+1, n+1).
 
     Entry [0] is the real part and [1] the imaginary part, as Python
-    integers in an object array.  T(m) acts on binary forms of degree n,
-    so its rows and columns are indexed by the monomials X^b Y^(n-b).
+    integers in a read-only object array.  T(m) acts on binary forms of
+    degree n, so its rows and columns are indexed by the monomials
+    X^b Y^(n-b).
+
+    The sum is taken in int64 when no intermediate value can reach 2^63.
+    Every coefficient of the linear forms z X - conj(w) Y and
+    w X + conj(z) Y of ``sym_power_values`` has modulus at most sqrt N, so
+    the coefficient of X^(d-j) Y^j in a product of d of them has modulus at
+    most C(d, j) N^(d/2).  In ``_form_mul`` each real product
+    u_r g_r - u_i g_i (or u_r g_i + u_i g_r) is at most |u| |g| by
+    Cauchy-Schwarz, so for factors of degrees e and d - e every partial
+    sum of a product coefficient is at most
+    sum_s C(e, s) C(d - e, j - s) N^(d/2) = C(d, j) N^(d/2) by Vandermonde,
+    and so at most 2^n N^(n/2) for d <= n.  Every partial sum
+    over the shell is then at most |shell| 2^n N^(n/2); ``_int64_exact``
+    requires that below 2^63.  Above that bound the points are Python
+    integers in an object array.
     """
-    coords = np.array(_shell_true_coords(N), dtype=object)
-    total = sym_power_values(coords, n).sum(axis=-1)
+    coords = enumerate_shell(N, "integral").coords // 2
+    if not _int64_exact(n, N, len(coords)):
+        coords = coords.astype(object)
+    total = sym_power_values(coords, n).sum(axis=-1).astype(object)
     total.setflags(write=False)
     return total
 
@@ -183,6 +205,21 @@ def _gauss_matmul(A, B):
     return np.stack([A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]])
 
 
+def odd_primes(primes) -> tuple:
+    """``primes`` as a tuple, in order; ValueError unless distinct odd primes.
+
+    The relations and the joint decomposition are stated for odd primes:
+    T_2 and prime powers obey other relations.
+    """
+    primes = tuple(primes)
+    for p in primes:
+        if p < 3 or not all(p % d for d in range(2, isqrt(p) + 1)):
+            raise ValueError(f"{p} is not an odd prime")
+    if len(set(primes)) != len(primes):
+        raise ValueError(f"primes {primes} are not distinct")
+    return primes
+
+
 def hecke_relations_check(n: int, primes=(3, 5), extra_commuting=()) -> dict:
     """Exact verification of the Hecke algebra relations on the shell sums.
 
@@ -191,11 +228,12 @@ def hecke_relations_check(n: int, primes=(3, 5), extra_commuting=()) -> dict:
     S_p S_q = 8 S_{pq}, the recursion T_{p^2} = T_p^2 - p T_1 reads
     8 S_{p^2} = S_p^2 - 8 p^(n+1) S_1, and the commutators are taken over
     the primes, their squares, products, and ``extra_commuting``.
+    ``primes`` must be distinct odd primes (``odd_primes``).
     """
     if n % 2:
         raise ValueError("relations are checked on even n")
     report = {}
-    primes = tuple(sorted(primes))
+    primes = tuple(sorted(odd_primes(primes)))
     Ns = {1} | set(primes) | {p * p for p in primes} | set(extra_commuting)
     Ns |= {p * q for p in primes for q in primes if p < q}
     S = {N: shell_monomial_matrix(n, N) for N in sorted(Ns)}
@@ -320,6 +358,7 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
     """
     if n % 2:
         raise ValueError("joint decomposition is computed for even n")
+    primes = odd_primes(primes)
     if not primes:
         raise ValueError("need at least one odd prime")
     Ns = sorted(set(primes) | set(even_extras) | {1})

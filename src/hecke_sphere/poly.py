@@ -197,8 +197,10 @@ def _form_mul(F, G):
 def sym_power_values(pts, n: int, cols: int | None = None):
     """Real and imaginary parts of T(x) = [t_{ba}(x)] at each point.
 
-    ``pts`` has shape (#pts, 4) and holds floats, or Python integers in an
-    object array for exact values.  Returns one array of shape
+    ``pts`` has shape (#pts, 4) and holds floats, or integers for exact
+    values: Python integers in an object array are always exact, int64 only
+    under a bound the caller proves (the products wrap around silently;
+    ``hecke.shell_monomial_matrix`` states one).  Returns one array of shape
     (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 real and 1
     imaginary: the entries of ``_sym_power_entries`` in the first ``cols``
     columns (all n + 1 by default) evaluated at each point with O(n^3)

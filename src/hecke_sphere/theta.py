@@ -86,19 +86,25 @@ def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
     return ThetaCoefficient(n, k, qx, qy, total, fv)
 
 
-def spectral_coefficient(n: int, x, y, k: int,
-                         dec: SpectralDecomposition) -> float:
+def spectral_coefficient(n: int, x, y, ks,
+                         dec: SpectralDecomposition) -> list:
     """Spectral side of the central identity: the k-th coefficient of
-    (8/(n+1)) sum_j phi_j(x) phi_j(y) Phi_j."""
+    (8/(n+1)) sum_j phi_j(x) phi_j(y) Phi_j for each k in ``ks``.
+
+    The eigenbasis is evaluated at x and y once; only the eigenvalues
+    change with k."""
     if dec.n != n:
         raise ValueError("decomposition was computed for a different degree")
     qx, qy = _as_quat(x), _as_quat(y)
     R = np.hstack([sp.basis for sp in dec.spaces])
-    lam = np.concatenate([np.full(sp.basis.shape[1], dec.eigenvalue_of(sp, k))
-                          for sp in dec.spaces])
     F = eigen_values(n, R, np.stack([qx.unit_vector(), qy.unit_vector()]))
-    total = float(lam @ np.einsum("jka,jka->k", F[..., 0], F[..., 1]))
-    return (8.0 / (n + 1)) * total * float(k) ** (n / 2)
+    pair = np.einsum("jka,jka->k", F[..., 0], F[..., 1])
+    out = []
+    for k in ks:
+        lam = np.concatenate([np.full(sp.basis.shape[1], dec.eigenvalue_of(sp, k))
+                              for sp in dec.spaces])
+        out.append((8.0 / (n + 1)) * float(lam @ pair) * float(k) ** (n / 2))
+    return out
 
 
 def coset_coefficient(n: int, x, k: int) -> float:

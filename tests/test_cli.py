@@ -37,6 +37,14 @@ def test_hecke_check_exit_zero(tmp_path):
     assert doc["report"]["all_pass"] is True
 
 
+@pytest.mark.parametrize("primes", ["2,3", "3,9", "3,3"])
+def test_hecke_check_refuses_bad_primes(tmp_path, primes):
+    # refused before any report is written, not reported as a failed relation
+    with pytest.raises(SystemExit, match="--primes"):
+        run(tmp_path, "hecke-check", "--n", "4", "--primes", primes)
+    assert not (tmp_path / "hecke-check-4.json").exists()
+
+
 def test_spectral_multiplicities(tmp_path):
     assert run(tmp_path, "spectral", "--n", "4") == 0
     doc = json.loads((tmp_path / "spectral-4.json").read_text())

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hecke_sphere.hecke import (
     decompose, hecke_matrix, hecke_matrix_float, hecke_relations_check,
     row_basis, selfadjoint_check, shell_monomial_matrix, t1_vanishing,
 )
-from hecke_sphere.poly import harmonic_basis
+from hecke_sphere.poly import harmonic_basis, sym_power_values
 from hecke_sphere.quat import enumerate_shell, r4_count
 from poly_oracle import basis_polys, sphere_integral, substitute_left_mul
 
@@ -124,6 +124,57 @@ def test_relations_detect_a_broken_sum(monkeypatch):
 def test_relations_reject_odd_degree():
     with pytest.raises(ValueError):
         hecke_relations_check(3)
+
+
+@pytest.mark.parametrize("primes", [(2, 3), (3, 9), (3, 3), (4, 3)])
+def test_primes_must_be_distinct_odd_primes(primes):
+    # T_2, T_4 and T_9 obey other relations: a report on them would read as
+    # a broken algebra, and a decomposition over them means nothing
+    with pytest.raises(ValueError):
+        hecke_relations_check(4, primes=primes)
+    with pytest.raises(ValueError):
+        decompose(4, primes=primes)
+
+
+def _object_shell_sum(n, N):
+    """S_N summed over the shell on Python integers, the unbounded path."""
+    coords = enumerate_shell(N, "integral").coords // 2
+    return sym_power_values(coords.astype(object), n).sum(axis=-1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 16])
+def test_shell_sum_matches_object_path(n):
+    for N in (1, 2, 3, 4, 5, 9, 15, 25, 49):
+        S = shell_monomial_matrix(n, N)
+        assert S.dtype == object and not S.flags.writeable
+        assert all(type(v) is int for v in S.ravel())
+        assert np.array_equal(S, _object_shell_sum(n, N))
+
+
+@pytest.mark.parametrize("n,N,top", [(32, 9, 4.16e20), (24, 25, 2.04e21)])
+def test_shell_sum_falls_back_above_bound(n, N, top):
+    coords = enumerate_shell(N, "integral").coords // 2
+    ref = _object_shell_sum(n, N)
+    assert float(max(abs(v) for v in ref.ravel())) == pytest.approx(top, rel=0.01)
+    assert not hecke._int64_exact(n, N, len(coords))
+    assert np.array_equal(shell_monomial_matrix(n, N), ref)
+    # negative control: the same sum taken in int64 wraps around
+    assert not np.array_equal(sym_power_values(coords, n).sum(axis=-1), ref)
+
+
+def test_int64_bound_at_odd_degree():
+    # size 2^n N^(n/2) < 2^63 decided exactly: at n = 3, N = 2 the largest
+    # admissible size is floor(2^63 / 2^4.5) = isqrt(2^117)
+    top = isqrt(2 ** 117)
+    assert hecke._int64_exact(3, 2, top)
+    assert not hecke._int64_exact(3, 2, top + 1)
+    # n = 5, N = 9: size 2^5 3^5 < 2^63
+    top = (2 ** 63 - 1) // 7776
+    assert hecke._int64_exact(5, 9, top)
+    assert not hecke._int64_exact(5, 9, top + 1)
+    # the shells of the relation checks stay on int64 up to n = 12
+    assert hecke._int64_exact(12, 49, r4_count(49))
+    assert not hecke._int64_exact(16, 49, r4_count(49))
 
 
 def _shell_operator(n, N):
