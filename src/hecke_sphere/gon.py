@@ -14,6 +14,7 @@ one prefix sum plus sqrt(M) window sums.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -187,6 +188,13 @@ class Box:
 
     h: tuple
 
+    def __post_init__(self):
+        h = tuple(self.h)
+        if len(h) != 4 or not all(
+                isinstance(x, numbers.Integral) and x >= 1 for x in h):
+            raise ValueError("need four positive integer half-widths")
+        object.__setattr__(self, "h", tuple(int(x) for x in h))
+
     def gauge_sq(self, v) -> Fraction:
         return max(Fraction(int(v[i]) ** 2, self.h[i] ** 2) for i in range(4))
 
@@ -266,17 +274,34 @@ def _body_region(basis: np.ndarray, body, t: float, budget: int):
     return C, C @ basis.T
 
 
+def _lattice_basis(basis) -> np.ndarray:
+    """``basis`` as an int64 array, checked to be a nonsingular 4x4 matrix
+    by exact rank (a float determinant misjudges both ways)."""
+    B = np.asarray(basis, dtype=np.int64)
+    if B.shape != (4, 4) or _exact_rank(B.tolist()) != 4:
+        raise ValueError("basis must be a nonsingular 4x4 integer matrix")
+    return B
+
+
 def successive_minima(basis, body, budget: int = 10 ** 7):
     """Successive minima of ``body`` on the lattice spanned by ``basis``.
 
     A small coefficient cube supplies four linearly independent points,
     whose fourth gauge value t bounds lambda_4; the exact region t * body
     is then enumerated per axis, so the greedy gauge-ordered extraction
-    with exact rank tests is certifiably complete.
+    with exact rank tests is certifiably complete.  The basis must have
+    exact rank 4 (``ValueError`` otherwise); the result is cached per
+    basis entries, body and budget, so callers on one lattice share one
+    enumeration, while an exhausted budget raises ``CapacityError`` on
+    every call.
     """
-    B = np.asarray(basis, dtype=np.int64)
-    if B.shape != (4, 4) or round(np.linalg.det(B.astype(float))) == 0:
-        raise ValueError("basis must be a nonsingular 4x4 integer matrix")
+    B = _lattice_basis(basis)
+    return _successive_minima(tuple(int(a) for a in B.ravel()), body, budget)
+
+
+@lru_cache(maxsize=4096)
+def _successive_minima(entries: tuple, body, budget: int) -> tuple:
+    B = np.array(entries, dtype=np.int64).reshape(4, 4)
     r = 2
     while True:
         C, V = _cube_points(B, r, budget)
@@ -291,7 +316,7 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
 
 def lattice_point_count(basis, body, budget: int = 10 ** 7) -> int:
     """Exact |body ∩ lattice| by bounded enumeration (origin included)."""
-    _, V = _body_region(np.asarray(basis, dtype=np.int64), body, 1.0, budget)
+    _, V = _body_region(_lattice_basis(basis), body, 1.0, budget)
     g = body.gauge_sq_float(V.astype(float))
     count = 0
     for v in V[g <= 1.0 + 1e-12]:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hecke_sphere import gon
 from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
     EPSILON, Box, CylinderSpec, _exact_rank, a_of_x, d_class_counts,
@@ -288,6 +289,72 @@ def test_capacity_error():
 def test_singular_basis_rejected():
     with pytest.raises(ValueError):
         successive_minima(np.zeros((4, 4), dtype=int), Box((1, 1, 1, 1)))
+
+
+# exact rank 4 (det -1), but its float determinant is 0.0
+FLOAT_DET_ZERO = [[10 ** 8 + 1, 10 ** 8, 0, 0], [10 ** 8, 10 ** 8 - 1, 0, 0],
+                  [0, 0, 1, 0], [0, 0, 0, 1]]
+# exact rank 3 (the last row is an integer combination of the first three),
+# but its float determinant is about 5.98e7
+FLOAT_DET_LARGE = [[-181602, 287657, 99187, -828522],
+                   [-944882, 731176, 507026, 675769],
+                   [76286, 635089, -340537, -94641],
+                   [2395156, -2253303, -982167, -3589710]]
+
+
+def test_nonsingularity_is_decided_exactly():
+    assert round(np.linalg.det(np.array(FLOAT_DET_ZERO, dtype=float))) == 0
+    assert round(np.linalg.det(np.array(FLOAT_DET_LARGE, dtype=float))) != 0
+    body = Box((1, 1, 1, 1))
+    # accepted: the small budget is what stops it, not the guard
+    with pytest.raises(CapacityError):
+        successive_minima(FLOAT_DET_ZERO, body, budget=100)
+    for fn in (successive_minima, lattice_point_count):
+        with pytest.raises(ValueError):
+            fn(FLOAT_DET_LARGE, body)
+        with pytest.raises(ValueError):
+            fn(np.zeros((4, 4), dtype=int), body)
+        with pytest.raises(ValueError):
+            fn(np.eye(3, dtype=int), body)
+
+
+def test_box_is_normalised():
+    body = Box([1, 2, 3, 4])
+    assert body.h == (1, 2, 3, 4) and type(body.h) is tuple
+    assert all(type(x) is int for x in Box(np.array([2, 3, 1, 5])).h)
+    assert hash(body) == hash(Box((1, 2, 3, 4)))
+    for h in ((1, 2, 3), (1, 2, 3, 4, 5), (0, 1, 1, 1), (1, -2, 1, 1),
+              (1.5, 1, 1, 1), ("1", 1, 1, 1)):
+        with pytest.raises(ValueError):
+            Box(h)
+
+
+def test_minima_memo_key_is_the_basis_entries():
+    body = CylinderSpec(M=8, R=2)
+    rows = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 6, 2, -2], [0, 0, 0, 1]]
+    a = successive_minima(rows, body)
+    assert successive_minima(np.array(rows), body) == a
+    assert successive_minima(tuple(map(tuple, rows)), body) == a
+    assert successive_minima(np.array(rows, dtype=np.int32), body) == a
+
+
+def test_minima_memo_keeps_the_budget():
+    body = Box((3, 3, 3, 3))
+    basis = np.diag([1, 1, 2, 1])
+    successive_minima(basis, body)
+    with pytest.raises(CapacityError):
+        successive_minima(basis, body, budget=100)
+
+
+def test_one_enumeration_per_lattice():
+    gon._successive_minima.cache_clear()
+    basis, body = np.diag([1, 2, 4, 8]), CylinderSpec(M=8, R=2)
+    lams = successive_minima(basis, body)
+    minkowski_sandwich(basis, body)
+    assert product_bound_check(basis, body)
+    info = gon._successive_minima.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert successive_minima(basis, body) == lams
 
 
 @settings(max_examples=30, deadline=None)

@@ -92,17 +92,36 @@ def test_r4_even():
     assert r4_count(6) == 24 * sigma(3)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 25])
+@pytest.mark.parametrize("k", range(1, 41))
 def test_shell_against_brute_force(k):
     sh = enumerate_shell(k, "integral")
     assert sorted(map(tuple, sh.coords.tolist())) == brute_shell_integral(k)
     assert len(sh) == r4_count(k)
 
 
-@pytest.mark.parametrize("k", [1, 3, 5, 9])
+@pytest.mark.parametrize("k", range(1, 41))
 def test_coset_shell_against_brute_force(k):
     sh = enumerate_shell(k, "coset")
     assert sorted(map(tuple, sh.coords.tolist())) == brute_shell_coset(k)
+
+
+def test_shell_sizes():
+    for k in range(1, 301):
+        assert len(enumerate_shell(k, "integral")) == r4_count(k)
+    # odd k: the coset has 16 sigma(k) members, twice the integral shell
+    for k in [*range(1, 301, 2), 1023]:
+        assert len(enumerate_shell(k, "coset")) == 16 * sigma(k)
+
+
+@pytest.mark.parametrize("parity", ["integral", "coset"])
+@pytest.mark.parametrize("k", [1, 2, 6, 25, 99, 1023])
+def test_shell_coords_read_only_and_strictly_sorted(parity, k):
+    coords = enumerate_shell(k, parity).coords
+    assert coords.dtype == np.int64 and coords.shape[1:] == (4,)
+    with pytest.raises(ValueError):
+        coords[..., 0] = 7
+    rows = list(map(tuple, coords.tolist()))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
 
 
 def test_coset_even_norms_empty():
