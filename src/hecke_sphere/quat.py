@@ -161,24 +161,19 @@ def r3_odd_counts(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pairs_by_s(limit: int, start: int):
-    """Pairs (a, b) of parity ``start`` (0: all integers, 1: odd only) with
-    a^2 + b^2 <= limit, sorted by norm and then lexicographically, and the
-    offsets of the norm buckets: the pairs of norm s are
-    ``P[starts[s]: starts[s + 1]]``.  Both arrays are read-only."""
+def _triples_by_s(limit: int, start: int = 0):
+    """Triples of parity ``start`` with norm <= limit, bucketed by norm."""
     rmax = isqrt(limit)
     ax = np.arange(-(rmax | start), rmax + 1, 1 + start, dtype=np.int64)
-    A, B = np.meshgrid(ax, ax, indexing="ij")
-    P = np.stack([A.ravel(), B.ravel()], axis=1)
-    s = (P * P).sum(axis=1)
+    A, B, C = np.meshgrid(ax, ax, ax, indexing="ij")
+    T = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=1)
+    s = (T * T).sum(axis=1)
     keep = s <= limit
-    P, s = P[keep], s[keep]
-    order = np.lexsort((P[:, 1], P[:, 0], s))
-    P, s = P[order], s[order]
+    T, s = T[keep], s[keep]
+    order = np.lexsort((T[:, 2], T[:, 1], T[:, 0], s))
+    T, s = T[order], s[order]
     starts = np.searchsorted(s, np.arange(limit + 2))
-    P.setflags(write=False)
-    starts.setflags(write=False)
-    return P, starts
+    return T, starts
 
 
 @dataclass(frozen=True)
@@ -203,33 +198,46 @@ class NormShell:
 
 @lru_cache(maxsize=4096)
 def enumerate_shell(k: int, parity: str = INTEGRAL) -> NormShell:
-    """Complete, duplicate-free, lexicographically sorted norm-k shell.
-
-    Integral members are found on their true coordinates (norm k, doubled at
-    the end), coset members on their odd doubled coordinates (norm 4k, empty
-    for even k): every pair (c1, c2) of norm v is joined with the two-square
-    bucket of norm S - v holding the (c3, c4).
-    """
+    """Complete, duplicate-free, lexicographically sorted norm-k shell."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if parity not in (INTEGRAL, COSET):
+    if parity == INTEGRAL:
+        T, starts = _triples_by_s(_round_up_pow2(max(k, 16)))
+        rows = []
+        for m1 in range(-isqrt(k), isqrt(k) + 1):
+            s = k - m1 * m1
+            blk = T[starts[s]: starts[s + 1]]
+            if len(blk):
+                full = np.empty((len(blk), 4), dtype=np.int64)
+                full[:, 0] = 2 * m1
+                full[:, 1:] = 2 * blk
+                rows.append(full)
+        coords = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
+    elif parity == COSET:
+        if k % 2 == 0:
+            coords = np.empty((0, 4), dtype=np.int64)
+            coords.setflags(write=False)
+            return NormShell(k, parity, coords)
+        S = 4 * k
+        T, starts = _triples_by_s(_round_up_pow2(max(S, 16)), 1)
+        rows = []
+        top = isqrt(S)
+        for c1 in range(-(top | 1), top + 1, 2):
+            s = S - c1 * c1
+            if s < 0 or s >= len(starts) - 1:
+                continue
+            blk = T[starts[s]: starts[s + 1]]
+            if len(blk):
+                full = np.empty((len(blk), 4), dtype=np.int64)
+                full[:, 0] = c1
+                full[:, 1:] = blk
+                rows.append(full)
+        coords = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
+    else:
         raise ValueError(f"unknown parity {parity!r}")
-    start = int(parity == COSET)
-    S = 4 * k if start else k
-    P, starts = _pairs_by_s(_round_up_pow2(max(S, 16)), start)
-    # first pairs: every pair of norm v <= S; the bucket of norm S - v
-    # supplies its completions, which the index arithmetic walks in order
-    first = P[: starts[S + 1]]
-    rest = S - (first * first).sum(axis=1)
-    lo, cnt = starts[rest], starts[rest + 1] - starts[rest]
-    offsets = np.cumsum(cnt) - cnt
-    left = np.repeat(np.arange(len(first)), cnt)
-    right = np.repeat(lo - offsets, cnt) + np.arange(len(left))
-    coords = np.concatenate([first[left], P[right]], axis=1)
-    if not start:
-        coords *= 2
-    order = np.lexsort((coords[:, 3], coords[:, 2], coords[:, 1], coords[:, 0]))
-    coords = coords[order]
+    if len(coords):
+        order = np.lexsort((coords[:, 3], coords[:, 2], coords[:, 1], coords[:, 0]))
+        coords = coords[order]
     coords.setflags(write=False)
     return NormShell(k, parity, coords)
 
