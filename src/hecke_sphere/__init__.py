@@ -26,7 +26,14 @@ from .hecke import (
     selfadjoint_check,
     t1_vanishing,
 )
-from .moments import MomentReport, growth_fit, moment_sweep, pretrace_residual, sphere_grid
+from .moments import (
+    ClosureError,
+    MomentReport,
+    growth_fit,
+    moment_sweep,
+    pretrace_residual,
+    sphere_grid,
+)
 from .poly import HarmonicBasis, harmonic_basis
 from .quat import CapacityError, NormShell, Quaternion, enumerate_shell, m1_profile, r4_count
 from .theta import (

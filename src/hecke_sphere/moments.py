@@ -14,9 +14,15 @@ multiplicity factor.  For a real vector of W_lambda in ``row_basis``
 coordinates, with row vector v, the g_a = sqrt((n + 1) C(n, a)) sum_b v_b
 t_{ba} are orthonormal and conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and
 sqrt 2 Im g_a for a < n/2, with g_{n/2} (real for even n/2, imaginary for
-odd), are n + 1 real orthonormal eigenfunctions.  ``eigen_values``
-contracts the row vectors against the row label of ``sym_power_values``
-over the columns a <= n/2: O(n^3) work per point for the whole eigenbasis.
+odd), are n + 1 real orthonormal eigenfunctions.  ``eigen_values`` takes
+the complex values of ``sym_power_values`` in the columns a <= n/2 and
+contracts the complex row vectors against their row label in one complex
+matrix product, O(n^3) work per point for the whole eigenbasis; the real
+and imaginary parts of the product are read as a view, without a copy.
+The weights sqrt((n + 1) C(n, a)) are formed in floats.  A sweep checks
+that the closure sums (below) stay within ``CLOSURE_TOL`` of (n + 1)^2;
+the float values lose that orthonormality as n grows, and past it the
+sweep raises ``ClosureError`` rather than report its statistics.
 
 Which statistics depend on a basis.  Since the multiplicity factor is the
 column label, sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda at every x,
@@ -61,6 +67,15 @@ from .poly import sym_power_values
 #: points per evaluation chunk; every statistic is taken per point
 CHUNK = 1024
 
+#: the largest relative deviation of the closure sums that a sweep accepts
+CLOSURE_TOL = 1e-7
+
+
+class ClosureError(ArithmeticError):
+    """The closure sums sum_j phi_j(x)^2 at the grid points miss (n + 1)^2
+    by ``CLOSURE_TOL`` relative or more: the float eigenbasis values have
+    lost orthonormality, and no statistic of the sweep can be trusted."""
+
 
 def sphere_grid(size: int, seed: int = 0) -> np.ndarray:
     """Deterministic grid on S^3 from normalised 4D Gaussian draws."""
@@ -94,15 +109,17 @@ def eigen_values(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
     ``R`` holds k real vectors of W in ``row_basis(n)`` coordinates.
     Entries [0, i, a] and [1, i, a] are sqrt 2 Re g_a and sqrt 2 Im g_a of
     vector i; at a = n/2 the sqrt 2 is dropped and the vanishing part is 0.
+    The sums sum_b v_b t_{ba} of all k vectors v come from one complex
+    product of the row vectors with the complex values of
+    ``sym_power_values``; the result is a view of that complex array with
+    its real and imaginary parts as the leading axis.
     """
     h = n // 2
-    V = row_basis(n) @ R
-    # real and imaginary parts of sum_b v_b t_{ba} in one real product
-    E = np.block([[V.real.T, -V.imag.T], [V.imag.T, V.real.T]])
     T = sym_power_values(np.asarray(pts, dtype=float), n, cols=h + 1)
-    F = E @ T.reshape(2 * (n + 1), -1)
-    F = F.reshape(2, R.shape[1], h + 1, len(pts))
-    F *= np.sqrt([(n + 1) * comb(n, a) * (1 if a == h else 2)
+    G = (row_basis(n) @ R).T @ T.reshape(n + 1, -1)
+    F = np.moveaxis(G.view(float).reshape(len(G), h + 1, len(pts), 2), -1, 0)
+    # floats: (n + 1) C(n, a) outgrows int64 from n = 62 on
+    F *= np.sqrt([(n + 1) * float(comb(n, a)) * (1 if a == h else 2)
                   for a in range(h + 1)])[:, None]
     F[(h + 1) % 2, :, h] = 0.0
     return F
@@ -188,7 +205,8 @@ def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
 
     ``sup_family`` is exact, the sum over flagged blocks of their squared
     dimensions; ``sup_fourth`` is the grid sup refined by coordinate ascent
-    from the best grid point; ``sup_individual`` is the grid sup.
+    from the best grid point; ``sup_individual`` is the grid sup.  Raises
+    ``ClosureError`` when ``closure_error`` is not below ``CLOSURE_TOL``.
     """
     if dec.n != n:
         raise ValueError("decomposition degree mismatch")
@@ -202,6 +220,9 @@ def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
     fourth, closure, sup_ind = _block_stats(n, R, k, grid)
     target = float((n + 1) ** 2)
     closure_err = float(np.abs(closure - target).max() / target)
+    if not closure_err < CLOSURE_TOL:
+        raise ClosureError(f"closure error {closure_err:.2e} at n={n} is "
+                           f"not below {CLOSURE_TOL:g}")
     j = int(np.argmax(fourth))
     fourth_val = _ascend(n, R[:, :k], grid[j], refine_steps)
     return MomentReport(

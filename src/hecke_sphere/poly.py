@@ -175,11 +175,21 @@ def harmonic_basis(n: int) -> HarmonicBasis:
 # batched values of the symmetric-power model
 
 def _form_mul(F, G):
-    """Product of complex binary forms, batched over points.
+    """Product of binary forms, batched over points.
 
-    A form of degree d is a pair (re, im) of arrays of shape (d + 1, #pts)
-    whose row k is the coefficient of X^(d-k) Y^k.
+    A form of degree d has d + 1 rows of coefficients over the points, row
+    k that of X^(d-k) Y^k: one complex array of shape (d + 1, #pts) for
+    float points, a pair (re, im) of integer arrays of that shape for exact
+    points.
     """
+    if not isinstance(F, tuple):
+        if len(F) > len(G):
+            F, G = G, F
+        out = np.zeros((len(F) + len(G) - 1, F.shape[1]), dtype=F.dtype)
+        d = len(G)
+        for s in range(len(F)):
+            out[s:s + d] += F[s] * G
+        return out
     if len(F[0]) > len(G[0]):
         F, G = G, F
     (fr, fi), (gr, gi) = F, G
@@ -195,16 +205,22 @@ def _form_mul(F, G):
 
 
 def sym_power_values(pts, n: int, cols: int | None = None):
-    """Real and imaginary parts of T(x) = [t_{ba}(x)] at each point.
+    """The entries T(x) = [t_{ba}(x)] at each point.
 
     ``pts`` has shape (#pts, 4) and holds floats, or integers for exact
     values: Python integers in an object array are always exact, int64 only
     under a bound the caller proves (the products wrap around silently;
-    ``hecke.shell_monomial_matrix`` states one).  Returns one array of shape
-    (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 real and 1
-    imaginary: the entries of ``_sym_power_entries`` in the first ``cols``
-    columns (all n + 1 by default) evaluated at each point with O(n^3)
-    work.  T is the n-th symmetric power of the 2x2 model, so T(1) = I and
+    ``hecke.shell_monomial_matrix`` states one).  The entries of
+    ``_sym_power_entries`` in the first ``cols`` columns (all n + 1 by
+    default) are evaluated at each point with O(n^3) work and returned as
+
+    - for float points, one complex128 array of shape (n + 1, cols, #pts)
+      indexed [b, a, p];
+    - for integer points, one array of their dtype of shape
+      (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 the real and
+      1 the imaginary part.
+
+    T is the n-th symmetric power of the 2x2 model, so T(1) = I and
     T(m x) = T(m) T(x).
     """
     cols = n + 1 if cols is None else cols
@@ -215,18 +231,31 @@ def sym_power_values(pts, n: int, cols: int | None = None):
     col_b = (np.stack([x3, x1]), np.stack([x4, -x2]))
     one = (np.ones((1, len(pts)), dtype=pts.dtype),
            np.zeros((1, len(pts)), dtype=pts.dtype))
-    pow_b = [one]
-    for _ in range(n):
-        pow_b.append(_form_mul(pow_b[-1], col_b))
-    T = np.empty((2, n + 1, cols, len(pts)), dtype=pts.dtype)
+    exact = pts.dtype.kind != "f"
+    if not exact:
+        col_a, col_b, one = (re + 1j * im for re, im in (col_a, col_b, one))
+    # the powers of col_b that column a uses, of degree n - a, kept in
+    # increasing degree and dropped once used
+    pow_b, power = [], one
+    for d in range(n + 1):
+        if d:
+            power = _form_mul(power, col_b)
+        if d > n - cols:
+            pow_b.append(power)
+    if exact:
+        T = np.empty((2, n + 1, cols, len(pts)), dtype=pts.dtype)
+    else:
+        T = np.empty((n + 1, cols, len(pts)), dtype=complex)
     pow_a = one
     for a in range(cols):
         if a:
             pow_a = _form_mul(pow_a, col_a)
-        full_re, full_im = _form_mul(pow_a, pow_b[n - a])
+        product = _form_mul(pow_a, pow_b.pop())
         # t_{ba} is the coefficient of X^b Y^(n-b), row n - b of the product
-        T[0, :, a] = full_re[::-1]
-        T[1, :, a] = full_im[::-1]
+        if exact:
+            T[0, :, a], T[1, :, a] = product[0][::-1], product[1][::-1]
+        else:
+            T[:, a] = product[::-1]
     return T
 
 
@@ -234,7 +263,9 @@ def basis_values(hb: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
     """Values of each basis polynomial at each point; shape (dim, #pts)."""
     T = sym_power_values(np.asarray(pts, dtype=float), hb.n)
     b, a, part = np.array(hb.labels, dtype=np.intp).T
-    vals = T[part, b, a]
+    # the real and imaginary parts of T as a trailing axis, without a copy
+    parts = T.view(float).reshape(T.shape + (2,))
+    vals = parts[b, a, :, part]
     vals /= np.array(hb.contents, dtype=float)[:, None]
     return vals
 

@@ -6,9 +6,11 @@ n+2 cusp form whose k-th Fourier coefficient is
     c_k(x, y) = k^(n/2) * sum_{nr(m)=k} U_n( tr(m x conj(y)) / (2 sqrt(k)) )
 
 over the integer quaternion shell.  With x = q_x/sqrt(N_x) for an integral
-q_x and N_x N_y = S^2, W_n(T) = (2S sqrt k)^n U_n(T / (2S sqrt k)) obeys the
-integer recurrence W_m = 2T W_(m-1) - 4 S^2 k W_(m-2) (W_0 = 1, W_1 = 2T),
-so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is exact.
+q_x and S = sqrt(N_x N_y), W_n(T) = (2S sqrt k)^n U_n(T / (2S sqrt k)) obeys
+the integer recurrence W_m = 2T W_(m-1) - 4 N_x N_y k W_(m-2) (W_0 = 1,
+W_1 = 2T), so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is
+exact whenever (2S)^n is an integer: for every even n, where it is
+2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square.
 The Petersson strips are batched per degree over one cached profile table.
 """
 
@@ -52,7 +54,7 @@ class ThetaCoefficient:
     k: int
     qx: Quaternion
     qy: Quaternion
-    value: object  # Fraction, or None when N_x N_y is not a perfect square
+    value: object  # Fraction, or None for odd n and non-square N_x N_y
     float_value: float
 
 
@@ -68,16 +70,19 @@ def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
     denom = 2.0 * math.sqrt(float(k) * Nx * Ny)
     fv = float(k) ** (n / 2) * float(np.sum(chebyshev_U_vec(n, traces / denom)))
 
-    S = isqrt(Nx * Ny)
-    if S * S != Nx * Ny:
+    P = Nx * Ny
+    S = isqrt(P)
+    if n % 2 and S * S != P:
         return ThetaCoefficient(n, k, qx, qy, None, fv)
 
     tvals, counts = np.unique(traces, return_counts=True)
     T = tvals.astype(object)  # W_n outgrows int64: Python integers
     prev, cur = 0 * T, 0 * T + 1  # W_(-1), W_0
     for _ in range(n):
-        prev, cur = cur, 2 * T * cur - 4 * S * S * k * prev
-    total = Fraction(int(cur @ counts.astype(object)), (2 * S) ** n)
+        prev, cur = cur, 2 * T * cur - 4 * P * k * prev
+    # (2S)^n = 2^n P^(n/2) S^(n mod 2), and S is an integer for odd n
+    total = Fraction(int(cur @ counts.astype(object)),
+                     2 ** n * P ** (n // 2) * S ** (n % 2))
     if total != 0:
         rel = abs(fv - float(total)) / abs(float(total))
         if rel > 1e-9:

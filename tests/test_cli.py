@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from hecke_sphere import hecke
 from hecke_sphere.cli import main
 
 
@@ -154,3 +156,20 @@ def test_moments_rerun_byte_identical(tmp_path):
     first = (tmp_path / "moments.csv").read_bytes()
     assert run(tmp_path, *args) == 0
     assert (tmp_path / "moments.csv").read_bytes() == first
+
+
+def test_moments_closure_loss_exits_one(tmp_path, monkeypatch, capsys):
+    # a decomposition whose bases are 1% too long fails the closure gate
+    decompose = hecke.decompose
+
+    def scaled(*args, **kwargs):
+        dec = decompose(*args, **kwargs)
+        spaces = tuple(dataclasses.replace(sp, basis=1.01 * sp.basis)
+                       for sp in dec.spaces)
+        return dataclasses.replace(dec, spaces=spaces)
+
+    monkeypatch.setattr(hecke, "decompose", scaled)
+    assert run(tmp_path, "moments", "--n", "4", "--grid", "50") == 1
+    err = capsys.readouterr().err
+    assert "closure error" in err and "Traceback" not in err
+    assert not (tmp_path / "moments.csv").exists()

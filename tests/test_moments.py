@@ -7,8 +7,8 @@ import dense_oracle
 from dense_oracle import _right_j
 from hecke_sphere.hecke import DegeneracyError, EigenSpace, decompose
 from hecke_sphere.moments import (
-    eigen_values, growth_fit, moment_sweep, pinned_blocks, pretrace_residual,
-    sphere_grid,
+    ClosureError, eigen_values, growth_fit, moment_sweep, pinned_blocks,
+    pretrace_residual, sphere_grid,
 )
 from hecke_sphere.poly import harmonic_basis
 from hecke_sphere.quat import enumerate_shell
@@ -84,6 +84,23 @@ def test_closure_target(dec6):
     grid = sphere_grid(64, seed=5)
     rep = moment_sweep(6, dec6, grid, seed=5)
     assert rep.closure_error < 1e-10
+
+
+def test_closure_loss_raises(dec6):
+    # a basis 1% too long puts every closure sum 2% off (n+1)^2
+    spaces = tuple(dataclasses.replace(sp, basis=1.01 * sp.basis)
+                   for sp in dec6.spaces)
+    scaled = dataclasses.replace(dec6, spaces=spaces)
+    with pytest.raises(ClosureError, match="closure error 2.01e-02 at n=6"):
+        moment_sweep(6, scaled, sphere_grid(64, seed=5), seed=5)
+
+
+def test_eigen_values_past_int64_weights():
+    # (n + 1) C(n, a) 2 outgrows int64 at n = 62; R = I spans all of W, so
+    # the closure sums need no decomposition
+    F = eigen_values(64, np.eye(65), sphere_grid(200, seed=3))
+    closure = np.einsum("jkap,jkap->p", F, F)
+    assert np.abs(closure - 65 ** 2).max() <= 1e-8 * 65 ** 2
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))

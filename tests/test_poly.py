@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -190,3 +191,63 @@ def test_sym_power_multiplicative(n):
     T = sym_power_values(one, n)
     assert np.all(T[0, :, :, 0] == np.eye(n + 1, dtype=int))
     assert not np.any(T[1, :, :, 0])
+
+
+def _hamilton(x, y):
+    """Quaternion products of the rows of x and y, coordinates 1, i, j, k."""
+    a1, b1, c1, d1 = x.T
+    a2, b2, c2, d2 = y.T
+    return np.stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                     a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                     a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                     a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2], axis=1)
+
+
+def _unit_points(size, seed):
+    pts = np.random.default_rng(seed).standard_normal((size, 4))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_complex_path_matches_exact_path(n):
+    # float points with integer coordinates against the same points as
+    # Python integers; each point's error is measured against its largest
+    # entry, since single entries cancel down from binomial size
+    pts = np.random.default_rng(n).integers(-100, 101, size=(12, 4))
+    cols = n // 2 + 1
+    exact = sym_power_values(pts.astype(object), n, cols=cols)
+    T = sym_power_values(pts.astype(float), n, cols=cols)
+    assert T.dtype == np.complex128 and T.shape == (n + 1, cols, 12)
+    ref = exact[0].astype(float) + 1j * exact[1].astype(float)
+    err = np.abs(T - ref).max(axis=(0, 1))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 24])
+def test_complex_path_identity_and_multiplicative(n):
+    T = sym_power_values(np.array([[1.0, 0.0, 0.0, 0.0]]), n)
+    assert np.array_equal(T[..., 0], np.eye(n + 1))
+    # T(xy) = T(x) T(y) at unit points, where every T is unitary up to the
+    # diagonal rescaling by sqrt C(n, b): entries stay near 1 in that frame
+    x, y = _unit_points(6, n), _unit_points(6, n + 100)
+    Tx, Ty, Txy = (np.moveaxis(sym_power_values(p, n), -1, 0)
+                   for p in (x, y, _hamilton(x, y)))
+    w = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
+    err = np.abs(Tx @ Ty - Txy) / np.outer(w, 1 / w)
+    assert err.max() < 1e-12 * (n + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 9, 16])
+def test_basis_values_match_exact_entries(n):
+    # the basis polynomials are integral, so at integer points their exact
+    # values are the exact entries over the contents
+    hb = harmonic_basis(n)
+    pts = np.random.default_rng(n).integers(-9, 10, size=(8, 4))
+    exact = sym_power_values(pts.astype(object), n)
+    b, a, part = np.array(hb.labels, dtype=np.intp).T
+    contents = np.array(hb.contents, dtype=object)[:, None]
+    assert not np.any(exact[part, b, a] % contents)
+    ref = (exact[part, b, a] // contents).astype(float)
+    vals = basis_values(hb, pts)
+    assert vals.shape == (hb.dim, 8)
+    assert np.all(np.abs(vals - ref) <= 1e-12 * np.abs(ref).max(axis=0))

@@ -69,13 +69,19 @@ ORACLE_PAIRS = [(DEFAULT_X, DEFAULT_Y),
                 (Quaternion.from_int_coords(3, 0, 4, 0), DEFAULT_X)]
 
 
+# N_x N_y = 3, 2 and 18: exact for even n only
+NON_SQUARE_PAIRS = [(Quaternion.from_int_coords(1, 1, 1, 0), DEFAULT_Y),
+                    (Quaternion.from_int_coords(1, 1, 0, 0), DEFAULT_Y),
+                    (Quaternion.from_int_coords(1, 0, 1, 0), DEFAULT_X)]
+
+
 def _reexpansion(n, qx, qy, k, bump=0):
     """The Fraction re-expansion of c_k; ``bump`` adds to the last count."""
-    S = math.isqrt(qx.nr() * qy.nr())
     tvals, counts = np.unique(_trace_values(k, qx, qy), return_counts=True)
     counts = counts.tolist()
     counts[-1] += bump
-    return theta_oracle.reexpansion_value(n, k, S, tvals.tolist(), counts)
+    return theta_oracle.reexpansion_value(n, k, qx.nr() * qy.nr(),
+                                          tvals.tolist(), counts)
 
 
 @pytest.mark.parametrize("qx,qy", ORACLE_PAIRS, ids=["9", "4", "225"])
@@ -84,6 +90,22 @@ def test_integer_recurrence_matches_reexpansion(qx, qy):
         for k in range(1, 61):
             assert theta_coefficient(n, qx, qy, k).value == \
                 _reexpansion(n, qx, qy, k)
+
+
+@pytest.mark.parametrize("qx,qy", NON_SQUARE_PAIRS, ids=["3", "2", "18"])
+def test_even_degree_is_exact_for_non_square_norms(qx, qy):
+    for n in range(0, 13, 2):
+        for k in range(1, 41):
+            tc = theta_coefficient(n, qx, qy, k)
+            assert tc.value == _reexpansion(n, qx, qy, k)
+        assert theta_coefficient(n + 1, qx, qy, 1).value is None
+
+
+def test_non_square_examples():
+    # n = 4, x = (1 + i + j)/sqrt 3, y = 1
+    x = Quaternion.from_int_coords(1, 1, 1, 0)
+    assert theta_coefficient(4, x, ONE, 1).value == Fraction(-16, 3)
+    assert theta_coefficient(4, x, ONE, 7).value == Fraction(1408, 3)
 
 
 @pytest.mark.parametrize("n,k", [(0, 3), (4, 5), (7, 12), (12, 60)])
@@ -96,7 +118,8 @@ def test_reexpansion_oracle_sees_a_perturbed_count(n, k):
 
 
 def test_irrational_norm_product_gives_float_only():
-    tc = theta_coefficient(2, (1, 1, 0, 0), ONE, 3)
+    # odd n: (2S)^n = 2^n S^n is irrational for S = sqrt 2
+    tc = theta_coefficient(3, (1, 1, 0, 0), ONE, 3)
     assert tc.value is None
     assert math.isfinite(tc.float_value)
 

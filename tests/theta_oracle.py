@@ -48,15 +48,18 @@ def strip_sums(n: int, K: int, parity: str) -> np.ndarray:
     return np.array([shell_kernel_sum(n, k, parity) for k in range(1, K + 1)])
 
 
-def reexpansion_value(n: int, k: int, S: int, tvals, counts) -> Fraction:
-    """k^(n/2) sum cnt * U_n(T / (2 S sqrt k)) through the monomial
-    coefficients a_j of U_n: only powers j of the parity of n occur, so
-    each term a_j k^((n-j)/2) sum cnt T^j / (2S)^j is rational."""
+def reexpansion_value(n: int, k: int, P: int, tvals, counts) -> Fraction:
+    """k^(n/2) sum cnt * U_n(T / (2 S sqrt k)), S = sqrt(P), through the
+    monomial coefficients a_j of U_n: only powers j of the parity of n
+    occur, so each term a_j k^((n-j)/2) sum cnt T^j / (2S)^j is rational
+    when n is even, (2S)^j = 4^(j/2) P^(j/2), or when P is a square."""
+    S = math.isqrt(P)
+    assert n % 2 == 0 or S * S == P
     a = cheb_coeffs(n)
     total = Fraction(0)
     for j in range(n % 2, n + 1, 2):
         if a[j]:
             power_sum = sum(c * T ** j for T, c in zip(tvals, counts))
-            total += Fraction(a[j] * power_sum * k ** ((n - j) // 2),
-                              (2 * S) ** j)
+            scale = (4 * P) ** (j // 2) * (2 * S) ** (j % 2)
+            total += Fraction(a[j] * power_sum * k ** ((n - j) // 2), scale)
     return total
