@@ -143,7 +143,7 @@ def cmd_pretrace_check(args) -> int:
 
 def cmd_theta_identity(args) -> int:
     from .hecke import decompose
-    from .theta import spectral_coefficient, theta_coefficient
+    from .theta import spectral_coefficient, theta_coefficients
 
     x = tuple(int(t) for t in args.x.split(","))
     y = tuple(int(t) for t in args.y.split(","))
@@ -153,8 +153,9 @@ def cmd_theta_identity(args) -> int:
     for n in _ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed,
                         even_extras=tuple(ks))
-        for k, sv in zip(ks, spectral_coefficient(n, x, y, ks, dec)):
-            tv = theta_coefficient(n, x, y, k).float_value
+        for k, sv, tc in zip(ks, spectral_coefficient(n, x, y, ks, dec),
+                             theta_coefficients(n, x, y, ks)):
+            tv = tc.float_value
             good = abs(sv - tv) <= 1e-8 * (1 + abs(tv))
             rows.append((n, k, "theta", tv))
             rows.append((n, k, "spectral", sv))
@@ -193,17 +194,22 @@ def cmd_petersson(args) -> int:
 
 
 def cmd_counting(args) -> int:
-    from .gon import dyadic_class_count, fit_constant, shell_class_count
+    from .gon import dyadic_class_count, fit_constant, shell_class_table
 
-    shell = [shell_class_count(k, 2 ** b)
-             for k in range(1, args.cutoff + 1) for b in range(7)]
+    Rs = [2 ** b for b in range(7)]
+    counts, bounds = shell_class_table(args.cutoff, Rs)
+    ratios = counts / bounds
+    ks = np.repeat(np.arange(1, args.cutoff + 1), len(Rs)).tolist()
+    rows = list(zip(["singlebound"] * len(ks), ks, Rs * args.cutoff,
+                    counts.ravel().tolist(), bounds.ravel().tolist(),
+                    ratios.ravel().tolist()))
     dyadic = [dyadic_class_count(2 ** a, 2 ** b)
               for a in range(4, 13) for b in range(7)]
-    rows = [(r.family, r.params[0], r.params[1], r.count, r.bound, r.ratio)
-            for r in shell + dyadic]
+    rows += [(r.family, r.params[0], r.params[1], r.count, r.bound, r.ratio)
+             for r in dyadic]
     _write_csv(args, "counting",
                ["family", "p1", "R", "count", "bound", "ratio"], rows)
-    C = max(fit_constant(shell), fit_constant(dyadic))
+    C = max(float(ratios.max(initial=0.0)), fit_constant(dyadic))
     _write_json(args, "counting-summary", {"constant": C, "pass": C <= 64})
     return 0 if C <= 64 else 1
 

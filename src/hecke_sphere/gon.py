@@ -7,8 +7,15 @@ and the successive-minima product bound on concrete 4-dimensional bodies.
 
 Counting cost: one O(K)-memory r3 table per power of two K (2 sqrt(K) numpy
 passes) and one cached table of the class counts of all k <= K per (K, R)
-(sqrt(K) passes): ``shell_class_count`` is a lookup, ``dyadic_class_count``
-one prefix sum plus sqrt(M) window sums.
+(sqrt(K) passes): ``shell_class_count`` is a lookup, ``shell_class_table``
+one table per R sliced at the cutoff with the bounds formed as float arrays,
+``dyadic_class_count`` one prefix sum plus sqrt(M) window sums.
+
+Lattice points: coefficient radii come from the exact adjugate over the
+exact determinant; when that box exceeds the budget, the basis is
+LLL-reduced first.  Points are counted by one exact integer membership test
+per body, on int64 while every coordinate is at most ``INT64_COORD`` and on
+Python integers above it.
 """
 
 from __future__ import annotations
@@ -46,6 +53,24 @@ def in_cylinder_class(m: Quaternion, R: int) -> bool:
     return R * R * s4 <= nr4
 
 
+def _class_table(K: int, R: int) -> np.ndarray:
+    """Read-only class counts of all k <= K for C(R); entry k does not
+    depend on K, so any K >= k gives the same count."""
+    # R^2 > K, like R^2 = K + 1, leaves only the s = 0 members: the clamp
+    # keeps the counts and bounds the cache keys (R = 2^40 is in use)
+    return _class_counts(K, min(R * R, K + 1))
+
+
+def _single_bound(k, R: int, k_eps):
+    """(1 + sqrt(k)/R + k/R^3) k^EPSILON, with ``k_eps`` = k ** EPSILON.
+
+    For a Python int k the terms are Python divisions, as written; for a
+    float array k they are numpy's, equal bit for bit whenever R^3 is exact
+    in a double (R a power of two, or R^3 < 2^53): sqrt and each division
+    are correctly rounded in both."""
+    return (1 + np.sqrt(k) / R + k / R ** 3) * k_eps
+
+
 @lru_cache(maxsize=None)
 def _class_counts(K: int, R2: int) -> np.ndarray:
     """Read-only counts[k] = |{nr(m) = k, m in C(R)}| for k <= K, R2 = R^2.
@@ -67,12 +92,33 @@ def shell_class_count(k: int, R: int) -> CountRecord:
     """|{nr(m) = k, m in C(R)}| with the single-shell bound alongside."""
     if k < 1 or R < 1:
         raise ValueError("need k >= 1 and R >= 1")
-    K = _round_up_pow2(max(k, 16))
-    # R^2 > K, like R^2 = K + 1, leaves only the s = 0 members: the clamp
-    # keeps the counts and bounds the cache keys (R = 2^40 is in use)
-    count = int(_class_counts(K, min(R * R, K + 1))[k])
-    bound = (1 + math.sqrt(k) / R + k / R ** 3) * k ** EPSILON
+    count = int(_class_table(_round_up_pow2(max(k, 16)), R)[k])
+    bound = float(_single_bound(k, R, k ** EPSILON))
     return CountRecord("singlebound", (k, R), count, bound)
+
+
+def shell_class_table(cutoff: int, Rs):
+    """``shell_class_count(k, R)`` for k = 1..cutoff and every R in ``Rs``,
+    as (counts, bounds) arrays of shape (cutoff, len(Rs)); no rows when
+    cutoff < 1, as ``range(1, cutoff + 1)`` has none.
+
+    One class-count table per R at the power of two above the cutoff
+    serves every k.  k^EPSILON is Python ``pow`` over the cutoff values
+    (``np.power`` may differ from libm in the last ulp), so for R a power
+    of two every bound equals the record's bit for bit.
+    """
+    if any(R < 1 for R in Rs):
+        raise ValueError("need R >= 1")
+    cutoff = max(cutoff, 0)
+    K = _round_up_pow2(max(cutoff, 16))
+    k = np.arange(1, cutoff + 1, dtype=float)
+    k_eps = np.array([j ** EPSILON for j in range(1, cutoff + 1)])
+    counts = np.empty((cutoff, len(Rs)), dtype=np.int64)
+    bounds = np.empty((cutoff, len(Rs)))
+    for i, R in enumerate(Rs):
+        counts[:, i] = _class_table(K, R)[1: cutoff + 1]
+        bounds[:, i] = _single_bound(k, R, k_eps)
+    return counts, bounds
 
 
 def dyadic_class_count(M: int, R: int) -> CountRecord:
@@ -169,6 +215,13 @@ class CylinderSpec:
         s = V[:, 1] ** 2 + V[:, 2] ** 2 + V[:, 3] ** 2
         return np.maximum(V[:, 0] ** 2, float(self.R ** 2) * s) / (2.0 * self.M)
 
+    def contains(self, V: np.ndarray) -> np.ndarray:
+        """Exact membership of each row of the integer array ``V``."""
+        two_m = 2 * self.M
+        s = V[:, 1] ** 2 + V[:, 2] ** 2 + V[:, 3] ** 2
+        # R^2 s <= 2M iff s <= floor(2M / R^2): no product to overflow
+        return (V[:, 0] ** 2 <= two_m) & (s <= two_m // self.R ** 2)
+
     def norm_coeff(self) -> float:
         # gauge_sq(v) >= coeff * |v|^2
         R2 = self.R ** 2
@@ -202,6 +255,10 @@ class Box:
         return np.max(V.astype(float) ** 2
                       / np.array(self.h, dtype=float) ** 2, axis=1)
 
+    def contains(self, V: np.ndarray) -> np.ndarray:
+        """Exact membership of each row of the integer array ``V``."""
+        return np.all(np.abs(V) <= np.array(self.h), axis=1)
+
     def norm_coeff(self) -> float:
         return 1.0 / sum(float(hi) ** 2 for hi in self.h)
 
@@ -231,16 +288,24 @@ def _exact_rank(rows) -> int:
     return rank
 
 
-def _cube_points(basis: np.ndarray, r: int, budget: int):
-    npts = (2 * r + 1) ** 4
+#: int64 bound on lattice-point coordinates: |v_i| <= 2^30 keeps v_1^2 and
+#: v_2^2 + v_3^2 + v_4^2 (at most 3 * 2^60) exact in int64; larger points
+#: are formed on Python integers
+INT64_COORD = 2 ** 30
+
+
+def _box_points(basis: np.ndarray, radii, budget: int):
+    """Coefficients C of the box |c_i| <= radii[i] and the points V = C B^T."""
+    npts = math.prod(2 * r + 1 for r in radii)
     if npts > budget:
         raise CapacityError(
             f"enumeration of {npts} points exceeds the {budget} budget")
-    ax = np.arange(-r, r + 1)
-    C = np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"),
-                 axis=-1).reshape(-1, 4)
-    V = C @ basis.T
-    return C, V
+    axes = [np.arange(-r, r + 1) for r in radii]
+    C = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    rows = basis.tolist()
+    if max(sum(abs(b) * r for b, r in zip(row, radii)) for row in rows) > INT64_COORD:
+        return C, C.astype(object) @ np.array(rows, dtype=object).T
+    return C, C @ basis.T
 
 
 def _greedy_minima(C: np.ndarray, V: np.ndarray, body):
@@ -260,18 +325,84 @@ def _greedy_minima(C: np.ndarray, V: np.ndarray, body):
     return lams
 
 
+@lru_cache(maxsize=4096)
+def _adjugate(entries: tuple) -> tuple:
+    """(d B^-1, d) for the nonsingular integer 4x4 matrix B with row-major
+    ``entries``, d = +-det B, in exact integers (cached, as every region
+    and covolume of one lattice needs it): fraction-free Gauss-Jordan
+    (Bareiss) on [B | I], where every division by the previous pivot is
+    exact, ends at [d I | d B^-1]."""
+    mat = [list(entries[4 * i: 4 * i + 4]) + [int(i == j) for j in range(4)]
+           for i in range(4)]
+    prev = 1
+    for col in range(4):
+        piv = next(r for r in range(col, 4) if mat[r][col])
+        mat[col], mat[piv] = mat[piv], mat[col]
+        p = mat[col]
+        for r in range(4):
+            if r != col:
+                f = mat[r][col]
+                mat[r] = [(p[col] * a - f * b) // prev for a, b in zip(mat[r], p)]
+        prev = p[col]
+    return tuple(tuple(row[4:]) for row in mat), prev
+
+
 def _body_region(basis: np.ndarray, body, t: float, budget: int):
     """All lattice points of t * body: per-axis coefficient box enumeration."""
-    invB = np.linalg.inv(basis.astype(float))
-    # per-axis coefficient bounds: |c_i| <= t * sum_j |(B^-1)_ij| * bbox_j
-    radii = np.floor(np.abs(invB) @ np.array(body.bbox()) * t + 1e-9).astype(int)
-    npts = int(np.prod(2 * radii + 1))
-    if npts > budget:
-        raise CapacityError(
-            f"enumeration of {npts} points exceeds the {budget} budget")
-    axes = [np.arange(-r, r + 1) for r in radii]
-    C = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
-    return C, C @ basis.T
+    adj, det = _adjugate(tuple(basis.ravel().tolist()))
+    # per-axis coefficient bounds: |c_i| <= t * sum_j |(B^-1)_ij| * bbox_j,
+    # with B^-1 = adj / det exact up to the one rounding of each entry
+    inv = np.abs(np.array(adj, dtype=float)) / abs(det)
+    radii = np.floor(inv @ np.array(body.bbox()) * t + 1e-9)
+    return _box_points(basis, [int(r) for r in radii], budget)
+
+
+def _lll(rows) -> list:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the integer
+    vectors ``rows``, with the Gram-Schmidt data kept in exact rationals."""
+    b = [[int(a) for a in r] for r in rows]
+    n = len(b)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt():
+        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(a) for a in b[i]]
+            for j in range(i):
+                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+        return star, mu
+
+    star, mu = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                star, mu = gram_schmidt()
+        if (dot(star[k], star[k])
+                >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1])):
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            star, mu = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
+def _with_reduction(fn, B: np.ndarray, *args):
+    """``fn(B, *args)``; if its enumeration exceeds the budget, ``fn`` on an
+    LLL-reduced basis of the same lattice, whose coefficient boxes are far
+    smaller when B is skewed (minima and counts do not depend on the basis)."""
+    try:
+        return fn(B, *args)
+    except CapacityError:
+        reduced = np.array(_lll(B.T.tolist()), dtype=np.int64).T
+        return fn(reduced, *args)
 
 
 def _lattice_basis(basis) -> np.ndarray:
@@ -289,9 +420,10 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
     A small coefficient cube supplies four linearly independent points,
     whose fourth gauge value t bounds lambda_4; the exact region t * body
     is then enumerated per axis, so the greedy gauge-ordered extraction
-    with exact rank tests is certifiably complete.  The basis must have
-    exact rank 4 (``ValueError`` otherwise); the result is cached per
-    basis entries, body and budget, so callers on one lattice share one
+    with exact rank tests is certifiably complete.  If either enumeration
+    exceeds the budget, both run again on an LLL-reduced basis.  The basis
+    must have exact rank 4 (``ValueError`` otherwise); the result is cached
+    per basis entries, body and budget, so callers on one lattice share one
     enumeration, while an exhausted budget raises ``CapacityError`` on
     every call.
     """
@@ -302,9 +434,13 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
 @lru_cache(maxsize=4096)
 def _successive_minima(entries: tuple, body, budget: int) -> tuple:
     B = np.array(entries, dtype=np.int64).reshape(4, 4)
+    return _with_reduction(_minima, B, body, budget)
+
+
+def _minima(B: np.ndarray, body, budget: int) -> tuple:
     r = 2
     while True:
-        C, V = _cube_points(B, r, budget)
+        C, V = _box_points(B, (r,) * 4, budget)
         lams = _greedy_minima(C, V, body)
         if len(lams) == 4:
             break
@@ -316,13 +452,8 @@ def _successive_minima(entries: tuple, body, budget: int) -> tuple:
 
 def lattice_point_count(basis, body, budget: int = 10 ** 7) -> int:
     """Exact |body ∩ lattice| by bounded enumeration (origin included)."""
-    _, V = _body_region(_lattice_basis(basis), body, 1.0, budget)
-    g = body.gauge_sq_float(V.astype(float))
-    count = 0
-    for v in V[g <= 1.0 + 1e-12]:
-        if body.gauge_sq(v.tolist()) <= 1:
-            count += 1
-    return count
+    _, V = _with_reduction(_body_region, _lattice_basis(basis), body, 1.0, budget)
+    return int(np.count_nonzero(body.contains(V)))
 
 
 def product_bound_check(basis, body, budget: int = 10 ** 7) -> bool:
@@ -336,6 +467,6 @@ def product_bound_check(basis, body, budget: int = 10 ** 7) -> bool:
 def minkowski_sandwich(basis, body, budget: int = 10 ** 7):
     """(lower, middle, upper) of 2^4/4! <= prod lambda_i vol/covol <= 2^4."""
     lams = successive_minima(basis, body, budget)
-    covol = abs(np.linalg.det(np.asarray(basis, dtype=float)))
+    covol = abs(_adjugate(tuple(_lattice_basis(basis).ravel().tolist()))[1])
     middle = math.prod(lams) * body.volume() / covol
     return 16.0 / 24.0, middle, 16.0

@@ -11,6 +11,10 @@ the integer recurrence W_m = 2T W_(m-1) - 4 N_x N_y k W_(m-2) (W_0 = 1,
 W_1 = 2T), so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is
 exact whenever (2S)^n is an integer: for every even n, where it is
 2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square.
+Coefficients are computed per block of ``THETA_BLOCK`` values of k: one
+U_n pass over the block's concatenated traces, summed per k over its own
+slice, and one recurrence over the distinct (k, T) pairs of the block, on
+int64 under a stated bound and on Python integers above it.
 The Petersson strips are batched per degree over one cached profile table.
 """
 
@@ -58,37 +62,81 @@ class ThetaCoefficient:
     float_value: float
 
 
+#: values of k per block in ``theta_coefficients``: bounds the traces and
+#: their U_n values held at once (16 shells near k = 128 hold 18,784 traces)
+THETA_BLOCK = 16
+
+
 def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
     """k-th Fourier coefficient of the degree-n theta kernel at (x, y)."""
-    if k < 1:
+    return theta_coefficients(n, x, y, [k])[0]
+
+
+def theta_coefficients(n: int, x, y, ks) -> list:
+    """``theta_coefficient(n, x, y, k)`` for every k in ``ks``, in order,
+    computed ``THETA_BLOCK`` values of k at a time."""
+    ks = [int(k) for k in ks]
+    if any(k < 1 for k in ks):
         raise ValueError("coefficients start at k = 1; there is no constant term")
     qx, qy = _as_quat(x), _as_quat(y)
-    Nx, Ny = qx.nr(), qy.nr()
-    traces = _trace_values(k, qx, qy)
+    out = []
+    for i in range(0, len(ks), THETA_BLOCK):
+        out += _theta_block(n, qx, qy, ks[i: i + THETA_BLOCK])
+    return out
 
-    # float path: direct summation of U_n at t / (2 sqrt(k N_x N_y))
-    denom = 2.0 * math.sqrt(float(k) * Nx * Ny)
-    fv = float(k) ** (n / 2) * float(np.sum(chebyshev_U_vec(n, traces / denom)))
+
+def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
+    Nx, Ny = qx.nr(), qy.nr()
+    traces = [_trace_values(k, qx, qy) for k in ks]
+    sizes = [len(t) for t in traces]
+    ends = np.cumsum(sizes).tolist()
+    T = np.concatenate(traces)
+
+    # float path: direct summation of U_n at t / (2 sqrt(k N_x N_y)), one
+    # np.sum per k over its own slice, so each k sums as it would alone
+    denoms = [2.0 * math.sqrt(float(k) * Nx * Ny) for k in ks]
+    vals = chebyshev_U_vec(n, T / np.repeat(denoms, sizes))
+    fvs = [float(k) ** (n / 2) * float(np.sum(vals[e - m: e]))
+           for k, m, e in zip(ks, sizes, ends)]
 
     P = Nx * Ny
     S = isqrt(P)
     if n % 2 and S * S != P:
-        return ThetaCoefficient(n, k, qx, qy, None, fv)
+        return [ThetaCoefficient(n, k, qx, qy, None, fv)
+                for k, fv in zip(ks, fvs)]
 
-    tvals, counts = np.unique(traces, return_counts=True)
-    T = tvals.astype(object)  # W_n outgrows int64: Python integers
-    prev, cur = 0 * T, 0 * T + 1  # W_(-1), W_0
+    # distinct (block index, T) pairs from one sort of a 1-D int64 key
+    tmax = int(np.abs(T).max())
+    span = 2 * tmax + 1
+    key = np.repeat(np.arange(len(ks), dtype=np.int64), sizes) * span + (T + tmax)
+    keys, counts = np.unique(key, return_counts=True)
+    idx = keys // span
+    # |T| <= 2 S sqrt(k), so |W_m| <= (m+1) (4Pk)^(m/2), every term of the
+    # recurrence is at most 2n (4Pk)^(n/2) and each per-k sum at most len(T)
+    # times that: int64 when this is below 2^63 (decided on its square),
+    # Python integers above
+    exact64 = (2 * n * len(T)) ** 2 * (4 * P * max(ks)) ** n < 2 ** 126
+    dtype = np.int64 if exact64 else object
+    Tu = (keys % span - tmax).astype(dtype)
+    c = np.array([4 * P * k for k in ks], dtype=dtype)[idx]
+    prev, cur = 0 * Tu, 0 * Tu + 1  # W_(-1), W_0
     for _ in range(n):
-        prev, cur = cur, 2 * T * cur - 4 * P * k * prev
+        prev, cur = cur, 2 * Tu * cur - c * prev
+    # every shell is nonempty (r4(k) >= 8), so each block index starts a run
+    starts = np.flatnonzero(np.diff(idx, prepend=-1))
+    sums = np.add.reduceat(cur * counts.astype(dtype), starts)
     # (2S)^n = 2^n P^(n/2) S^(n mod 2), and S is an integer for odd n
-    total = Fraction(int(cur @ counts.astype(object)),
-                     2 ** n * P ** (n // 2) * S ** (n % 2))
-    if total != 0:
-        rel = abs(fv - float(total)) / abs(float(total))
-        if rel > 1e-9:
-            raise ArithmeticError(
-                f"exact/float disagreement {rel:.2e} at n={n}, k={k}")
-    return ThetaCoefficient(n, k, qx, qy, total, fv)
+    denom = 2 ** n * P ** (n // 2) * S ** (n % 2)
+    out = []
+    for k, fv, num in zip(ks, fvs, sums):
+        total = Fraction(int(num), denom)
+        if total != 0:
+            rel = abs(fv - float(total)) / abs(float(total))
+            if rel > 1e-9:
+                raise ArithmeticError(
+                    f"exact/float disagreement {rel:.2e} at n={n}, k={k}")
+        out.append(ThetaCoefficient(n, k, qx, qy, total, fv))
+    return out
 
 
 def spectral_coefficient(n: int, x, y, ks,
@@ -183,16 +231,16 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
     K = K or 64
     coeffs, gaps = {}, {}
     while True:
-        for k in range(1, K + 1):
-            if k not in coeffs:
-                tc = theta_coefficient(n, x, y, k)
-                # exact rationals kill roundoff; identically-zero kernels
-                # (possible when the cusp space is trivial) stay exact zeros
-                coeffs[k] = tc.float_value
-                if tc.value is not None:
-                    coeffs[k] = v = float(tc.value)
-                    # relative float/exact gap; exact zeros count as 0
-                    gaps[k] = abs(tc.float_value - v) / (abs(v) or math.inf)
+        new = [k for k in range(1, K + 1) if k not in coeffs]
+        for tc in theta_coefficients(n, x, y, new):
+            k = tc.k
+            # exact rationals kill roundoff; identically-zero kernels
+            # (possible when the cusp space is trivial) stay exact zeros
+            coeffs[k] = tc.float_value
+            if tc.value is not None:
+                coeffs[k] = v = float(tc.value)
+                # relative float/exact gap; exact zeros count as 0
+                gaps[k] = abs(tc.float_value - v) / (abs(v) or math.inf)
         tail = _coeff_tail_bound(n, K, ymin)
         stats = dict(exact_coefficients=len(gaps),
                      max_exact_gap=max(gaps.values(), default=0.0))

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 import math
 from fractions import Fraction
 from math import isqrt
@@ -11,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 from hecke_sphere import gon
 from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
-    EPSILON, Box, CylinderSpec, _exact_rank, a_of_x, d_class_counts,
-    dyadic_class_count, fit_constant, in_cylinder_class, lattice_point_count,
-    minkowski_sandwich, product_bound_check, shell_class_count,
+    EPSILON, INT64_COORD, Box, CylinderSpec, _adjugate, _box_points,
+    _exact_rank, _lll, a_of_x, d_class_counts, dyadic_class_count,
+    fit_constant, in_cylinder_class, lattice_point_count, minkowski_sandwich,
+    product_bound_check, shell_class_count, shell_class_table,
     successive_minima,
 )
 from hecke_sphere.quat import (
@@ -141,6 +143,38 @@ def test_counting_csv_matches_loops(tmp_path):
     assert "".join(lines[2:]) == expected.getvalue()
 
 
+@pytest.mark.parametrize("cutoff", [1, 16, 17, 300])
+def test_counting_csv_matches_the_records(tmp_path, cutoff):
+    # the table path of `counting` against one CountRecord per (k, R)
+    assert cli_main(["counting", "--cutoff", str(cutoff),
+                     "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "counting.csv", newline="") as fh:
+        lines = fh.readlines()
+    shell = [shell_class_count(k, 2 ** b)
+             for k in range(1, cutoff + 1) for b in range(7)]
+    dyadic = [dyadic_class_count(2 ** a, 2 ** b)
+              for a in range(4, 13) for b in range(7)]
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(
+        (r.family, r.params[0], r.params[1], r.count, r.bound, r.ratio)
+        for r in shell + dyadic)
+    assert "".join(lines[2:]) == expected.getvalue()
+    summary = json.loads((tmp_path / "counting-summary.json").read_text())
+    assert summary["constant"] == max(fit_constant(shell), fit_constant(dyadic))
+
+
+@pytest.mark.parametrize("R", [1, 2, 3, 8, 64, 1000, 2 ** 40])
+def test_class_table_is_the_record(R):
+    for cutoff in (0, 1, 16, 40):
+        counts, bounds = shell_class_table(cutoff, [R, 1])
+        assert counts.shape == bounds.shape == (cutoff, 2)
+        for k in range(1, cutoff + 1):
+            rec = shell_class_count(k, R)
+            assert (counts[k - 1, 0], bounds[k - 1, 0]) == (rec.count, rec.bound)
+    with pytest.raises(ValueError):
+        shell_class_table(4, [2, 0])
+
+
 def test_dyadic_large_r_keeps_only_near_real():
     # M = 8, R >= 8: only m with m1^2 in (8, 16] and tiny imaginary part
     assert dyadic_class_count(8, 8).count == 4
@@ -266,6 +300,103 @@ def test_lattice_point_count_cylinder():
     body = CylinderSpec(M=2, R=2)
     # |x1| <= 2, x2^2+x3^2+x4^2 <= 1: 5 * 7 points
     assert lattice_point_count(np.eye(4, dtype=int), body) == 35
+
+
+def brute_lattice_count(basis, body, reach):
+    # every integer point of the cube |v_i| <= reach with gauge at most 1
+    # whose coordinates B^-1 v (Fractions) are integers
+    # Gauss-Jordan over the rationals on [B | I]
+    M = [[Fraction(int(a)) for a in r] + [Fraction(int(i == j)) for j in range(4)]
+         for i, r in enumerate(np.asarray(basis))]
+    for c in range(4):
+        p = next(r for r in range(c, 4) if M[r][c])
+        M[c], M[p] = M[p], M[c]
+        M[c] = [x / M[c][c] for x in M[c]]
+        for r in range(4):
+            if r != c:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    Binv = [r[4:] for r in M]
+    ax = range(-reach, reach + 1)
+    count = 0
+    for v in np.stack(np.meshgrid(ax, ax, ax, ax, indexing="ij"),
+                      axis=-1).reshape(-1, 4).tolist():
+        if body.gauge_sq(v) <= 1 and all(
+                sum(a * b for a, b in zip(row, v)).denominator == 1 for row in Binv):
+            count += 1
+    return count
+
+
+def random_lattice(rng):
+    while True:
+        B = rng.integers(-2, 3, size=(4, 4))
+        if _exact_rank(B.tolist()) == 4 and np.linalg.cond(B) < 8:
+            return B
+
+
+def test_lattice_point_count_matches_fraction_gauge():
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        B = random_lattice(rng)
+        for body in (Box(tuple(rng.integers(1, 4, size=4).tolist())),
+                     CylinderSpec(int(rng.integers(1, 9)), int(2 ** rng.integers(0, 2)))):
+            assert lattice_point_count(B, body) == brute_lattice_count(B, body, 4)
+
+
+def test_lattice_point_count_keeps_the_boundary():
+    Z = np.eye(4, dtype=int)
+    # |v_i| = h_i on the box faces; v_1^2 = 2M and R^2 s = 2M on the cylinder
+    for body in (Box((1, 2, 1, 3)), CylinderSpec(M=2, R=2),
+                 CylinderSpec(M=8, R=1), CylinderSpec(M=9, R=2)):
+        want = brute_lattice_count(Z, body, 5)
+        assert lattice_point_count(Z, body) == want
+    assert lattice_point_count(Z, Box((1, 2, 1, 3))) == 3 * 5 * 3 * 7
+    assert lattice_point_count(Z, CylinderSpec(M=2, R=2)) == 35
+    # 2M = 18: |v_1| <= 4, s <= 4 (r3 sums 1 + 6 + 12 + 8 + 6 = 33)
+    assert lattice_point_count(Z, CylinderSpec(M=9, R=2)) == 9 * 33
+    assert lattice_point_count(np.diag([2, 1, 1, 1]), CylinderSpec(M=2, R=2)) == 3 * 7
+
+
+def test_lattice_points_beyond_int64_coord_use_python_integers():
+    # lattice {(2^31 m, a, b, c)}: the coefficient box reaches |v_1| = 6 * 2^31,
+    # whose square overflows int64, so the points are Python integers
+    B = np.array([[2 ** 31, 2 ** 31, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    body = CylinderSpec(M=2 ** 62, R=2 ** 30)
+    _, V = _box_points(B, (4, 2, 2, 2), 10 ** 7)
+    assert V.dtype == object and np.abs(V).max() > INT64_COORD
+    # m^2 <= 2 and a^2 + b^2 + c^2 <= 8: 3 * (1 + 6 + 12 + 8 + 6 + 24 + 24 + 12)
+    assert lattice_point_count(B, body) == 3 * 93
+    _, V = _box_points(np.eye(4, dtype=np.int64), (2, 2, 2, 2), 10 ** 7)
+    assert V.dtype == np.int64
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
+                min_size=4, max_size=4))
+def test_adjugate_is_the_exact_inverse(rows):
+    if _exact_rank(rows) < 4:
+        return
+    adj, d = _adjugate(tuple(a for r in rows for a in r))
+    prod = [[sum(a * b for a, b in zip(r, col)) for col in zip(*adj)] for r in rows]
+    assert prod == [[d * (i == j) for j in range(4)] for i in range(4)]
+    assert abs(d) == abs(round(np.linalg.det(np.array(rows, dtype=float))))
+
+
+def test_float_singular_basis_is_reduced_first():
+    # the float inverse of this unimodular basis is singular, and its
+    # coefficient box is about 4e8 wide: the LLL fallback enumerates Z^4
+    body = Box((1, 1, 1, 1))
+    assert _adjugate(tuple(np.ravel(FLOAT_DET_ZERO).tolist()))[1] in (1, -1)
+    assert successive_minima(FLOAT_DET_ZERO, body) == (1.0, 1.0, 1.0, 1.0)
+    assert lattice_point_count(FLOAT_DET_ZERO, body) == 81
+    assert minkowski_sandwich(FLOAT_DET_ZERO, body)[1] == 16.0
+    # it reduces to a signed permutation of the unit vectors
+    assert (np.abs(np.array(_lll(FLOAT_DET_ZERO))).sum(axis=0) == 1).all()
+
+
+def test_skewed_basis_fits_the_budget_after_reduction():
+    rows = [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 1, 3], [1, 0, 0, 2]]
+    lams = successive_minima(rows, Box((2, 3, 1, 5)))
+    assert lams == pytest.approx((0.2, 1 / 3, 0.5, 1.0))
 
 
 def test_minkowski_sandwich_identity():

@@ -12,9 +12,9 @@ from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.theta import (
     DEFAULT_X, DEFAULT_Y, _strip_sums, _trace_values,
     coset_coefficient, modularity_check, petersson_estimate,
-    spectral_coefficient, theta_coefficient,
+    THETA_BLOCK, spectral_coefficient, theta_coefficient, theta_coefficients,
 )
-from hecke_sphere.zonal import chebyshev_U
+from hecke_sphere.zonal import chebyshev_U, chebyshev_U_vec
 
 ONE = (1, 0, 0, 0)
 
@@ -122,6 +122,49 @@ def test_irrational_norm_product_gives_float_only():
     tc = theta_coefficient(3, (1, 1, 0, 0), ONE, 3)
     assert tc.value is None
     assert math.isfinite(tc.float_value)
+
+
+# (x, y) pairs: square norm products 1, 9 and 9 * 25, non-square 3 and 2
+BATCH_PAIRS = [(ONE, ONE), ((1, 2, 2, 0), ONE), ((1, 2, 2, 0), (3, 4, 0, 0)),
+               ((1, 1, 1, 0), ONE), ((1, 1, 0, 0), (1, 0, 0, 0))]
+# starting above 1, with gaps, crossing a block boundary, repeating a k
+BATCH_KS = [list(range(1, 41)), [5, 9, 10, 11, 30],
+            list(range(THETA_BLOCK - 2, THETA_BLOCK + 3)), [7, 7, 3]]
+
+
+@pytest.mark.parametrize("n", range(13))
+def test_batch_is_bitwise_the_per_k_coefficient(n):
+    for x, y in BATCH_PAIRS:
+        for ks in BATCH_KS:
+            got = theta_coefficients(n, x, y, ks)
+            assert [tc.k for tc in got] == ks
+            for tc in got:
+                want = theta_oracle.theta_coefficient_per_k(n, x, y, tc.k)
+                assert tc == want
+                assert type(tc.value) is type(want.value)
+                assert np.float64(tc.float_value).tobytes() == \
+                    np.float64(want.float_value).tobytes()
+    # odd n with a non-square norm product has no exact value
+    if n % 2:
+        assert theta_coefficients(n, (1, 1, 1, 0), ONE, [4])[0].value is None
+
+
+def test_batch_edge_cases():
+    assert theta_coefficients(4, ONE, ONE, []) == []
+    assert theta_coefficient(4, ONE, ONE, 7) == theta_coefficients(4, ONE, ONE, [7])[0]
+    with pytest.raises(ValueError):
+        theta_coefficients(4, ONE, ONE, [3, 0])
+
+
+def test_batch_cross_check_sees_a_perturbed_float_path(monkeypatch):
+    def perturbed(n, x):
+        return chebyshev_U_vec(n, x) * (1 + 1e-6)
+
+    monkeypatch.setattr(theta, "chebyshev_U_vec", perturbed)
+    with pytest.raises(ArithmeticError):
+        theta_coefficients(4, (1, 2, 2, 0), ONE, range(1, 20))
+    with pytest.raises(ArithmeticError):
+        theta_coefficient(8, ONE, ONE, 5)
 
 
 def test_coset_coefficient_examples():

@@ -2,10 +2,11 @@
 
 The package sums the Petersson strips for all k <= K in one pass over a
 cached profile table, and takes exact theta coefficients from an integer
-recurrence.  This module keeps the earlier computations, one shell at a
-time, so the tests can compare the two: the per-k strip sum S_k, and the
-Chebyshev re-expansion of U_n into its integer monomial coefficients,
-summed power by power in ``Fraction``s.
+recurrence, batched over blocks of k.  This module keeps the earlier
+computations, one shell at a time, so the tests can compare the two: the
+per-k strip sum S_k, the per-k theta coefficient (float sum and integer
+recurrence over one shell), and the Chebyshev re-expansion of U_n into its
+integer monomial coefficients, summed power by power in ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from hecke_sphere.quat import m1_profile
+from hecke_sphere.theta import ThetaCoefficient, _as_quat, _trace_values
 from hecke_sphere.zonal import chebyshev_U_vec
 
 
@@ -63,3 +65,31 @@ def reexpansion_value(n: int, k: int, P: int, tvals, counts) -> Fraction:
             scale = (4 * P) ** (j // 2) * (2 * S) ** (j % 2)
             total += Fraction(a[j] * power_sum * k ** ((n - j) // 2), scale)
     return total
+
+
+def theta_coefficient_per_k(n: int, x, y, k: int) -> ThetaCoefficient:
+    """The k-th theta coefficient from the norm-k shell alone: the float
+    sum of U_n over its traces and the integer recurrence over its
+    distinct traces, with the same 1e-9 exact/float cross-check."""
+    qx, qy = _as_quat(x), _as_quat(y)
+    Nx, Ny = qx.nr(), qy.nr()
+    traces = _trace_values(k, qx, qy)
+    denom = 2.0 * math.sqrt(float(k) * Nx * Ny)
+    fv = float(k) ** (n / 2) * float(np.sum(chebyshev_U_vec(n, traces / denom)))
+    P = Nx * Ny
+    S = math.isqrt(P)
+    if n % 2 and S * S != P:
+        return ThetaCoefficient(n, k, qx, qy, None, fv)
+    tvals, counts = np.unique(traces, return_counts=True)
+    T = tvals.astype(object)
+    prev, cur = 0 * T, 0 * T + 1
+    for _ in range(n):
+        prev, cur = cur, 2 * T * cur - 4 * P * k * prev
+    total = Fraction(int(cur @ counts.astype(object)),
+                     2 ** n * P ** (n // 2) * S ** (n % 2))
+    if total != 0:
+        rel = abs(fv - float(total)) / abs(float(total))
+        if rel > 1e-9:
+            raise ArithmeticError(
+                f"exact/float disagreement {rel:.2e} at n={n}, k={k}")
+    return ThetaCoefficient(n, k, qx, qy, total, fv)
