@@ -3,6 +3,12 @@
 Quaternions are stored through doubled integer coordinates, so the order
 B(Z) (all coordinates integral) and the shifted coset B(Z) + (1+i+j+k)/2
 (all coordinates half-odd) live in a single integer representation.
+
+Norm shells are joined from one cached table of two-square pairs per
+parity: a first pair (c1, c2) and a completing pair (c3, c4) from the
+bucket of the remaining norm, both walked in lexicographic order, so every
+shell comes out sorted without a sort.  The m1 profiles of many shells come
+from one pass over the (k, c1) pairs against the r3 count tables.
 """
 
 from __future__ import annotations
@@ -161,19 +167,69 @@ def r3_odd_counts(limit: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _triples_by_s(limit: int, start: int = 0):
-    """Triples of parity ``start`` with norm <= limit, bucketed by norm."""
+def _pairs_by_s(limit: int, start: int):
+    """Pairs (a, b) of parity ``start`` (0: all integers, 1: odd only) with
+    a^2 + b^2 <= limit, held twice: ``lex`` in lexicographic order with its
+    ``norms``, and ``by_norm``, the same pairs stably sorted by norm, whose
+    norm-s bucket ``by_norm[starts[s]: starts[s + 1]]`` is therefore in
+    lexicographic order too.  All four arrays are read-only."""
     rmax = isqrt(limit)
     ax = np.arange(-(rmax | start), rmax + 1, 1 + start, dtype=np.int64)
-    A, B, C = np.meshgrid(ax, ax, ax, indexing="ij")
-    T = np.stack([A.ravel(), B.ravel(), C.ravel()], axis=1)
-    s = (T * T).sum(axis=1)
-    keep = s <= limit
-    T, s = T[keep], s[keep]
-    order = np.lexsort((T[:, 2], T[:, 1], T[:, 0], s))
-    T, s = T[order], s[order]
-    starts = np.searchsorted(s, np.arange(limit + 2))
-    return T, starts
+    A, B = np.meshgrid(ax, ax, indexing="ij")
+    lex = np.stack([A.ravel(), B.ravel()], axis=1)
+    norms = (lex * lex).sum(axis=1)
+    keep = norms <= limit
+    lex, norms = lex[keep], norms[keep]
+    order = np.argsort(norms, kind="stable")
+    by_norm = lex[order]
+    starts = np.searchsorted(norms[order], np.arange(limit + 2))
+    for a in (lex, norms, by_norm, starts):
+        a.setflags(write=False)
+    return lex, norms, by_norm, starts
+
+
+def _shell_norms(ks, parity: str):
+    """(start, S) for the norm-k shells of one parity, k in ``ks``: members
+    are read on true integral coordinates (start 0), where their norm is
+    S = k, or on odd doubled coset coordinates (start 1), where it is 4k."""
+    ks = np.asarray(ks, dtype=np.int64)
+    if np.any(ks < 1):
+        raise ValueError("k must be >= 1")
+    if parity not in (INTEGRAL, COSET):
+        raise ValueError(f"unknown parity {parity!r}")
+    start = int(parity == COSET)
+    return start, 4 * ks if start else ks
+
+
+def _shell_join(ks, parity: str):
+    """Doubled coordinates of the norm-k shells of one parity for every k in
+    ``ks``, concatenated in the order of ``ks``, and the size of each shell.
+
+    A member is a first pair (c1, c2) of norm v <= S followed by a pair
+    (c3, c4) from the two-square bucket of norm S - v, with S = k on true
+    integral coordinates (doubled at the end) and S = 4k on the odd doubled
+    coset coordinates (no bucket completes an even k).  The first pairs are
+    taken in lexicographic order and every bucket is in lexicographic
+    order, so each shell comes out sorted on (c1, c2, c3, c4) with no sort.
+    """
+    start, S = _shell_norms(ks, parity)
+    lex, norms, by_norm, starts = _pairs_by_s(
+        _round_up_pow2(max(int(S.max()), 16)), start)
+    shell, first = np.nonzero(norms <= S[:, None])
+    rest = S[shell] - norms[first]
+    lo, cnt = starts[rest], starts[rest + 1] - starts[rest]
+    ends = np.cumsum(cnt)
+    # the completions of each first pair are one contiguous bucket, walked
+    # by index arithmetic over the concatenated output
+    right = np.repeat(lo - ends + cnt, cnt) + np.arange(int(cnt.sum()))
+    coords = np.empty((len(right), 4), dtype=np.int64)
+    coords[:, :2] = lex[np.repeat(first, cnt)]
+    coords[:, 2:] = by_norm[right]
+    if not start:
+        coords *= 2
+    bounds = np.searchsorted(shell, np.arange(len(S) + 1))
+    sizes = np.diff(np.concatenate(([0], ends))[bounds])
+    return coords, sizes
 
 
 @dataclass(frozen=True)
@@ -199,56 +255,27 @@ class NormShell:
 @lru_cache(maxsize=4096)
 def enumerate_shell(k: int, parity: str = INTEGRAL) -> NormShell:
     """Complete, duplicate-free, lexicographically sorted norm-k shell."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if parity == INTEGRAL:
-        T, starts = _triples_by_s(_round_up_pow2(max(k, 16)))
-        rows = []
-        for m1 in range(-isqrt(k), isqrt(k) + 1):
-            s = k - m1 * m1
-            blk = T[starts[s]: starts[s + 1]]
-            if len(blk):
-                full = np.empty((len(blk), 4), dtype=np.int64)
-                full[:, 0] = 2 * m1
-                full[:, 1:] = 2 * blk
-                rows.append(full)
-        coords = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
-    elif parity == COSET:
-        if k % 2 == 0:
-            coords = np.empty((0, 4), dtype=np.int64)
-            coords.setflags(write=False)
-            return NormShell(k, parity, coords)
-        S = 4 * k
-        T, starts = _triples_by_s(_round_up_pow2(max(S, 16)), 1)
-        rows = []
-        top = isqrt(S)
-        for c1 in range(-(top | 1), top + 1, 2):
-            s = S - c1 * c1
-            if s < 0 or s >= len(starts) - 1:
-                continue
-            blk = T[starts[s]: starts[s + 1]]
-            if len(blk):
-                full = np.empty((len(blk), 4), dtype=np.int64)
-                full[:, 0] = c1
-                full[:, 1:] = blk
-                rows.append(full)
-        coords = np.concatenate(rows) if rows else np.empty((0, 4), dtype=np.int64)
-    else:
-        raise ValueError(f"unknown parity {parity!r}")
-    if len(coords):
-        order = np.lexsort((coords[:, 3], coords[:, 2], coords[:, 1], coords[:, 0]))
-        coords = coords[order]
+    coords, _ = _shell_join([k], parity)
     coords.setflags(write=False)
     return NormShell(k, parity, coords)
 
 
-def r4_count(k: int) -> int:
-    """Number of elements of B(Z) with reduced norm k (8*sigma(k) for odd k)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    r3 = r3_counts(k)
-    m1s = np.arange(-isqrt(k), isqrt(k) + 1, dtype=np.int64)
-    return int(r3[k - m1s * m1s].sum())
+def _m1_profiles(ks, parity: str):
+    """The m1 profiles of the norm-k shells of one parity for every k in
+    ``ks``, in one pass over the (k, c1) pairs: arrays (i, c1, count) of the
+    pairs with count > 0, in the order of ``ks`` and then of c1, where ``i``
+    indexes ``ks``.  The count of c1 is the number of triples (c2, c3, c4)
+    of the same parity completing it, read from the r3 tables."""
+    start, S = _shell_norms(ks, parity)
+    smax = int(S.max())
+    top = isqrt(smax)
+    v = np.arange(-(top | start), top + 1, 1 + start, dtype=np.int64)
+    i, j = np.nonzero(v * v <= S[:, None])
+    r3 = r3_odd_counts(smax) if start else r3_counts(smax)
+    counts = r3[S[i] - v[j] * v[j]]
+    keep = counts > 0
+    c1 = v[j] if start else 2 * v[j]
+    return i[keep], c1[keep], counts[keep]
 
 
 def m1_profile(k: int, parity: str = INTEGRAL):
@@ -257,21 +284,10 @@ def m1_profile(k: int, parity: str = INTEGRAL):
     Returns two arrays (c1_values, counts); the reduced trace of an element
     is its doubled first coordinate.
     """
-    if parity == INTEGRAL:
-        r3 = r3_counts(k)
-        m1s = np.arange(-isqrt(k), isqrt(k) + 1, dtype=np.int64)
-        cnts = r3[k - m1s * m1s]
-        keep = cnts > 0
-        return 2 * m1s[keep], cnts[keep]
-    if parity == COSET:
-        if k % 2 == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        S = 4 * k
-        r3o = r3_odd_counts(S)
-        top = isqrt(S)
-        c1s = np.arange(-(top | 1), top + 1, 2, dtype=np.int64)
-        c1s = c1s[c1s * c1s <= S]
-        cnts = r3o[S - c1s * c1s]
-        keep = cnts > 0
-        return c1s[keep], cnts[keep]
-    raise ValueError(f"unknown parity {parity!r}")
+    _, c1, counts = _m1_profiles([k], parity)
+    return c1, counts
+
+
+def r4_count(k: int) -> int:
+    """Number of elements of B(Z) with reduced norm k (8*sigma(k) for odd k)."""
+    return int(_m1_profiles([k], INTEGRAL)[2].sum())

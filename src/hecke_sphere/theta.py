@@ -11,10 +11,11 @@ the integer recurrence W_m = 2T W_(m-1) - 4 N_x N_y k W_(m-2) (W_0 = 1,
 W_1 = 2T), so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is
 exact whenever (2S)^n is an integer: for every even n, where it is
 2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square.
-Coefficients are computed per block of ``THETA_BLOCK`` values of k: one
-U_n pass over the block's concatenated traces, summed per k over its own
-slice, and one recurrence over the distinct (k, T) pairs of the block, on
-int64 under a stated bound and on Python integers above it.
+Coefficients are computed per block of ``THETA_BLOCK`` values of k: the
+block's traces come from one two-square join over all its shells, then one
+U_n pass over them, summed per k over its own slice, and one recurrence
+over the distinct (k, T) pairs of the block, on int64 under a stated bound
+and on Python integers above it.
 The Petersson strips are batched per degree over one cached profile table.
 """
 
@@ -31,7 +32,8 @@ import numpy as np
 
 from .hecke import SpectralDecomposition
 from .moments import eigen_values
-from .quat import Quaternion, _round_up_pow2, enumerate_shell, m1_profile
+from .quat import (Quaternion, _m1_profiles, _round_up_pow2, _shell_join,
+                   m1_profile)
 from .zonal import chebyshev_U_vec
 
 
@@ -41,15 +43,17 @@ def _as_quat(q) -> Quaternion:
     return Quaternion.from_int_coords(*q)
 
 
-def _trace_values(k: int, qx: Quaternion, qy: Quaternion) -> np.ndarray:
-    """tr(m q_x conj(q_y)) over the norm-k integral shell, exact integers."""
+def _block_traces(ks: list, qx: Quaternion, qy: Quaternion):
+    """tr(m q_x conj(q_y)) over the norm-k integral shells for every k in
+    ``ks``, concatenated in the order of ``ks`` and of each shell, as exact
+    integers, and the size of each shell."""
     w = qx * qy.conjugate()
     # tr(m w) = (c(m) . (w1, -w2, -w3, -w4)) / 2 in doubled coordinates
     vec = np.array([w.c1, -w.c2, -w.c3, -w.c4], dtype=np.int64)
-    sh = enumerate_shell(k, "integral")
-    prod = sh.coords @ vec
+    coords, sizes = _shell_join(ks, "integral")
+    prod = coords @ vec
     assert not np.any(prod & 1)
-    return prod // 2
+    return prod // 2, sizes
 
 
 @dataclass(frozen=True)
@@ -87,10 +91,8 @@ def theta_coefficients(n: int, x, y, ks) -> list:
 
 def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
     Nx, Ny = qx.nr(), qy.nr()
-    traces = [_trace_values(k, qx, qy) for k in ks]
-    sizes = [len(t) for t in traces]
+    T, sizes = _block_traces(ks, qx, qy)
     ends = np.cumsum(sizes).tolist()
-    T = np.concatenate(traces)
 
     # float path: direct summation of U_n at t / (2 sqrt(k N_x N_y)), one
     # np.sum per k over its own slice, so each k sums as it would alone
@@ -163,6 +165,8 @@ def spectral_coefficient(n: int, x, y, ks,
 def coset_coefficient(n: int, x, k: int) -> float:
     """Coefficient of e(kz/2) in the expansion of the shifted kernel at the
     cusp 1, evaluated at x = y; zero for even k since coset norms are odd."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k % 2 == 0:
         return 0.0
     qx = _as_quat(x)
@@ -296,14 +300,13 @@ def _log_upper_gamma(n_plus_1: int, x: np.ndarray, dtype) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _profile_table(K: int, parity: str):
-    """The m1 profiles of the shells k <= K concatenated in k order, as
+    """The m1 profiles of the shells k <= K, in k order and then c1 order,
+    from one pass over the (k, c1) pairs (``quat._m1_profiles``), as
     read-only (k, t = c1 / (2 sqrt k), count) arrays."""
-    prof = [m1_profile(k, parity) for k in range(1, K + 1)]
-    table = (np.repeat(np.arange(1, K + 1, dtype=np.int32),
-                       [len(c) for c, _ in prof]),
-             np.concatenate([c / (2.0 * math.sqrt(k))
-                             for k, (c, _) in enumerate(prof, 1)]),
-             np.concatenate([m for _, m in prof]).astype(np.int32))
+    i, c1, counts = _m1_profiles(np.arange(1, K + 1), parity)
+    k = i + 1
+    table = (k.astype(np.int32), c1 / (2.0 * np.sqrt(k)),
+             counts.astype(np.int32))
     for v in table:
         v.setflags(write=False)
     return table

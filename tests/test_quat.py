@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from hecke_sphere.quat import (
     ONE, I, J, K, XI, UNITS,
-    Quaternion, _r3_counts, _r3_odd_counts, enumerate_shell, m1_profile,
-    r3_counts, r4_count,
+    Quaternion, _pairs_by_s, _r3_counts, _r3_odd_counts, _shell_join,
+    enumerate_shell, m1_profile, r3_counts, r4_count,
 )
 
 
@@ -114,7 +114,7 @@ def test_shell_sizes():
 
 
 @pytest.mark.parametrize("parity", ["integral", "coset"])
-@pytest.mark.parametrize("k", [1, 2, 6, 25, 99, 1023])
+@pytest.mark.parametrize("k", [1, 2, 6, 25, 99, 1023, 4095])
 def test_shell_coords_read_only_and_strictly_sorted(parity, k):
     coords = enumerate_shell(k, parity).coords
     assert coords.dtype == np.int64 and coords.shape[1:] == (4,)
@@ -134,7 +134,9 @@ def test_coset_unit_count():
     assert len(enumerate_shell(1, "coset")) == 16
 
 
-@pytest.mark.parametrize("parity,k", [("integral", 10), ("coset", 11)])
+@pytest.mark.parametrize("parity,k", [("integral", 10), ("coset", 11),
+                                      ("integral", 300), ("coset", 1023),
+                                      ("coset", 4095)])
 def test_m1_profile_matches_shell(parity, k):
     c1s, counts = m1_profile(k, parity)
     sh = enumerate_shell(k, parity)
@@ -142,6 +144,41 @@ def test_m1_profile_matches_shell(parity, k):
     vals, brute = np.unique(sh.coords[:, 0], return_counts=True)
     assert list(c1s) == list(vals)
     assert list(counts) == list(brute)
+
+
+@pytest.mark.parametrize("parity", ["integral", "coset"])
+def test_shell_join_is_the_per_k_shells(parity):
+    # gaps, repeats, even k (an empty coset shell) and shells of several
+    # sizes read from one pair table
+    ks = [5, 2, 5, 9, 1, 40, 17]
+    coords, sizes = _shell_join(ks, parity)
+    want = [enumerate_shell(k, parity).coords for k in ks]
+    assert sizes.tolist() == [len(c) for c in want]
+    assert coords.dtype == np.int64
+    assert np.array_equal(coords, np.concatenate(want))
+
+
+@pytest.mark.parametrize("bad", [0, -1, -9])
+def test_k_below_one_is_refused(bad):
+    for parity in ("integral", "coset"):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            m1_profile(bad, parity)
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            enumerate_shell(bad, parity)
+
+
+@pytest.mark.parametrize("start", [0, 1])
+def test_pair_table_read_only_and_bucketed_in_lex_order(start):
+    lex, norms, by_norm, starts = _pairs_by_s(64, start)
+    for table in (lex, norms, by_norm, starts):
+        with pytest.raises(ValueError):
+            table[0] = 7
+    assert list(map(tuple, lex.tolist())) == sorted(map(tuple, lex.tolist()))
+    assert np.array_equal((lex * lex).sum(axis=1), norms)
+    for s in range(65):
+        bucket = list(map(tuple, by_norm[starts[s]: starts[s + 1]].tolist()))
+        assert bucket == [p for p, v in zip(map(tuple, lex.tolist()), norms)
+                          if v == s]
 
 
 def test_shell_norms():

@@ -10,7 +10,7 @@ from hecke_sphere import theta
 from hecke_sphere.hecke import decompose
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.theta import (
-    DEFAULT_X, DEFAULT_Y, _strip_sums, _trace_values,
+    DEFAULT_X, DEFAULT_Y, _block_traces, _profile_table, _strip_sums,
     coset_coefficient, modularity_check, petersson_estimate,
     THETA_BLOCK, spectral_coefficient, theta_coefficient, theta_coefficients,
 )
@@ -77,7 +77,8 @@ NON_SQUARE_PAIRS = [(Quaternion.from_int_coords(1, 1, 1, 0), DEFAULT_Y),
 
 def _reexpansion(n, qx, qy, k, bump=0):
     """The Fraction re-expansion of c_k; ``bump`` adds to the last count."""
-    tvals, counts = np.unique(_trace_values(k, qx, qy), return_counts=True)
+    tvals, counts = np.unique(theta_oracle.trace_values(k, qx, qy),
+                              return_counts=True)
     counts = counts.tolist()
     counts[-1] += bump
     return theta_oracle.reexpansion_value(n, k, qx.nr() * qy.nr(),
@@ -149,6 +150,17 @@ def test_batch_is_bitwise_the_per_k_coefficient(n):
         assert theta_coefficients(n, (1, 1, 1, 0), ONE, [4])[0].value is None
 
 
+@pytest.mark.parametrize("x,y", BATCH_PAIRS)
+def test_block_traces_are_the_per_k_traces(x, y):
+    qx, qy = theta._as_quat(x), theta._as_quat(y)
+    for ks in BATCH_KS:
+        T, sizes = _block_traces(ks, qx, qy)
+        want = [theta_oracle.trace_values(k, qx, qy) for k in ks]
+        assert sizes.tolist() == [len(t) for t in want]
+        assert T.dtype == np.int64
+        assert np.array_equal(T, np.concatenate(want))
+
+
 def test_batch_edge_cases():
     assert theta_coefficients(4, ONE, ONE, []) == []
     assert theta_coefficient(4, ONE, ONE, 7) == theta_coefficients(4, ONE, ONE, [7])[0]
@@ -173,6 +185,9 @@ def test_coset_coefficient_examples():
     assert coset_coefficient(0, ONE, 1) == pytest.approx(-16.0)
     assert coset_coefficient(0, ONE, 2) == 0.0
     assert coset_coefficient(1, ONE, 1) == pytest.approx(0.0)
+    for bad in (0, -1, -2):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            coset_coefficient(0, ONE, bad)
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -275,6 +290,18 @@ def test_batched_strip_sums_match_per_shell(n):
             assert got.shape == want.shape == (K,)
             assert np.all(np.abs(got - want)
                           <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("parity", ["integral", "coset"])
+@pytest.mark.parametrize("K", [16, 128, 512])
+def test_profile_table_is_bitwise_the_per_k_profiles(K, parity):
+    got = _profile_table(K, parity)
+    want = theta_oracle.profile_table(K, parity)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+        with pytest.raises(ValueError):
+            g[0] = 1
 
 
 @pytest.mark.parametrize("precision", ["double", "extended"])

@@ -1,12 +1,15 @@
 """Per-shell and Fraction references for the batched theta layer.
 
 The package sums the Petersson strips for all k <= K in one pass over a
-cached profile table, and takes exact theta coefficients from an integer
-recurrence, batched over blocks of k.  This module keeps the earlier
+cached profile table built in one pass over all (k, c1) pairs, and takes
+exact theta coefficients from an integer recurrence, batched over blocks of
+k whose traces come from one shell join.  This module keeps the earlier
 computations, one shell at a time, so the tests can compare the two: the
-per-k strip sum S_k, the per-k theta coefficient (float sum and integer
-recurrence over one shell), and the Chebyshev re-expansion of U_n into its
-integer monomial coefficients, summed power by power in ``Fraction``s.
+traces of one enumerated shell, the profile table concatenated from per-k
+``m1_profile`` calls, the per-k strip sum S_k, the per-k theta coefficient
+(float sum and integer recurrence over one shell), and the Chebyshev
+re-expansion of U_n into its integer monomial coefficients, summed power by
+power in ``Fraction``s.
 """
 
 from __future__ import annotations
@@ -17,9 +20,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from hecke_sphere.quat import m1_profile
-from hecke_sphere.theta import ThetaCoefficient, _as_quat, _trace_values
+from hecke_sphere.quat import Quaternion, enumerate_shell, m1_profile
+from hecke_sphere.theta import ThetaCoefficient, _as_quat
 from hecke_sphere.zonal import chebyshev_U_vec
+
+
+def trace_values(k: int, qx: Quaternion, qy: Quaternion) -> np.ndarray:
+    """tr(m q_x conj(q_y)) over the norm-k integral shell, exact integers."""
+    w = qx * qy.conjugate()
+    # tr(m w) = (c(m) . (w1, -w2, -w3, -w4)) / 2 in doubled coordinates
+    vec = np.array([w.c1, -w.c2, -w.c3, -w.c4], dtype=np.int64)
+    prod = enumerate_shell(k, "integral").coords @ vec
+    assert not np.any(prod & 1)
+    return prod // 2
+
+
+def profile_table(K: int, parity: str):
+    """The m1 profiles of the shells k <= K concatenated in k order from one
+    ``m1_profile`` call per k, as (k, t = c1 / (2 sqrt k), count) arrays."""
+    prof = [m1_profile(k, parity) for k in range(1, K + 1)]
+    return (np.repeat(np.arange(1, K + 1, dtype=np.int32),
+                      [len(c) for c, _ in prof]),
+            np.concatenate([c / (2.0 * math.sqrt(k))
+                            for k, (c, _) in enumerate(prof, 1)]),
+            np.concatenate([m for _, m in prof]).astype(np.int32))
 
 
 @lru_cache(maxsize=None)
@@ -73,7 +97,7 @@ def theta_coefficient_per_k(n: int, x, y, k: int) -> ThetaCoefficient:
     distinct traces, with the same 1e-9 exact/float cross-check."""
     qx, qy = _as_quat(x), _as_quat(y)
     Nx, Ny = qx.nr(), qy.nr()
-    traces = _trace_values(k, qx, qy)
+    traces = trace_values(k, qx, qy)
     denom = 2.0 * math.sqrt(float(k) * Nx * Ny)
     fv = float(k) ** (n / 2) * float(np.sum(chebyshev_U_vec(n, traces / denom)))
     P = Nx * Ny
