@@ -61,7 +61,13 @@ def _write_csv(args, name: str, header, rows):
 
 def _ns(args):
     if args.n_range:
-        a, b, step = (int(t) for t in args.n_range.split(":"))
+        try:
+            a, b, step = (int(t) for t in args.n_range.split(":"))
+        except ValueError:
+            raise SystemExit(f"--n-range: expected a:b:step, got {args.n_range!r}")
+        if step < 1 or a > b:
+            raise SystemExit(
+                f"--n-range: need step >= 1 and a <= b, got {args.n_range!r}")
         return list(range(a, b + 1, step))
     if args.n is None:
         raise SystemExit("one of --n / --n-range is required")

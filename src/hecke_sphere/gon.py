@@ -11,11 +11,16 @@ passes) and one cached table of the class counts of all k <= K per (K, R)
 one table per R sliced at the cutoff with the bounds formed as float arrays,
 ``dyadic_class_count`` one prefix sum plus sqrt(M) window sums.
 
-Lattice points: coefficient radii come from the exact adjugate over the
-exact determinant; when that box exceeds the budget, the basis is
-LLL-reduced first.  Points are counted by one exact integer membership test
-per body, on int64 while every coordinate is at most ``INT64_COORD`` and on
-Python integers above it.
+Lattice points: one cached Bareiss adjugate per basis decides that it is
+nonsingular and gives the coefficient radii (adjugate over the exact
+determinant) and the covolume; when a box exceeds the budget, the basis is
+LLL-reduced first.  Every body is 0-symmetric, so only the lexicographically
+positive half of each coefficient box is formed (the budget is charged for
+the whole box): counts are twice the half's members plus the origin, and the
+greedy minima test a candidate's independence by one dot product with each
+integer row spanning the orthogonal complement of the points chosen so far.
+Membership is one exact integer test per body, on int64 while every
+coordinate is at most ``INT64_COORD`` and on Python integers above it.
 """
 
 from __future__ import annotations
@@ -269,25 +274,6 @@ class Box:
         return math.prod(2.0 * hi for hi in self.h)
 
 
-def _exact_rank(rows) -> int:
-    """Rank of a list of integer 4-vectors by fraction-free (Bareiss)
-    elimination: every division by the previous pivot is exact."""
-    mat = [[int(a) for a in r] for r in rows]
-    rank, prev = 0, 1
-    for col in range(4):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        p = mat[rank]
-        for r in range(rank + 1, len(mat)):
-            f = mat[r][col]
-            mat[r] = [(p[col] * a - f * b) // prev for a, b in zip(mat[r], p)]
-        prev = p[col]
-        rank += 1
-    return rank
-
-
 #: int64 bound on lattice-point coordinates: |v_i| <= 2^30 keeps v_1^2 and
 #: v_2^2 + v_3^2 + v_4^2 (at most 3 * 2^60) exact in int64; larger points
 #: are formed on Python integers
@@ -295,30 +281,59 @@ INT64_COORD = 2 ** 30
 
 
 def _box_points(basis: np.ndarray, radii, budget: int):
-    """Coefficients C of the box |c_i| <= radii[i] and the points V = C B^T."""
+    """Coefficients C of the lexicographically positive half of the box
+    |c_i| <= radii[i] and the points V = C B^T.
+
+    Every body is 0-symmetric, so the origin and -C stand for the rest of
+    the box.  In "ij" order the half is the points after the origin: block
+    k holds c_j = 0 for j < k and c_k > 0, for k = 3, 2, 1, 0.  The budget
+    is charged for the full box."""
     npts = math.prod(2 * r + 1 for r in radii)
     if npts > budget:
         raise CapacityError(
             f"enumeration of {npts} points exceeds the {budget} budget")
-    axes = [np.arange(-r, r + 1) for r in radii]
-    C = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 4)
+    C = np.zeros((npts // 2, 4), dtype=np.int64)
+    start = 0
+    for k in (3, 2, 1, 0):
+        shape = (radii[k],) + tuple(2 * r + 1 for r in radii[k + 1:])
+        size = math.prod(shape)
+        block = C[start: start + size].reshape(shape + (4,))
+        for j in range(k, 4):
+            axis = np.arange(1 if j == k else -radii[j], radii[j] + 1)
+            block[..., j] = axis.reshape((-1,) + (1,) * (3 - j))
+        start += size
     rows = basis.tolist()
     if max(sum(abs(b) * r for b, r in zip(row, radii)) for row in rows) > INT64_COORD:
         return C, C.astype(object) @ np.array(rows, dtype=object).T
     return C, C @ basis.T
 
 
+def _complement(W: list, c: list):
+    """Integer rows spanning the orthogonal complement of span(chosen, c),
+    given rows ``W`` spanning that of the chosen vectors, or None when c is
+    in their span (W c = 0).  For a = W c with a_p != 0 the rows
+    a_p w_i - a_i w_p, i != p, are independent and orthogonal to c."""
+    a = [sum(x * y for x, y in zip(w, c)) for w in W]
+    p = next((i for i, x in enumerate(a) if x), None)
+    if p is None:
+        return None
+    return [[a[p] * x - a[i] * y for x, y in zip(W[i], W[p])]
+            for i in range(len(W)) if i != p]
+
+
 def _greedy_minima(C: np.ndarray, V: np.ndarray, body):
-    """Linearly independent points in gauge order; returns up to 4 minima."""
+    """Linearly independent points in gauge order; returns up to 4 minima.
+
+    Candidates are the half box: v and -v have equal gauge and span."""
     g = body.gauge_sq_float(V.astype(float))
     order = np.argsort(g, kind="stable")
-    chosen, lams = [], []
+    W = [[int(i == j) for j in range(4)] for i in range(4)]
+    lams = []
     for idx in order:
-        if not np.any(C[idx]):
+        rest = _complement(W, C[idx].tolist())
+        if rest is None:
             continue
-        if chosen and _exact_rank(chosen + [C[idx]]) == len(chosen):
-            continue
-        chosen.append(C[idx].tolist())
+        W = rest
         lams.append(math.sqrt(float(body.gauge_sq(V[idx].tolist()))))
         if len(lams) == 4:
             break
@@ -327,16 +342,19 @@ def _greedy_minima(C: np.ndarray, V: np.ndarray, body):
 
 @lru_cache(maxsize=4096)
 def _adjugate(entries: tuple) -> tuple:
-    """(d B^-1, d) for the nonsingular integer 4x4 matrix B with row-major
-    ``entries``, d = +-det B, in exact integers (cached, as every region
-    and covolume of one lattice needs it): fraction-free Gauss-Jordan
-    (Bareiss) on [B | I], where every division by the previous pivot is
-    exact, ends at [d I | d B^-1]."""
+    """(d B^-1, d) for the integer 4x4 matrix B with row-major ``entries``,
+    d = +-det B, in exact integers, or (None, 0) when B is singular (cached,
+    as the validation, every region and the covolume of one lattice need
+    it): fraction-free Gauss-Jordan (Bareiss) on [B | I], where every
+    division by the previous pivot is exact, ends at [d I | d B^-1]; a
+    column with no pivot left means rank < 4."""
     mat = [list(entries[4 * i: 4 * i + 4]) + [int(i == j) for j in range(4)]
            for i in range(4)]
     prev = 1
     for col in range(4):
-        piv = next(r for r in range(col, 4) if mat[r][col])
+        piv = next((r for r in range(col, 4) if mat[r][col]), None)
+        if piv is None:
+            return None, 0
         mat[col], mat[piv] = mat[piv], mat[col]
         p = mat[col]
         for r in range(4):
@@ -406,12 +424,16 @@ def _with_reduction(fn, B: np.ndarray, *args):
 
 
 def _lattice_basis(basis) -> np.ndarray:
-    """``basis`` as an int64 array, checked to be a nonsingular 4x4 matrix
-    by exact rank (a float determinant misjudges both ways)."""
-    B = np.asarray(basis, dtype=np.int64)
-    if B.shape != (4, 4) or _exact_rank(B.tolist()) != 4:
+    """``basis`` as an int64 array, checked to be a 4x4 matrix of integers
+    (a float entry is refused, not truncated) with nonzero exact
+    determinant (a float determinant misjudges both ways)."""
+    A = np.asarray(basis)
+    entries = A.ravel().tolist()
+    integral = A.dtype.kind in "iu" or A.dtype == object and all(
+        isinstance(a, numbers.Integral) for a in entries)
+    if A.shape != (4, 4) or not integral or _adjugate(tuple(entries))[1] == 0:
         raise ValueError("basis must be a nonsingular 4x4 integer matrix")
-    return B
+    return A.astype(np.int64)
 
 
 def successive_minima(basis, body, budget: int = 10 ** 7):
@@ -420,12 +442,14 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
     A small coefficient cube supplies four linearly independent points,
     whose fourth gauge value t bounds lambda_4; the exact region t * body
     is then enumerated per axis, so the greedy gauge-ordered extraction
-    with exact rank tests is certifiably complete.  If either enumeration
-    exceeds the budget, both run again on an LLL-reduced basis.  The basis
-    must have exact rank 4 (``ValueError`` otherwise); the result is cached
-    per basis entries, body and budget, so callers on one lattice share one
-    enumeration, while an exhausted budget raises ``CapacityError`` on
-    every call.
+    is certifiably complete; a candidate is independent of the points
+    chosen so far when it is not orthogonal to the integer rows spanning
+    their orthogonal complement.  If either enumeration exceeds the budget,
+    both run again on an LLL-reduced basis.  The basis must be an integer
+    matrix with nonzero exact determinant (``ValueError`` otherwise); the
+    result is cached per basis entries, body and budget, so callers on one
+    lattice share one enumeration, while an exhausted budget raises
+    ``CapacityError`` on every call.
     """
     B = _lattice_basis(basis)
     return _successive_minima(tuple(int(a) for a in B.ravel()), body, budget)
@@ -451,9 +475,11 @@ def _minima(B: np.ndarray, body, budget: int) -> tuple:
 
 
 def lattice_point_count(basis, body, budget: int = 10 ** 7) -> int:
-    """Exact |body ∩ lattice| by bounded enumeration (origin included)."""
+    """Exact |body ∩ lattice| by bounded enumeration: twice the points of
+    the half box in the body, plus the origin (the body and its exact
+    membership test are symmetric under v -> -v)."""
     _, V = _with_reduction(_body_region, _lattice_basis(basis), body, 1.0, budget)
-    return int(np.count_nonzero(body.contains(V)))
+    return 2 * int(np.count_nonzero(body.contains(V))) + 1
 
 
 def product_bound_check(basis, body, budget: int = 10 ** 7) -> bool:

@@ -143,6 +143,14 @@ def test_n_range_and_missing_n(tmp_path):
         run(tmp_path, "basis")
 
 
+@pytest.mark.parametrize("spec", ["8:8:0", "8:4:2", "8:12:-2", "8:12", "a:b:c"])
+def test_n_range_refuses_zero_step_and_empty_ranges(tmp_path, spec):
+    # refused with a message before any artifact is written
+    with pytest.raises(SystemExit, match="--n-range"):
+        run(tmp_path, "petersson", "--n-range", spec)
+    assert not (tmp_path / "petersson.csv").exists()
+
+
 def test_petersson_rerun_byte_identical(tmp_path):
     assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "100") == 0
     first = (tmp_path / "petersson.csv").read_bytes()

@@ -5,6 +5,7 @@ import math
 from fractions import Fraction
 from math import isqrt
 
+import gon_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from hecke_sphere import gon
 from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
-    EPSILON, INT64_COORD, Box, CylinderSpec, _adjugate, _box_points,
-    _exact_rank, _lll, a_of_x, d_class_counts, dyadic_class_count,
+    EPSILON, INT64_COORD, Box, CylinderSpec, _adjugate, _body_region,
+    _box_points, _complement, _lll, a_of_x, d_class_counts, dyadic_class_count,
     fit_constant, in_cylinder_class, lattice_point_count, minkowski_sandwich,
     product_bound_check, shell_class_count, shell_class_table,
     successive_minima,
@@ -246,16 +247,28 @@ def test_fit_constant():
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4),
-                max_size=5),
+                max_size=6),
        st.booleans(), st.integers(0, 4), st.integers(-3, 3), st.integers(-3, 3))
-def test_exact_rank_matches_fractions(rows, plant, zero_col, a, b):
+def test_complement_accepts_exactly_the_rank_raising_vectors(
+        rows, plant, zero_col, a, b):
     # optionally plant a dependent row and a zero column
     if plant and len(rows) >= 3:
         rows[2] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
     if zero_col < 4:
         for r in rows:
             r[zero_col] = 0
-    assert _exact_rank(rows) == fraction_rank(rows)
+    W = [[int(i == j) for j in range(4)] for i in range(4)]
+    chosen = []
+    for c in rows:
+        rest = _complement(W, c)
+        assert (rest is not None) == (fraction_rank(chosen + [c]) > len(chosen))
+        if rest is not None:
+            W = rest
+            chosen.append(c)
+        # W spans the orthogonal complement of the chosen vectors
+        assert fraction_rank(W) == len(W) == 4 - len(chosen)
+        assert all(sum(x * y for x, y in zip(w, v)) == 0 for w in W for v in chosen)
+    assert len(chosen) == fraction_rank(rows)
 
 
 def test_box_minima_identity_lattice():
@@ -329,7 +342,7 @@ def brute_lattice_count(basis, body, reach):
 def random_lattice(rng):
     while True:
         B = rng.integers(-2, 3, size=(4, 4))
-        if _exact_rank(B.tolist()) == 4 and np.linalg.cond(B) < 8:
+        if gon_oracle.exact_rank(B.tolist()) == 4 and np.linalg.cond(B) < 8:
             return B
 
 
@@ -373,9 +386,10 @@ def test_lattice_points_beyond_int64_coord_use_python_integers():
 @given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4),
                 min_size=4, max_size=4))
 def test_adjugate_is_the_exact_inverse(rows):
-    if _exact_rank(rows) < 4:
-        return
     adj, d = _adjugate(tuple(a for r in rows for a in r))
+    if fraction_rank(rows) < 4:
+        assert (adj, d) == (None, 0)
+        return
     prod = [[sum(a * b for a, b in zip(r, col)) for col in zip(*adj)] for r in rows]
     assert prod == [[d * (i == j) for j in range(4)] for i in range(4)]
     assert abs(d) == abs(round(np.linalg.det(np.array(rows, dtype=float))))
@@ -394,8 +408,7 @@ def test_float_singular_basis_is_reduced_first():
 
 
 def test_skewed_basis_fits_the_budget_after_reduction():
-    rows = [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 1, 3], [1, 0, 0, 2]]
-    lams = successive_minima(rows, Box((2, 3, 1, 5)))
+    lams = successive_minima(SKEWED, Box((2, 3, 1, 5)))
     assert lams == pytest.approx((0.2, 1 / 3, 0.5, 1.0))
 
 
@@ -425,6 +438,11 @@ def test_singular_basis_rejected():
 # exact rank 4 (det -1), but its float determinant is 0.0
 FLOAT_DET_ZERO = [[10 ** 8 + 1, 10 ** 8, 0, 0], [10 ** 8, 10 ** 8 - 1, 0, 0],
                   [0, 0, 1, 0], [0, 0, 0, 1]]
+# its cylinder region box holds 725,679 points, its box region 15.3M
+SKEWED = [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 1, 3], [1, 0, 0, 2]]
+# the lattice {(2^31 m, a, b, c)}, whose points leave the int64 range
+BEYOND_INT64 = [[2 ** 31, 2 ** 31, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                [0, 0, 0, 1]]
 # exact rank 3 (the last row is an integer combination of the first three),
 # but its float determinant is about 5.98e7
 FLOAT_DET_LARGE = [[-181602, 287657, 99187, -828522],
@@ -436,6 +454,7 @@ FLOAT_DET_LARGE = [[-181602, 287657, 99187, -828522],
 def test_nonsingularity_is_decided_exactly():
     assert round(np.linalg.det(np.array(FLOAT_DET_ZERO, dtype=float))) == 0
     assert round(np.linalg.det(np.array(FLOAT_DET_LARGE, dtype=float))) != 0
+    assert _adjugate(tuple(np.ravel(FLOAT_DET_LARGE).tolist())) == (None, 0)
     body = Box((1, 1, 1, 1))
     # accepted: the small budget is what stops it, not the guard
     with pytest.raises(CapacityError):
@@ -447,6 +466,86 @@ def test_nonsingularity_is_decided_exactly():
             fn(np.zeros((4, 4), dtype=int), body)
         with pytest.raises(ValueError):
             fn(np.eye(3, dtype=int), body)
+
+
+def test_non_integer_basis_rejected():
+    # a float entry is refused, not truncated to a basis of Z^4
+    e = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    body = Box((1, 1, 1, 1))
+    for basis in ([[1.5, 0, 0, 0]] + e, [[1.0, 0, 0, 0]] + e, np.eye(4),
+                  [["1", 0, 0, 0]] + e):
+        for fn in (successive_minima, lattice_point_count,
+                   minkowski_sandwich, product_bound_check):
+            with pytest.raises(ValueError):
+                fn(basis, body)
+
+
+def gon_results(basis, body):
+    return (successive_minima(basis, body), lattice_point_count(basis, body),
+            minkowski_sandwich(basis, body)[1], product_bound_check(basis, body))
+
+
+def random_unimodular(rng):
+    # a signed permutation with one column operation, as in the benchmark
+    U = np.eye(4, dtype=np.int64)[rng.permutation(4)] * rng.choice([-1, 1], size=4)
+    i, j = rng.choice(4, size=2, replace=False)
+    U[:, j] += int(rng.integers(-3, 4)) * U[:, i]
+    return U
+
+
+def test_half_box_matches_the_full_box_oracle_on_random_lattices():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        B = random_lattice(rng) @ random_unimodular(rng)
+        for body in (Box(tuple(rng.integers(1, 5, size=4).tolist())),
+                     CylinderSpec(int(rng.integers(1, 17)),
+                                  int(2 ** rng.integers(0, 3)))):
+            assert gon_results(B, body) == gon_oracle.results(B, body)
+
+
+@pytest.mark.parametrize("basis, body", [
+    (FLOAT_DET_ZERO, Box((1, 1, 1, 1))),
+    (SKEWED, CylinderSpec(M=8, R=2)),
+    (SKEWED, Box((2, 3, 1, 5))),
+    (BEYOND_INT64, CylinderSpec(M=2 ** 62, R=2 ** 30)),
+])
+def test_half_box_matches_the_full_box_oracle_on_hard_bases(basis, body):
+    assert gon_results(basis, body) == gon_oracle.results(basis, body)
+
+
+@pytest.mark.parametrize("radii", [(0, 0, 0, 0), (1, 0, 2, 0), (0, 0, 0, 3),
+                                   (2, 2, 2, 2), (3, 1, 0, 2)])
+def test_half_box_origin_and_negation_are_the_box(radii):
+    # in "ij" order: the negated half reversed, the origin, the half
+    Z = np.eye(4, dtype=np.int64)
+    npts = math.prod(2 * r + 1 for r in radii)
+    full, _ = gon_oracle.box_points(Z, radii, npts)
+    C, V = _box_points(Z, radii, npts)
+    assert np.array_equal(np.concatenate([-C[::-1], np.zeros((1, 4), int), C]), full)
+    assert np.array_equal(V, C)
+    with pytest.raises(CapacityError):
+        _box_points(Z, radii, npts - 1)
+
+
+def test_budget_is_charged_for_the_whole_box(monkeypatch):
+    B, body = np.array(SKEWED), Box((1, 1, 1, 1))
+    npts = len(gon_oracle.body_region(B, body, 1.0, 10 ** 6)[0])
+    assert npts == 244881
+    assert len(_body_region(B, body, 1.0, npts)[0]) == npts // 2
+    with pytest.raises(CapacityError):
+        _body_region(B, body, 1.0, npts - 1)
+    want = gon_oracle.lattice_point_count(B, body)
+    calls = []
+
+    def spy(rows):
+        calls.append(rows)
+        return _lll(rows)
+
+    # the LLL fallback fires exactly when the whole box exceeds the budget
+    monkeypatch.setattr(gon, "_lll", spy)
+    assert lattice_point_count(B, body, budget=npts) == want and not calls
+    assert lattice_point_count(B, body, budget=npts - 1) == want
+    assert len(calls) == 1
 
 
 def test_box_is_normalised():
