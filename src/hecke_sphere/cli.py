@@ -3,15 +3,20 @@
 Every output embeds the resolved configuration; CSV bodies are
 deterministic for a fixed configuration.  Exit status 0 means every
 assertion in the run passed.
+
+CSV tables are passed as columns and written a block of rows at a time,
+each field as ``str(value)`` (what ``csv.writer`` writes for ints, floats,
+bools and numpy scalars); no field is quoted, so one that would need
+quoting is refused.  The argument parser is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -47,15 +52,71 @@ def _write_json(args, name: str, payload: dict):
     return path
 
 
-def _write_csv(args, name: str, header, rows):
+#: rows formatted and written at a time: whole formatted columns of the
+#: 14k-row counting table would cost megabytes of transient str objects
+CSV_BLOCK = 4096
+
+
+def _field_text(col):
+    """A function from a row range [a, b) of ``col`` to its fields' text.
+
+    An integer array whose value range is shorter than its length (shell
+    coordinates, k, R) reads its text from a table of ``str(v)`` over that
+    range; every other value is formatted with one ``str``."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "i" and len(col):
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo < len(col):
+            table = np.array([str(v) for v in range(lo, hi + 1)], dtype=object)
+            return lambda a, b: table[np.subtract(col[a:b], lo,
+                                                  dtype=np.int64)].tolist()
+    # these dtypes convert to Python scalars with the same str
+    if isinstance(col, np.ndarray) and (col.dtype.kind in "iub"
+                                        or col.dtype == np.float64):
+        return lambda a, b: list(map(str, col[a:b].tolist()))
+
+    def text(a, b):
+        vals = col[a:b]
+        if any(v is None for v in vals):
+            raise ValueError("CSV field is None")
+        return list(map(str, vals))
+
+    return text
+
+
+def _csv_block(fields) -> str:
+    """Rows of ``str`` fields (one list per column) as CSV text, refusing
+    any field that ``csv.writer`` would quote."""
+    rows = len(fields[0])
+    text = "\r\n".join(map(",".join, zip(*fields))) + "\r\n" if rows else ""
+    if ('"' in text or text.count(",") != rows * (len(fields) - 1)
+            or text.count("\r") != rows or text.count("\n") != rows):
+        raise ValueError('CSV field holds ",", \'"\', CR or LF')
+    return text
+
+
+def _write_csv(args, name: str, header, columns):
+    """Write ``columns`` (equal-length sequences or 1-D arrays) under
+    ``header`` to ``<out>/<name>.csv``, CSV_BLOCK rows at a time."""
+    # a lone empty field is the one unquoted value csv.writer would quote
+    if len(header) < 2 or len(columns) != len(header):
+        raise ValueError("need one column per header field, at least two")
+    nrows = len(columns[0])
+    if any(len(c) != nrows for c in columns):
+        raise ValueError("CSV columns differ in length")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{name}.csv"
-    with path.open("w", newline="") as fh:
-        fh.write(f"# schema={SCHEMA} config={json.dumps(_config(args), sort_keys=True)}\n")
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+    texts = [_field_text(c) for c in columns]
+    try:
+        with path.open("w", newline="") as fh:
+            fh.write(f"# schema={SCHEMA} config={json.dumps(_config(args), sort_keys=True)}\n")
+            fh.write(_csv_block([[h] for h in _field_text(header)(0, len(header))]))
+            for a in range(0, nrows, CSV_BLOCK):
+                b = min(a + CSV_BLOCK, nrows)
+                fh.write(_csv_block([t(a, b) for t in texts]))
+    except ValueError:
+        path.unlink()
+        raise
     return path
 
 
@@ -88,7 +149,7 @@ def cmd_shells(args) -> int:
 
     sh = enumerate_shell(args.k, args.parity)
     _write_csv(args, f"shells-{args.parity}-{args.k}",
-               ["c1", "c2", "c3", "c4"], sh.coords.tolist())
+               ["c1", "c2", "c3", "c4"], sh.coords.T)
     return 0
 
 
@@ -133,18 +194,17 @@ def cmd_pretrace_check(args) -> int:
     from .hecke import decompose
     from .moments import pretrace_residual, sphere_grid
 
-    ok = True
-    rows = []
-    for n in _ns(args):
+    ns, residuals, tols = _ns(args), [], []
+    for n in ns:
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         xs = sphere_grid(args.pairs, seed=args.seed)
         ys = sphere_grid(args.pairs, seed=args.seed + 1)
-        res = pretrace_residual(dec, xs, ys)
-        tol = 1e-8 * (n + 1) ** 2
-        rows.append((n, res, tol, res <= tol))
-        ok = ok and res <= tol
-    _write_csv(args, "pretrace-check", ["n", "residual", "tol", "pass"], rows)
-    return 0 if ok else 1
+        residuals.append(pretrace_residual(dec, xs, ys))
+        tols.append(1e-8 * (n + 1) ** 2)
+    passed = [r <= t for r, t in zip(residuals, tols)]
+    _write_csv(args, "pretrace-check", ["n", "residual", "tol", "pass"],
+               [ns, residuals, tols, passed])
+    return 0 if all(passed) else 1
 
 
 def cmd_theta_identity(args) -> int:
@@ -155,18 +215,20 @@ def cmd_theta_identity(args) -> int:
     y = tuple(int(t) for t in args.y.split(","))
     ks = range(1, args.cutoff + 1)
     ok = True
-    rows = []
+    n_col, k_col, sides, values = [], [], [], []
     for n in _ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed,
                         even_extras=tuple(ks))
         for k, sv, tc in zip(ks, spectral_coefficient(n, x, y, ks, dec),
                              theta_coefficients(n, x, y, ks)):
             tv = tc.float_value
-            good = abs(sv - tv) <= 1e-8 * (1 + abs(tv))
-            rows.append((n, k, "theta", tv))
-            rows.append((n, k, "spectral", sv))
-            ok = ok and good
-    _write_csv(args, "theta-identity", ["n", "k", "side", "value"], rows)
+            ok = ok and abs(sv - tv) <= 1e-8 * (1 + abs(tv))
+            n_col += [n, n]
+            k_col += [k, k]
+            sides += ["theta", "spectral"]
+            values += [tv, sv]
+    _write_csv(args, "theta-identity", ["n", "k", "side", "value"],
+               [n_col, k_col, sides, values])
     return 0 if ok else 1
 
 
@@ -175,8 +237,12 @@ def cmd_modularity(args) -> int:
 
     ok = True
     for n in _ns(args):
-        r = modularity_check(n, ((1, 0), (4, 1)), complex(0.0, args.im),
-                             K=args.cutoff)
+        try:
+            r = modularity_check(n, ((1, 0), (4, 1)), complex(0.0, args.im),
+                                 K=args.cutoff)
+        except ValueError as exc:  # e.g. z = i/2, a forced zero for n = 6
+            print(f"hecke-sphere modularity: {exc}", file=sys.stderr)
+            return 1
         _write_json(args, f"modularity-{n}", {
             "n": n, "K": r.K, "residual": r.residual,
             "tail_bound": r.tail_bound,
@@ -189,13 +255,11 @@ def cmd_modularity(args) -> int:
 def cmd_petersson(args) -> int:
     from .theta import petersson_estimate
 
-    rows = []
-    for n in _ns(args):
-        K = args.cutoff or 10 * n
-        p = petersson_estimate(n, K, precision=args.precision)
-        rows.append((n, p.K, p.rho, p.log_I1, p.log_I2, p.tail_ratio))
-    _write_csv(args, "petersson",
-               ["n", "K", "rho", "log_I1", "log_I2", "tail_ratio"], rows)
+    ests = [petersson_estimate(n, args.cutoff or 10 * n, args.precision)
+            for n in _ns(args)]
+    header = ["n", "K", "rho", "log_I1", "log_I2", "tail_ratio"]
+    _write_csv(args, "petersson", header,
+               [[getattr(p, f) for p in ests] for f in header])
     return 0
 
 
@@ -205,16 +269,17 @@ def cmd_counting(args) -> int:
     Rs = [2 ** b for b in range(7)]
     counts, bounds = shell_class_table(args.cutoff, Rs)
     ratios = counts / bounds
-    ks = np.repeat(np.arange(1, args.cutoff + 1), len(Rs)).tolist()
-    rows = list(zip(["singlebound"] * len(ks), ks, Rs * args.cutoff,
-                    counts.ravel().tolist(), bounds.ravel().tolist(),
-                    ratios.ravel().tolist()))
     dyadic = [dyadic_class_count(2 ** a, 2 ** b)
               for a in range(4, 13) for b in range(7)]
-    rows += [(r.family, r.params[0], r.params[1], r.count, r.bound, r.ratio)
-             for r in dyadic]
+    single = (np.repeat(np.arange(1, len(counts) + 1), len(Rs)),
+              np.tile(Rs, len(counts)), counts.ravel(), bounds.ravel(),
+              ratios.ravel())
+    dyad = zip(*[(r.params[0], r.params[1], r.count, r.bound, r.ratio)
+                 for r in dyadic])
     _write_csv(args, "counting",
-               ["family", "p1", "R", "count", "bound", "ratio"], rows)
+               ["family", "p1", "R", "count", "bound", "ratio"],
+               [["singlebound"] * counts.size + [r.family for r in dyadic]]
+               + [np.concatenate([s, d]) for s, d in zip(single, dyad)])
     C = max(float(ratios.max(initial=0.0)), fit_constant(dyadic))
     _write_json(args, "counting-summary", {"constant": C, "pass": C <= 64})
     return 0 if C <= 64 else 1
@@ -225,18 +290,19 @@ def cmd_moments(args) -> int:
     from .moments import ClosureError, moment_sweep, sphere_grid
 
     grid = sphere_grid(args.grid, seed=args.seed)
-    rows = []
+    stats = ("sup_family", "sup_fourth", "sup_individual")
+    reps = []
     for n in _ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         try:
-            rep = moment_sweep(n, dec, grid, seed=args.seed)
+            reps.append(moment_sweep(n, dec, grid, seed=args.seed))
         except ClosureError as exc:
             print(f"hecke-sphere moments: {exc}", file=sys.stderr)
             return 1
-        for stat in ("sup_family", "sup_fourth", "sup_individual"):
-            rows.append((n, stat, getattr(rep, stat)))
-        _write_json(args, f"moments-{n}", asdict(rep))
-    _write_csv(args, "moments", ["n", "stat", "value"], rows)
+        _write_json(args, f"moments-{n}", asdict(reps[-1]))
+    _write_csv(args, "moments", ["n", "stat", "value"],
+               [[r.n for r in reps for _ in stats], list(stats) * len(reps),
+                [getattr(r, s) for r in reps for s in stats]])
     return 0
 
 
@@ -297,7 +363,8 @@ COMMANDS = (
 )
 
 
-def main(argv=None) -> int:
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hecke-sphere",
         description="Hecke eigenform experiments on the 3-sphere")
@@ -310,7 +377,11 @@ def main(argv=None) -> int:
             p.add_argument("--cutoff", type=int, default=cutoff)
         p.add_argument("--out", default="out")
         p.set_defaults(func=fn)
-    args = ap.parse_args(argv)
+    return ap
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -425,15 +425,22 @@ def _with_reduction(fn, B: np.ndarray, *args):
 
 def _lattice_basis(basis) -> np.ndarray:
     """``basis`` as an int64 array, checked to be a 4x4 matrix of integers
-    (a float entry is refused, not truncated) with nonzero exact
-    determinant (a float determinant misjudges both ways)."""
-    A = np.asarray(basis)
+    (a float entry is refused, not truncated) in int64 range with nonzero
+    exact determinant (a float determinant misjudges both ways)."""
+    # nested lists stay Python integers: numpy would turn [[2**63, 0, ...]]
+    # into floats
+    A = basis if isinstance(basis, np.ndarray) else np.array(basis, dtype=object)
     entries = A.ravel().tolist()
     integral = A.dtype.kind in "iu" or A.dtype == object and all(
         isinstance(a, numbers.Integral) for a in entries)
-    if A.shape != (4, 4) or not integral or _adjugate(tuple(entries))[1] == 0:
+    if A.shape != (4, 4) or not integral:
         raise ValueError("basis must be a nonsingular 4x4 integer matrix")
-    return A.astype(np.int64)
+    entries = [int(a) for a in entries]
+    if any(not -2 ** 63 <= a < 2 ** 63 for a in entries):
+        raise ValueError("basis entries must lie in int64: -2^63 <= a < 2^63")
+    if _adjugate(tuple(entries))[1] == 0:
+        raise ValueError("basis must be a nonsingular 4x4 integer matrix")
+    return np.array(entries, dtype=np.int64).reshape(4, 4)
 
 
 def successive_minima(basis, body, budget: int = 10 ** 7):

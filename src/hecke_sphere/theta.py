@@ -338,7 +338,13 @@ def petersson_estimate(n: int, K: int,
     is the analogous coset sum over odd k.  Both strips share the same
     exponential scale: the half-frequency expansions e(kz/2) still have
     squared modulus e^(-2 pi k y).  All magnitudes are handled in log space.
+    The (frozen) result is cached per (n, K, precision), however passed.
     """
+    return _petersson_estimate(n, K, precision)
+
+
+@lru_cache(maxsize=None)
+def _petersson_estimate(n: int, K: int, precision: str) -> PeterssonEstimate:
     if n < 0 or n % 2:
         raise ValueError("n must be a nonnegative even integer")
     if n == 2:  # U_2 = 4x^2 - 1 and sum m1^2 = k r4(k) / 4 give S_k = 0

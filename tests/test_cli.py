@@ -1,9 +1,15 @@
+import csv
 import dataclasses
+import io
 import json
+import math
+import types
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hecke_sphere import hecke
+from hecke_sphere import cli, hecke
 from hecke_sphere.cli import main
 
 
@@ -181,3 +187,123 @@ def test_moments_closure_loss_exits_one(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "closure error" in err and "Traceback" not in err
     assert not (tmp_path / "moments.csv").exists()
+
+
+def test_modularity_forced_zero_exits_one(tmp_path, capsys):
+    # z = i/2 is the fixed point of z -> -1/(4z); for n = 6 the kernel must
+    # vanish there, so the check is refused with one line, not a traceback
+    assert run(tmp_path, "modularity", "--n", "6") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("hecke-sphere modularity: ") and "ill-conditioned" in err
+    assert not (tmp_path / "modularity-6.json").exists()
+
+
+def test_main_reuses_one_parser_with_fresh_namespaces(tmp_path):
+    assert cli._parser() is cli._parser()
+    assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "100") == 0
+    assert run(tmp_path, "counting", "--cutoff", "16") == 0
+    # the earlier --cutoff does not leak into the next call: K = 10n
+    assert run(tmp_path, "petersson", "--n", "8") == 0
+    lines = (tmp_path / "petersson.csv").read_text().splitlines()
+    assert '"cutoff": 0' in lines[0] and lines[2].startswith("8,80,")
+
+
+# ---------------------------------------------------------------------------
+# the column-block CSV writer against csv.writer
+
+
+def csv_writer_text(header, columns):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(zip(*columns))
+    return buf.getvalue()
+
+
+def written(tmp_path, header, columns):
+    """The header and body that ``_write_csv`` wrote, line ends included."""
+    path = cli._write_csv(types.SimpleNamespace(out=str(tmp_path)), "t",
+                          header, columns)
+    config, body = path.read_bytes().decode().split("\n", 1)
+    assert config.startswith("# schema=hecke-sphere/1 config=")
+    return body
+
+
+B = cli.CSV_BLOCK
+FLOATS = [1e-05, 1e16, 0.1, -0.0, math.nan, math.inf, -math.inf,
+          2.6666666666666665, 5e-324, 1.7976931348623157e308, 123456789.0]
+COLUMNS = {
+    "int list": [-7, 0, 3, 2 ** 70, -2 ** 70],
+    "int64 table": np.arange(-40, 40).repeat(3),
+    "int64 wide": np.array([-2 ** 62, 0, 2 ** 62, 5, -1]),
+    "int32 table": np.arange(5, 25, dtype=np.int32).repeat(2),
+    "int8 full range": np.tile(np.arange(-128, 128, dtype=np.int8), 2),
+    "uint64": np.array([0, 2 ** 64 - 1, 7], dtype=np.uint64),
+    "one value": np.full(10, -3),
+    "float list": FLOATS,
+    "float64": np.array(FLOATS),
+    "np.float64 scalars": [np.float64(v) for v in FLOATS],
+    "float32": np.array([0.1, 1e-05, -0.0, math.nan, 1e16], dtype=np.float32),
+    "longdouble": np.array([0.1, 1 / 3], dtype=np.longdouble),
+    "bool list": [True, False, True],
+    "bool array": np.array([False, True]),
+    "numpy scalars": [np.int64(-5), np.int32(6), np.bool_(True)],
+    "str": ["singlebound", "intbound", "a b", " x", "", "sp\u00e9ctral"],
+    "str array": np.array(["theta", "spectral"]),
+    "object array": np.array([1, 0.5, "x"], dtype=object),
+}
+
+
+@pytest.mark.parametrize("name", COLUMNS)
+def test_write_csv_matches_csv_writer(tmp_path, name):
+    col = COLUMNS[name]
+    columns = [col, np.arange(len(col)), list(col)[::-1]]
+    assert (written(tmp_path, ["v", "i", "rev"], columns)
+            == csv_writer_text(["v", "i", "rev"], columns))
+
+
+@pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 5])
+def test_write_csv_block_edges(tmp_path, rows):
+    k = np.arange(1, rows + 1)
+    columns = [["singlebound"] * rows, k % 7, np.sqrt(k), k * 10 ** 12]
+    header = ["family", "R", "root", "big"]
+    body = written(tmp_path, header, columns)
+    assert body == csv_writer_text(header, columns)
+    assert body.count("\r\n") == rows + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.integers(-2 ** 70, 2 ** 70),
+                          st.integers(-3, 3)), max_size=40))
+def test_write_csv_matches_csv_writer_on_random_values(tmp_path_factory, rows):
+    tmp_path = tmp_path_factory.mktemp("csv")
+    columns = [[r[i] for r in rows] for i in range(3)]
+    columns.append(np.array(columns[2], dtype=np.int64))
+    header = ["x", "big", "small", "small64"]
+    assert written(tmp_path, header, columns) == csv_writer_text(header, columns)
+
+
+@pytest.mark.parametrize("bad", ["a,b", 'say "x"', "cr\r", "lf\n", "\r\n", None])
+@pytest.mark.parametrize("where", [0, B + 3])
+def test_write_csv_refuses_fields_that_need_quoting(tmp_path, bad, where):
+    # csv.writer would quote these (or write None as ""); refused instead,
+    # in any block, and no partial file is left
+    col = ["ok"] * (B + 10)
+    col[where] = bad
+    for column in (col, np.array(col, dtype=object)):
+        with pytest.raises(ValueError):
+            written(tmp_path, ["s", "i"], [column, np.arange(len(col))])
+        assert not (tmp_path / "t.csv").exists()
+    with pytest.raises(ValueError):
+        written(tmp_path, ["s", bad], [["ok"], [1]])
+
+
+def test_write_csv_refuses_ragged_or_narrow_tables(tmp_path):
+    with pytest.raises(ValueError):
+        written(tmp_path, ["a", "b"], [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        written(tmp_path, ["a", "b"], [[1, 2]])
+    # a one-column row holding "" is the one case csv.writer quotes
+    with pytest.raises(ValueError):
+        written(tmp_path, ["a"], [[""]])

@@ -480,6 +480,21 @@ def test_non_integer_basis_rejected():
                 fn(basis, body)
 
 
+def test_basis_beyond_int64_rejected():
+    # refused with the bound named, not a raw OverflowError from the cast
+    e = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    body = Box((1, 1, 1, 1))
+    for basis in ([[2 ** 70, 0, 0, 0]] + e, [[2 ** 63, 0, 0, 0]] + e,
+                  [[-2 ** 63 - 1, 0, 0, 0]] + e,
+                  np.array([[2 ** 63, 0, 0, 0]] + e, dtype=np.uint64)):
+        for fn in (successive_minima, lattice_point_count):
+            with pytest.raises(ValueError, match="2\\^63"):
+                fn(basis, body)
+    # the int64 end points themselves are accepted
+    assert lattice_point_count([[-2 ** 63, 0, 0, 0]] + e, body) == 27
+    assert lattice_point_count([[2 ** 63 - 1, 0, 0, 0]] + e, body) == 27
+
+
 def gon_results(basis, body):
     return (successive_minima(basis, body), lattice_point_count(basis, body),
             minkowski_sandwich(basis, body)[1], product_bound_check(basis, body))

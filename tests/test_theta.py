@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -304,18 +305,50 @@ def test_profile_table_is_bitwise_the_per_k_profiles(K, parity):
             g[0] = 1
 
 
+@pytest.fixture
+def fresh_petersson_cache():
+    """Estimates computed in the test are neither read from nor left in the
+    ``petersson_estimate`` cache (a test may patch what they depend on)."""
+    theta._petersson_estimate.cache_clear()
+    yield
+    theta._petersson_estimate.cache_clear()
+
+
 @pytest.mark.parametrize("precision", ["double", "extended"])
-def test_petersson_matches_per_shell_strips(precision, monkeypatch):
+def test_petersson_matches_per_shell_strips(precision, monkeypatch,
+                                            fresh_petersson_cache):
     batched = {n: petersson_estimate(n, 10 * n, precision)
                for n in (4, 8, 12, 32)}
-    monkeypatch.setattr(theta, "_strip_sums", theta_oracle.strip_sums)
+    calls = []
+
+    def oracle(*args):
+        calls.append(args)
+        return theta_oracle.strip_sums(*args)
+
+    monkeypatch.setattr(theta, "_strip_sums", oracle)
+    # the estimates above are cached; without this the oracle never runs
+    theta._petersson_estimate.cache_clear()
     for n, est in batched.items():
         ref = petersson_estimate(n, 10 * n, precision)
+        assert calls[-2:] == [(n, 10 * n, "integral"), (n, 10 * n, "coset")]
         # bit-identical with numpy's own summation; another BLAS may sum
         # the per-shell dot products in another order
         for field in ("rho", "log_I1", "log_I2", "tail_ratio"):
             assert getattr(est, field) == pytest.approx(
                 getattr(ref, field), rel=1e-13, abs=0)
+
+
+def test_petersson_cache_is_shared_by_call_forms(fresh_petersson_cache):
+    est = petersson_estimate(8, 80)
+    for again in (petersson_estimate(8, 80, "double"),
+                  petersson_estimate(n=8, K=80, precision="double"),
+                  petersson_estimate(8, K=80)):
+        assert again is est
+    info = theta._petersson_estimate.cache_info()
+    assert (info.hits, info.misses) == (3, 1)
+    assert petersson_estimate(8, 80, "extended") is not est
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        est.rho = 0.0
 
 
 def test_petersson_basic():
