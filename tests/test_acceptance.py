@@ -15,6 +15,7 @@ import sys
 import numpy as np
 import pytest
 
+from hecke_sphere import theta
 from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
     CylinderSpec, a_of_x, dyadic_class_count, fit_constant,
@@ -210,8 +211,11 @@ def test_criterion_11_determinism(tmp_path):
     ok = True
     for argv in matrix:
         d1, d2 = tmp_path / "run1", tmp_path / "run2"
-        cli_main(list(argv) + ["--out", str(d1)])
-        cli_main(list(argv) + ["--out", str(d2)])
+        for d in (d1, d2):
+            # each run computes its Petersson estimates afresh
+            theta._petersson_estimate.cache_clear()
+            cli_main(list(argv) + ["--out", str(d)])
+            ok = ok and theta._petersson_estimate.cache_info().hits == 0
         csvs = sorted(p.name for p in d1.glob("*.csv"))
         ok = ok and csvs == sorted(p.name for p in d2.glob("*.csv"))
         for name in csvs:

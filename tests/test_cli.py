@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke_sphere import cli, hecke
+from hecke_sphere import cli, hecke, theta
 from hecke_sphere.cli import main
 
 
@@ -157,10 +157,14 @@ def test_n_range_refuses_zero_step_and_empty_ranges(tmp_path, spec):
     assert not (tmp_path / "petersson.csv").exists()
 
 
-def test_petersson_rerun_byte_identical(tmp_path):
+def test_petersson_rerun_byte_identical(tmp_path, fresh_petersson_cache):
     assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "100") == 0
     first = (tmp_path / "petersson.csv").read_bytes()
+    # the rerun must compute its estimate, not read the first one's
+    theta._petersson_estimate.cache_clear()
     assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "100") == 0
+    info = theta._petersson_estimate.cache_info()
+    assert (info.hits, info.misses) == (0, 1)
     assert (tmp_path / "petersson.csv").read_bytes() == first
 
 

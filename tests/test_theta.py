@@ -305,15 +305,6 @@ def test_profile_table_is_bitwise_the_per_k_profiles(K, parity):
             g[0] = 1
 
 
-@pytest.fixture
-def fresh_petersson_cache():
-    """Estimates computed in the test are neither read from nor left in the
-    ``petersson_estimate`` cache (a test may patch what they depend on)."""
-    theta._petersson_estimate.cache_clear()
-    yield
-    theta._petersson_estimate.cache_clear()
-
-
 @pytest.mark.parametrize("precision", ["double", "extended"])
 def test_petersson_matches_per_shell_strips(precision, monkeypatch,
                                             fresh_petersson_cache):
