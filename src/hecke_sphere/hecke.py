@@ -11,6 +11,13 @@ checks read S_N directly.  The matrices in the harmonic basis (real and
 imaginary parts of the t_{ba}, made primitive) follow from S_N by the
 conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj t_{ba} and the contents.
 
+The layer works on a set of N at once: ``shell_monomial_matrices`` takes
+the shells of all of them from one join and sums them in blocks of
+consecutive shells, one ``sym_power_values`` pass per block, in int64
+where the bound it states holds for each shell segment of the block.  The
+relation check forms all its products S_a S_b in one stacked product, and
+``joint_eigenspaces`` all its row operators.
+
 The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
 and v (x) e_a <-> f_{v,a}, each joint eigenspace is
 V_lambda = W_lambda (x) C^(n+1), W_lambda a joint eigenspace of the S_N^T.
@@ -34,7 +41,7 @@ from math import comb, isqrt
 import numpy as np
 
 from .poly import HarmonicBasis, harmonic_basis, sym_power_values
-from .quat import enumerate_shell
+from .quat import _shell_join
 
 
 class DegeneracyError(Exception):
@@ -44,24 +51,36 @@ class DegeneracyError(Exception):
 def _int64_exact(n: int, N: int, size: int) -> bool:
     """Whether ``size`` points of norm N give S_N exactly in int64.
 
-    True iff size 2^n N^(n/2) < 2^63, the bound of ``shell_monomial_matrix``;
-    it is compared squared, size^2 4^n N^n < 2^126, so that odd n stays in
-    exact integers.
+    True iff size 2^n N^(n/2) < 2^63, the bound stated in
+    ``shell_monomial_matrices``; it is compared squared,
+    size^2 4^n N^n < 2^126, so that odd n stays in exact integers.
     """
     return size * size * 4 ** n * N ** n < 2 ** 126
 
 
-@lru_cache(maxsize=None)
-def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
-    """S_N = sum over the norm-N shell of T(m), exact; shape (2, n+1, n+1).
+#: most entries of T (points x (n+1)^2) that one int64 block of shells holds
+SHELL_BLOCK = 2 ** 14
 
-    Entry [0] is the real part and [1] the imaginary part, as Python
-    integers in a read-only object array.  T(m) acts on binary forms of
-    degree n, so its rows and columns are indexed by the monomials
-    X^b Y^(n-b).
+#: S_N per (n, N), filled by ``shell_monomial_matrices``
+_SHELL_SUMS: dict = {}
 
-    The sum is taken in int64 when no intermediate value can reach 2^63.
-    Every coefficient of the linear forms z X - conj(w) Y and
+
+def shell_monomial_matrices(n: int, Ns) -> tuple:
+    """S_N = sum over the norm-N shell of T(m) for every N in ``Ns``, in order.
+
+    Each S_N is exact, of shape (2, n+1, n+1): entry [0] is the real part
+    and [1] the imaginary part, as Python integers in a read-only object
+    array.  T(m) acts on binary forms of degree n, so its rows and columns
+    are indexed by the monomials X^b Y^(n-b).  Results are cached per
+    (n, N); the shells not yet cached come from one ``_shell_join``.
+
+    Consecutive shells within the int64 bound below are summed in blocks
+    of at most ``SHELL_BLOCK`` entries of T: one ``sym_power_values`` pass
+    per block and one ``np.add.reduceat`` over its shell segments.  A
+    shell above the cap is a block of its own.
+
+    The bound holds per shell segment, since a segment is summed on its
+    own.  Every coefficient of the linear forms z X - conj(w) Y and
     w X + conj(z) Y of ``sym_power_values`` has modulus at most sqrt N, so
     the coefficient of X^(d-j) Y^j in a product of d of them has modulus at
     most C(d, j) N^(d/2).  In ``_form_mul`` each real product
@@ -69,17 +88,57 @@ def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
     Cauchy-Schwarz, so for factors of degrees e and d - e every partial
     sum of a product coefficient is at most
     sum_s C(e, s) C(d - e, j - s) N^(d/2) = C(d, j) N^(d/2) by Vandermonde,
-    and so at most 2^n N^(n/2) for d <= n.  Every partial sum
-    over the shell is then at most |shell| 2^n N^(n/2); ``_int64_exact``
-    requires that below 2^63.  Above that bound the points are Python
-    integers in an object array.
+    and so at most 2^n N^(n/2) for d <= n.  Every partial sum over the
+    shell is then at most |shell| 2^n N^(n/2); ``_int64_exact`` requires
+    that below 2^63.  A shell above that bound is summed on Python integers
+    in an object array, one pass per shell: its cost is big-integer
+    arithmetic, not the number of calls.
     """
-    coords = enumerate_shell(N, "integral").coords // 2
-    if not _int64_exact(n, N, len(coords)):
-        coords = coords.astype(object)
-    total = sym_power_values(coords, n).sum(axis=-1).astype(object)
-    total.setflags(write=False)
-    return total
+    Ns = [int(N) for N in Ns]
+    todo = sorted({N for N in Ns if (n, N) not in _SHELL_SUMS})
+    if todo:
+        coords, sizes = _shell_join(todo, "integral")
+        coords //= 2
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        # runs [i, j, int64] of the shells todo[i:j] summed in one pass;
+        # ``fill`` counts the entries of an open int64 run, None if none
+        runs, fill = [], None
+        for i, (N, size) in enumerate(zip(todo, sizes.tolist())):
+            entries = size * (n + 1) ** 2
+            if not _int64_exact(n, N, size):
+                runs.append([i, i + 1, False])
+                fill = None
+            elif fill is not None and fill + entries <= SHELL_BLOCK:
+                runs[-1][1] = i + 1
+                fill += entries
+            else:
+                runs.append([i, i + 1, True])
+                fill = entries
+        for i, j, exact in runs:
+            pts = coords[starts[i]:starts[j]]
+            if exact:
+                sums = np.add.reduceat(sym_power_values(pts, n),
+                                       starts[i:j] - starts[i], axis=-1)
+            else:
+                sums = sym_power_values(pts.astype(object), n).sum(
+                    axis=-1, keepdims=True)
+            for N, total in zip(todo[i:j], np.moveaxis(sums, -1, 0)):
+                total = total.astype(object)
+                total.setflags(write=False)
+                _SHELL_SUMS[n, N] = total
+    return tuple(_SHELL_SUMS[n, N] for N in Ns)
+
+
+# also an lru_cache, so that its hits can be counted (perfbench/tracer.py)
+@lru_cache(maxsize=None)
+def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
+    """S_N of one shell, exact; shape (2, n+1, n+1).
+
+    The one-N call of ``shell_monomial_matrices``, which states the layout
+    and the int64 bound; that bound holds per shell, so a shell is summed
+    in int64 or on Python integers alike here and inside a block.
+    """
+    return shell_monomial_matrices(n, [N])[0]
 
 
 def _part_coordinates(hb: HarmonicBasis):
@@ -200,9 +259,16 @@ def selfadjoint_check(n: int, N: int) -> bool:
                 and np.all(s_im * w == -s_im.T * w[:, None]))
 
 
-def _gauss_matmul(A, B):
-    """Product of Gaussian-integer matrices stored as (real, imaginary)."""
-    return np.stack([A[0] @ B[0] - A[1] @ B[1], A[0] @ B[1] + A[1] @ B[0]])
+def _gauss_products(S, pairs) -> dict:
+    """S_a S_b for every (a, b) in ``pairs``, from four stacked matmuls.
+
+    ``S`` maps N to a Gaussian-integer matrix stored as (real, imaginary).
+    """
+    A = np.stack([S[a] for a, _ in pairs], axis=1)
+    B = np.stack([S[b] for _, b in pairs], axis=1)
+    re = A[0] @ B[0] - A[1] @ B[1]
+    im = A[0] @ B[1] + A[1] @ B[0]
+    return {ab: np.stack([r, i]) for ab, r, i in zip(pairs, re, im)}
 
 
 def odd_primes(primes) -> tuple:
@@ -236,21 +302,25 @@ def hecke_relations_check(n: int, primes=(3, 5), extra_commuting=()) -> dict:
     primes = tuple(sorted(odd_primes(primes)))
     Ns = {1} | set(primes) | {p * p for p in primes} | set(extra_commuting)
     Ns |= {p * q for p in primes for q in primes if p < q}
-    S = {N: shell_monomial_matrix(n, N) for N in sorted(Ns)}
+    keys = sorted(Ns)
+    S = dict(zip(keys, shell_monomial_matrices(n, keys)))
+    # the squares S_p S_p, and both orders of every pair of keys (p q too)
+    pairs = [(p, p) for p in primes]
+    pairs += [ab for i, a in enumerate(keys) for b in keys[i + 1:]
+              for ab in ((a, b), (b, a))]
+    prod = _gauss_products(S, pairs)
 
     for p in primes:
         for q in primes:
             if p < q:
                 report[f"T{p}*T{q}=T{p*q}"] = bool(np.all(
-                    _gauss_matmul(S[p], S[q]) == 8 * S[p * q]))
+                    prod[p, q] == 8 * S[p * q]))
     for p in primes:
         report[f"T{p * p}=T{p}^2-{p}*T1"] = bool(np.all(
-            8 * S[p * p] == _gauss_matmul(S[p], S[p]) - 8 * p ** (n + 1) * S[1]))
-    keys = sorted(S)
+            8 * S[p * p] == prod[p, p] - 8 * p ** (n + 1) * S[1]))
     for i, a in enumerate(keys):
         for b in keys[i + 1:]:
-            report[f"[T{a},T{b}]=0"] = bool(np.all(
-                _gauss_matmul(S[a], S[b]) == _gauss_matmul(S[b], S[a])))
+            report[f"[T{a},T{b}]=0"] = bool(np.all(prod[a, b] == prod[b, a]))
 
     report["all_pass"] = all(report.values())
     return report
@@ -282,18 +352,27 @@ def row_basis(n: int) -> np.ndarray:
     return P
 
 
-def _row_operator(n: int, N: int) -> np.ndarray:
-    """P^H diag(C(n, b)) S_N^T P / (8 N^(n/2)), T_N on W in ``row_basis(n)``."""
-    s_re, s_im = shell_monomial_matrix(n, N)
+def _row_operators(n: int, Ns) -> np.ndarray:
+    """P^H diag(C(n, b)) S_N^T P / (8 N^(n/2)) for every N in ``Ns``.
+
+    T_N on W in ``row_basis(n)``, all N stacked in one product; shape
+    (len(Ns), n+1, n+1).  Raises ``DegeneracyError`` at the first N whose
+    operator is not real symmetric.
+    """
+    S = np.stack(shell_monomial_matrices(n, Ns))
     P = row_basis(n)
     w = np.array([float(comb(n, b)) for b in range(n + 1)])
-    S_T = (s_re.T.astype(float) + 1j * s_im.T.astype(float)) * w[:, None]
-    M = P.conj().T @ S_T @ P / (8.0 * float(N) ** (n / 2))
-    scale = max(np.abs(M).max(), 1e-30)
-    off = max(np.abs(M.imag).max(), np.abs(M.real - M.real.T).max()) / scale
-    if off > 1e-9:
-        raise DegeneracyError(f"T_{N} not real symmetric (off by {off:.2e})")
-    return 0.5 * (M.real + M.real.T)
+    S_T = (S[:, 0].astype(float) + 1j * S[:, 1].astype(float)).transpose(
+        0, 2, 1) * w[:, None]
+    scale = np.array([8.0 * float(N) ** (n / 2) for N in Ns])
+    M = P.conj().T @ S_T @ P / scale[:, None, None]
+    top = np.maximum(np.abs(M).max(axis=(1, 2)), 1e-30)
+    off = np.maximum(np.abs(M.imag).max(axis=(1, 2)), np.abs(
+        M.real - M.real.transpose(0, 2, 1)).max(axis=(1, 2))) / top
+    for N, o in zip(Ns, off):
+        if o > 1e-9:
+            raise DegeneracyError(f"T_{N} not real symmetric (off by {o:.2e})")
+    return 0.5 * (M.real + M.real.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -362,7 +441,7 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
     if not primes:
         raise ValueError("need at least one odd prime")
     Ns = sorted(set(primes) | set(even_extras) | {1})
-    ops = {N: _row_operator(n, N) for N in Ns}
+    ops = dict(zip(Ns, _row_operators(n, Ns)))
 
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(1, 1000, size=len(primes))

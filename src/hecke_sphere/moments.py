@@ -182,19 +182,29 @@ def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
 
 
 def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int = 20):
-    """Coordinate ascent of the plain fourth moment of R's functions from x."""
+    """Coordinate ascent of the plain fourth moment of R's functions from x.
+
+    Each of the ``steps`` rounds tries the eight moves of the current step
+    and halves the step when none of them gains.  One ``_block_stats`` call
+    scores the moves of the step and of its next two halvings from the same
+    point, so up to three rounds that gain nothing share one call.
+    """
     best = x / np.linalg.norm(x)
     val = float(_block_stats(n, R, R.shape[1], best[None, :])[0][0])
     step = 0.05
-    for _ in range(steps):
-        cands = np.vstack([best + d * step * e
+    left = steps
+    while left:
+        sizes = [step * 0.5 ** h for h in range(min(3, left))]
+        cands = np.vstack([best + d * s * e for s in sizes
                            for e in np.eye(4) for d in (1.0, -1.0)])
         cands /= np.linalg.norm(cands, axis=1, keepdims=True)
-        stat = _block_stats(n, R, R.shape[1], cands)[0]
-        i = int(np.argmax(stat))
-        if stat[i] > val:
-            best, val = cands[i], float(stat[i])
-        else:
+        stats = _block_stats(n, R, R.shape[1], cands)[0].reshape(len(sizes), 8)
+        for h, stat in enumerate(stats):
+            left -= 1
+            i = int(np.argmax(stat))
+            if stat[i] > val:
+                best, val = cands[8 * h + i], float(stat[i])
+                break
             step *= 0.5
     return val
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, isqrt
 
 import numpy as np
@@ -108,13 +109,13 @@ def test_relations_match_dense_oracle(n):
 
 
 def test_relations_detect_a_broken_sum(monkeypatch):
-    good = shell_monomial_matrix
+    # the relations read all their shell sums from one batched call
+    good = hecke.shell_monomial_matrices
 
-    def broken(n, N):
-        S = good(n, N)
-        return S + 1 if N == 15 else S
+    def broken(n, Ns):
+        return tuple(S + 1 if N == 15 else S for N, S in zip(Ns, good(n, Ns)))
 
-    monkeypatch.setattr(hecke, "shell_monomial_matrix", broken)
+    monkeypatch.setattr(hecke, "shell_monomial_matrices", broken)
     report = hecke_relations_check(4, primes=(3, 5))
     assert report["T3*T5=T15"] is False
     assert report["T9=T3^2-3*T1"] is True
@@ -136,6 +137,7 @@ def test_primes_must_be_distinct_odd_primes(primes):
         decompose(4, primes=primes)
 
 
+@lru_cache(maxsize=None)
 def _object_shell_sum(n, N):
     """S_N summed over the shell on Python integers, the unbounded path."""
     coords = enumerate_shell(N, "integral").coords // 2
@@ -175,6 +177,64 @@ def test_int64_bound_at_odd_degree():
     # the shells of the relation checks stay on int64 up to n = 12
     assert hecke._int64_exact(12, 49, r4_count(49))
     assert not hecke._int64_exact(16, 49, r4_count(49))
+
+
+#: unsorted, with repeats; at n = 16 and 24 it mixes int64 and object shells
+BATCH_NS = [49, 1, 3, 25, 105, 3, 2, 4, 9, 15]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 16, 24])
+def test_shell_sums_batch_matches_object_path(n, monkeypatch):
+    monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
+    sums = hecke.shell_monomial_matrices(n, BATCH_NS)
+    assert len(sums) == len(BATCH_NS)
+    for N, S in zip(BATCH_NS, sums):
+        assert S.shape == (2, n + 1, n + 1)
+        assert S.dtype == object and not S.flags.writeable
+        assert all(type(v) is int for v in S.ravel())
+        assert np.array_equal(S, _object_shell_sum(n, N))
+    exact = {hecke._int64_exact(n, N, r4_count(N)) for N in BATCH_NS}
+    assert exact == ({True, False} if n >= 16 else {True})
+
+
+def test_shell_sums_blocks_fill_the_cap(monkeypatch):
+    # at n = 2 a point holds 9 entries of T and the shells of norm 1, 2, 3,
+    # 5 hold 8, 24, 32, 48 points: with a cap of 288 entries norms 1 and 2
+    # fill one block exactly, norm 3 fills the next, and norm 5 is over it
+    monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
+    monkeypatch.setattr(hecke, "SHELL_BLOCK", 288)
+    passes = []
+    values = hecke.sym_power_values
+
+    def spy(pts, n):
+        passes.append((len(pts), pts.dtype))
+        return values(pts, n)
+
+    monkeypatch.setattr(hecke, "sym_power_values", spy)
+    Ns = [5, 3, 2, 1]
+    sums = hecke.shell_monomial_matrices(2, Ns)
+    assert passes == [(32, np.int64), (32, np.int64), (48, np.int64)]
+    for N, S in zip(Ns, sums):
+        assert np.array_equal(S, _object_shell_sum(2, N))
+
+
+def test_shell_sums_joined_once(monkeypatch):
+    monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
+    joins = []
+    join = hecke._shell_join
+
+    def spy(ks, parity):
+        joins.append(list(ks))
+        return join(ks, parity)
+
+    monkeypatch.setattr(hecke, "_shell_join", spy)
+    first = hecke.shell_monomial_matrices(4, [9, 3, 5])
+    again = hecke.shell_monomial_matrices(4, [5, 9, 3, 9])
+    assert joins == [[3, 5, 9]]
+    assert [id(S) for S in again] == [id(first[i]) for i in (2, 0, 1, 0)]
+    # a set with one new shell joins that shell alone
+    hecke.shell_monomial_matrices(4, [3, 7])
+    assert joins == [[3, 5, 9], [7]]
 
 
 def _shell_operator(n, N):
@@ -257,3 +317,41 @@ def test_unflagged_part_is_single_space():
     unflagged = [sp for sp in dec.spaces if sp.t1_flag == 0]
     assert len(unflagged) == 1
     assert all(abs(unflagged[0].lams[N]) < 1e-9 for N in (1, 3, 5))
+
+
+def _row_operator(n, N):
+    """T_N on W in ``row_basis(n)``, formed for one N."""
+    s_re, s_im = shell_monomial_matrix(n, N)
+    P = row_basis(n)
+    w = np.array([float(comb(n, b)) for b in range(n + 1)])
+    S_T = (s_re.T.astype(float) + 1j * s_im.T.astype(float)) * w[:, None]
+    M = P.conj().T @ S_T @ P / (8.0 * float(N) ** (n / 2))
+    return 0.5 * (M.real + M.real.T)
+
+
+@pytest.mark.parametrize("n", range(2, 13, 2))
+def test_row_operators_match_per_shell_formula(n):
+    Ns = [1, 3, 5, 7, 9, 15, 25, 49]
+    ops = hecke._row_operators(n, Ns)
+    assert ops.shape == (len(Ns), n + 1, n + 1)
+    for N, op in zip(Ns, ops):
+        assert np.array_equal(op, _row_operator(n, N))
+
+
+def test_row_operators_reject_perturbed_sum(monkeypatch):
+    good = hecke.shell_monomial_matrices
+
+    def perturbed(n, Ns):
+        out = []
+        for N, S in zip(Ns, good(n, Ns)):
+            if N == 5:
+                S = S.copy()
+                S[1, 0, n] += 1  # one imaginary entry off its conjugate partner
+            out.append(S)
+        return tuple(out)
+
+    monkeypatch.setattr(hecke, "shell_monomial_matrices", perturbed)
+    with pytest.raises(hecke.DegeneracyError, match=r"T_5 not real symmetric"):
+        hecke._row_operators(4, [1, 3, 5, 9])
+    with pytest.raises(hecke.DegeneracyError, match=r"T_5 not real symmetric"):
+        decompose(4, primes=(3, 5))

@@ -5,6 +5,7 @@ import pytest
 
 import dense_oracle
 from dense_oracle import _right_j
+from hecke_sphere import moments
 from hecke_sphere.hecke import DegeneracyError, EigenSpace, decompose
 from hecke_sphere.moments import (
     ClosureError, eigen_values, growth_fit, moment_sweep, pinned_blocks,
@@ -63,6 +64,50 @@ def test_sweep_refinement_monotone(dec6):
     refined = moment_sweep(6, dec6, grid, seed=3, refine_steps=20)
     assert refined.sup_family >= raw.sup_family - 1e-12
     assert refined.sup_fourth >= raw.sup_fourth - 1e-12
+
+
+def _ascend_one_step(n, R, x, steps):
+    """Coordinate ascent scoring the eight moves of one step per call."""
+    best = x / np.linalg.norm(x)
+    val = float(moments._block_stats(n, R, R.shape[1], best[None, :])[0][0])
+    step = 0.05
+    for _ in range(steps):
+        cands = np.vstack([best + d * step * e
+                           for e in np.eye(4) for d in (1.0, -1.0)])
+        cands /= np.linalg.norm(cands, axis=1, keepdims=True)
+        stat = moments._block_stats(n, R, R.shape[1], cands)[0]
+        i = int(np.argmax(stat))
+        if stat[i] > val:
+            best, val = cands[i], float(stat[i])
+        else:
+            step *= 0.5
+    return val
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_ascent_matches_one_step_per_call(n, monkeypatch):
+    # scoring three step sizes per call takes the same path, in fewer calls
+    R = np.hstack([basis for basis, flag in pinned_blocks(
+        decompose(n, primes=(3, 5))) if flag])
+    calls = []
+    stats = moments._block_stats
+
+    def spy(*args):
+        calls.append(len(args[3]))
+        return stats(*args)
+
+    long_calls = 0
+    for seed in range(3):
+        x = sphere_grid(1, seed=seed)[0]
+        for steps in (0, 1, 2, 3, 20):
+            ref = _ascend_one_step(n, R, x, steps)
+            monkeypatch.setattr(moments, "_block_stats", spy)
+            calls.clear()
+            assert moments._ascend(n, R, x, steps) == ref
+            monkeypatch.setattr(moments, "_block_stats", stats)
+            assert calls[0] == 1 and len(calls) <= 1 + steps
+        long_calls += len(calls)  # those of the 20-step ascent
+    assert long_calls < 3 * 21
 
 
 def test_sweep_rejects_mismatched_degree(dec6):
