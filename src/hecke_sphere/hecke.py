@@ -6,17 +6,28 @@ spanned by the matrix coefficients t_{ba} of T(x) = Sym^n of the 2x2 model
 of x (see ``poly``).  Since T(m x) = T(m) T(x), the unscaled operator sends
 f_{v,a}(x) = sum_b v_b t_{ba}(x) to f_{S_N^T v, a}, where
 S_N = sum_{nr(m)=N} T(m) is an exact (n+1) x (n+1) matrix of Gaussian
-integers: every Hecke operator acts on the row label alone.  The exact
-checks read S_N directly.  The matrices in the harmonic basis (real and
-imaginary parts of the t_{ba}, made primitive) follow from S_N by the
-conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj t_{ba} and the contents.
+integers: every Hecke operator acts on the row label alone.  S_N is in
+fact real: the conjugate of the 2x2 model of x is the model of
+x' = (x1, -x2, x3, -x4), so T(x') = conj T(x), and every shell is closed
+under x -> x'; ``shell_monomial_matrices`` refuses a sum whose imaginary
+part is not zero.  The exact checks read S_N directly.  The matrices in the
+harmonic basis (real and imaginary parts of the t_{ba}, made primitive)
+follow from S_N by the conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj
+t_{ba} and the contents.
 
 The layer works on a set of N at once: ``shell_monomial_matrices`` takes
 the shells of all of them from one join and sums them in blocks of
 consecutive shells, one ``sym_power_values`` pass per block, in int64
 where the bound it states holds for each shell segment of the block.  The
-relation check forms all its products S_a S_b in one stacked product, and
-``joint_eigenspaces`` all its row operators.
+relation check forms all its products S_a S_b in one stacked product.
+
+The spectral side runs in floats: ``_float_shell_sums`` sums the float
+``sym_power_values`` over the unit points m / sqrt N of all its shells
+(one join, blocks of at most ``SHELL_BLOCK`` entries), which is
+S_N / N^(n/2) to roundoff at every degree, and ``joint_eigenspaces`` forms
+all its row operators from those sums in one stacked product.  The exact
+S_N stay the oracle: ``hecke_relations_check``, ``selfadjoint_check`` and
+``t1_vanishing`` read them, and the tests compare the two.
 
 The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
 and v (x) e_a <-> f_{v,a}, each joint eigenspace is
@@ -58,7 +69,8 @@ def _int64_exact(n: int, N: int, size: int) -> bool:
     return size * size * 4 ** n * N ** n < 2 ** 126
 
 
-#: most entries of T (points x (n+1)^2) that one int64 block of shells holds
+#: most entries of T (points x (n+1)^2) that one block of shells holds, in
+#: int64 (``shell_monomial_matrices``) or in floats (``_float_shell_sums``)
 SHELL_BLOCK = 2 ** 14
 
 #: S_N per (n, N), filled by ``shell_monomial_matrices``
@@ -123,6 +135,10 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
                 sums = sym_power_values(pts.astype(object), n).sum(
                     axis=-1, keepdims=True)
             for N, total in zip(todo[i:j], np.moveaxis(sums, -1, 0)):
+                if np.any(total[1]):
+                    raise ArithmeticError(
+                        f"S_{N} at n={n} has a nonzero imaginary part: "
+                        f"the norm-{N} shell is not closed under conjugation")
                 total = total.astype(object)
                 total.setflags(write=False)
                 _SHELL_SUMS[n, N] = total
@@ -260,15 +276,17 @@ def selfadjoint_check(n: int, N: int) -> bool:
 
 
 def _gauss_products(S, pairs) -> dict:
-    """S_a S_b for every (a, b) in ``pairs``, from four stacked matmuls.
+    """S_a S_b for every (a, b) in ``pairs``, from one stacked matmul.
 
-    ``S`` maps N to a Gaussian-integer matrix stored as (real, imaginary).
+    ``S`` maps N to a shell sum stored as (real, imaginary); the imaginary
+    part is zero (``shell_monomial_matrices`` checks it), so only the real
+    parts are multiplied and the products keep that layout.
     """
-    A = np.stack([S[a] for a, _ in pairs], axis=1)
-    B = np.stack([S[b] for _, b in pairs], axis=1)
-    re = A[0] @ B[0] - A[1] @ B[1]
-    im = A[0] @ B[1] + A[1] @ B[0]
-    return {ab: np.stack([r, i]) for ab, r, i in zip(pairs, re, im)}
+    A = np.stack([S[a][0] for a, _ in pairs])
+    B = np.stack([S[b][0] for _, b in pairs])
+    prod = np.zeros((len(pairs), 2) + A.shape[1:], dtype=A.dtype)
+    prod[:, 0] = A @ B
+    return dict(zip(pairs, prod))
 
 
 def odd_primes(primes) -> tuple:
@@ -352,23 +370,60 @@ def row_basis(n: int) -> np.ndarray:
     return P
 
 
+#: sum over the norm-N shell of T(m / sqrt N) and |shell| per (n, N), in
+#: floats, filled by ``_float_shell_sums``
+_FLOAT_SUMS: dict = {}
+
+
+def _float_shell_sums(n: int, Ns):
+    """(sums, sizes): sum of T(m / sqrt N) over nr(m) = N, and |shell|.
+
+    For every N in ``Ns``, in order: ``sums`` is complex of shape
+    (len(Ns), n+1, n+1), the float S_N / N^(n/2), and ``sizes`` the shell
+    sizes.  The unit points m / sqrt N of the shells not yet cached come
+    from one ``_shell_join``; the float ``sym_power_values`` runs on blocks
+    of them of at most ``SHELL_BLOCK`` entries of T, whatever shells a
+    block spans.  Cached per (n, N).
+    """
+    Ns = [int(N) for N in Ns]
+    todo = sorted({N for N in Ns if (n, N) not in _FLOAT_SUMS})
+    if todo:
+        coords, sizes = _shell_join(todo, "integral")
+        # the doubled coordinates 2 m of norm 4 N, divided by 2 sqrt N
+        pts = coords / np.repeat(2.0 * np.sqrt(todo), sizes)[:, None]
+        shell = np.repeat(np.arange(len(todo)), sizes)
+        sums = np.zeros((len(todo), n + 1, n + 1), dtype=complex)
+        step = max(1, SHELL_BLOCK // (n + 1) ** 2)
+        for i in range(0, len(pts), step):
+            ids = shell[i:i + step]
+            # where each shell's run of points starts inside the block
+            cut = np.flatnonzero(np.diff(ids, prepend=-1))
+            part = np.add.reduceat(sym_power_values(pts[i:i + step], n), cut,
+                                   axis=-1)
+            sums[ids[cut]] += np.moveaxis(part, -1, 0)
+        sums.setflags(write=False)
+        for N, S, size in zip(todo, sums, sizes.tolist()):
+            _FLOAT_SUMS[n, N] = (S, size)
+    return (np.stack([_FLOAT_SUMS[n, N][0] for N in Ns]),
+            np.array([_FLOAT_SUMS[n, N][1] for N in Ns], dtype=float))
+
+
 def _row_operators(n: int, Ns) -> np.ndarray:
     """P^H diag(C(n, b)) S_N^T P / (8 N^(n/2)) for every N in ``Ns``.
 
-    T_N on W in ``row_basis(n)``, all N stacked in one product; shape
-    (len(Ns), n+1, n+1).  Raises ``DegeneracyError`` at the first N whose
-    operator is not real symmetric.
+    T_N on W in ``row_basis(n)``, all N stacked in one product from the
+    float ``_float_shell_sums``; shape (len(Ns), n+1, n+1).  Raises
+    ``DegeneracyError`` at the first N whose operator is not real
+    symmetric.  Every T(m / sqrt N) is unitary for the weights C(n, b), so
+    |T_N| <= |shell| / 8, and the defect is measured against that bound:
+    T_N itself can vanish (T_3 at n = 2), leaving only roundoff.
     """
-    S = np.stack(shell_monomial_matrices(n, Ns))
+    sums, sizes = _float_shell_sums(n, Ns)
     P = row_basis(n)
     w = np.array([float(comb(n, b)) for b in range(n + 1)])
-    S_T = (S[:, 0].astype(float) + 1j * S[:, 1].astype(float)).transpose(
-        0, 2, 1) * w[:, None]
-    scale = np.array([8.0 * float(N) ** (n / 2) for N in Ns])
-    M = P.conj().T @ S_T @ P / scale[:, None, None]
-    top = np.maximum(np.abs(M).max(axis=(1, 2)), 1e-30)
+    M = P.conj().T @ (sums.transpose(0, 2, 1) * w[:, None]) @ P / 8.0
     off = np.maximum(np.abs(M.imag).max(axis=(1, 2)), np.abs(
-        M.real - M.real.transpose(0, 2, 1)).max(axis=(1, 2))) / top
+        M.real - M.real.transpose(0, 2, 1)).max(axis=(1, 2))) / (sizes / 8.0)
     for N, o in zip(Ns, off):
         if o > 1e-9:
             raise DegeneracyError(f"T_{N} not real symmetric (off by {o:.2e})")

@@ -14,15 +14,19 @@ multiplicity factor.  For a real vector of W_lambda in ``row_basis``
 coordinates, with row vector v, the g_a = sqrt((n + 1) C(n, a)) sum_b v_b
 t_{ba} are orthonormal and conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and
 sqrt 2 Im g_a for a < n/2, with g_{n/2} (real for even n/2, imaginary for
-odd), are n + 1 real orthonormal eigenfunctions.  ``eigen_values`` takes
+odd), are n + 1 real orthonormal eigenfunctions.  ``_products`` takes
 the complex values of ``sym_power_values`` in the columns a <= n/2 and
 contracts the complex row vectors against their row label in one complex
-matrix product, O(n^3) work per point for the whole eigenbasis; the real
-and imaginary parts of the product are read as a view, without a copy.
-The weights sqrt((n + 1) C(n, a)) are formed in floats.  A sweep checks
-that the closure sums (below) stay within ``CLOSURE_TOL`` of (n + 1)^2;
-the float values lose that orthonormality as n grows, and past it the
-sweep raises ``ClosureError`` rather than report its statistics.
+matrix product, O(n^3) work per point for the whole eigenbasis.
+``eigen_values`` reads the real and imaginary parts of that product as a
+view, without a copy, and the sweep sums its statistics on the float view
+of the product itself.  The weights sqrt((n + 1) C(n, a)) are formed in
+floats and cached per n.  A sweep checks that the closure sums (below)
+stay within ``CLOSURE_TOL`` of (n + 1)^2.  The float values of
+``sym_power_values`` are unitary to roundoff (about 1e-13 at n = 128), so
+the gate holds far past the degrees swept here; it still raises
+``ClosureError`` rather than report statistics of a basis that is not
+orthonormal.
 
 Which statistics depend on a basis.  Since the multiplicity factor is the
 column label, sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda at every x,
@@ -57,6 +61,7 @@ class is left unsplit and raises ``DegeneracyError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -65,7 +70,7 @@ from .hecke import DegeneracyError, SpectralDecomposition, row_basis
 from .poly import sym_power_values
 
 #: points per evaluation chunk; every statistic is taken per point
-CHUNK = 1024
+CHUNK = 256
 
 #: the largest relative deviation of the closure sums that a sweep accepts
 CLOSURE_TOL = 1e-7
@@ -103,24 +108,44 @@ class MomentReport:
     closure_error: float  # max relative deviation of sum |phi_j|^2 from (n+1)^2
 
 
+@lru_cache(maxsize=None)
+def _weights(n: int) -> np.ndarray:
+    """sqrt((n + 1) C(n, a)) for a <= n/2, times sqrt 2 below a = n/2.
+
+    Floats: (n + 1) C(n, a) outgrows int64 from n = 62 on.
+    """
+    h = n // 2
+    w = np.sqrt([(n + 1) * float(comb(n, a)) * (1 if a == h else 2)
+                 for a in range(h + 1)])
+    w.setflags(write=False)
+    return w
+
+
+def _products(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """sum_b v_b t_{ba} for every column v of R, complex (k, n/2 + 1, #pts).
+
+    One product of the row vectors with the values of ``sym_power_values``
+    in the columns a <= n/2; the result is contiguous.
+    """
+    h = n // 2
+    T = sym_power_values(np.asarray(pts, dtype=float), n, cols=h + 1)
+    G = (row_basis(n) @ R).T @ T.reshape(n + 1, -1)
+    return G.reshape(R.shape[1], h + 1, len(pts))
+
+
 def eigen_values(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Real orthonormal eigenfunctions at pts, shape (2, k, n/2 + 1, #pts).
 
     ``R`` holds k real vectors of W in ``row_basis(n)`` coordinates.
     Entries [0, i, a] and [1, i, a] are sqrt 2 Re g_a and sqrt 2 Im g_a of
     vector i; at a = n/2 the sqrt 2 is dropped and the vanishing part is 0.
-    The sums sum_b v_b t_{ba} of all k vectors v come from one complex
-    product of the row vectors with the complex values of
-    ``sym_power_values``; the result is a view of that complex array with
-    its real and imaginary parts as the leading axis.
+    The result is a view of the complex ``_products`` with its real and
+    imaginary parts as the leading axis.
     """
     h = n // 2
-    T = sym_power_values(np.asarray(pts, dtype=float), n, cols=h + 1)
-    G = (row_basis(n) @ R).T @ T.reshape(n + 1, -1)
-    F = np.moveaxis(G.view(float).reshape(len(G), h + 1, len(pts), 2), -1, 0)
-    # floats: (n + 1) C(n, a) outgrows int64 from n = 62 on
-    F *= np.sqrt([(n + 1) * float(comb(n, a)) * (1 if a == h else 2)
-                  for a in range(h + 1)])[:, None]
+    G = _products(n, R, pts)
+    F = np.moveaxis(G.view(float).reshape(G.shape + (2,)), -1, 0)
+    F *= _weights(n)[:, None]
     F[(h + 1) % 2, :, h] = 0.0
     return F
 
@@ -168,15 +193,27 @@ def _pin_block(R: np.ndarray, cls: np.ndarray) -> np.ndarray:
 
 
 def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
-    """Fourth moment of R's first ``flagged`` columns, closure sum, sup."""
+    """Fourth moment of R's first ``flagged`` columns, closure sum, sup.
+
+    The sums are taken on the float view of ``_products``, whose last axis
+    interleaves the real and imaginary parts of each point: these are the
+    values of ``eigen_values`` without its copy-free transpose.
+    """
+    h = n // 2
+    w = _weights(n)[:, None]
     fourth = np.empty(len(pts))
     closure = np.empty(len(pts))
     sup_ind = 0.0
     for i in range(0, len(pts), CHUNK):
-        F = eigen_values(n, R, pts[i:i + CHUNK])
-        closure[i:i + CHUNK] = np.einsum("jkap,jkap->p", F, F)
-        sq = F[:, :flagged] ** 2
-        fourth[i:i + CHUNK] = np.einsum("jkap,jkap->p", sq, sq)
+        G = _products(n, R, pts[i:i + CHUNK]).view(float)
+        G[:, h, (h + 1) % 2::2] = 0.0
+        G *= w
+        sq = np.square(G, out=G).reshape(-1, G.shape[-1])
+        s = sq.sum(axis=0)
+        closure[i:i + CHUNK] = s[0::2] + s[1::2]
+        sq = sq[:flagged * (h + 1)]
+        s = np.einsum("ij,ij->j", sq, sq)
+        fourth[i:i + CHUNK] = s[0::2] + s[1::2]
         sup_ind = max(sup_ind, float(np.sqrt(sq.max(initial=0.0))))
     return fourth, closure, sup_ind
 
@@ -193,10 +230,11 @@ def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int = 20):
     val = float(_block_stats(n, R, R.shape[1], best[None, :])[0][0])
     step = 0.05
     left = steps
+    # the moves +-e_1, ..., +-e_4 in that order, scaled per step size below
+    moves = (np.eye(4)[:, None, :] * np.array([1.0, -1.0])[:, None]).reshape(8, 4)
     while left:
-        sizes = [step * 0.5 ** h for h in range(min(3, left))]
-        cands = np.vstack([best + d * s * e for s in sizes
-                           for e in np.eye(4) for d in (1.0, -1.0)])
+        sizes = step * 0.5 ** np.arange(min(3, left))
+        cands = best + (sizes[:, None, None] * moves).reshape(-1, 4)
         cands /= np.linalg.norm(cands, axis=1, keepdims=True)
         stats = _block_stats(n, R, R.shape[1], cands)[0].reshape(len(sizes), 8)
         for h, stat in enumerate(stats):

@@ -9,6 +9,17 @@ known in closed form: by Schur orthogonality, int_{S^3} |t_{ba}|^2 =
 C(n, b) / (C(n, a) (n + 1)) under the uniform probability measure.  The
 basis is named by labels and integer contents; no polynomial is built
 except for the ``basis`` JSON.
+
+``sym_power_values`` evaluates T(x) = [t_{ba}(x)] in batches, exactly at
+integer points (products of binary forms) and in floats at float points
+through the factorisation T(x)[b, a] = |x|^n U^(a+b-n) V^(b-a) d_{ba}(theta)
+and the Fourier form of Wigner's d-matrix (T. Risbo, J. Geodesy 70, 1996;
+Feng, Wang, Yang and Jin, Phys. Rev. E 92, 2015): one real product of a
+constant matrix, derived from two exact values of T, with the cosines and
+sines of the multiples of theta, and two phase products.  Its
+coefficients are bounded in the unitary frame, so the float values stay
+unitary, up to the rescaling by sqrt(C(n, a) / C(n, b)), to roundoff at
+every degree used.
 """
 
 from __future__ import annotations
@@ -175,21 +186,11 @@ def harmonic_basis(n: int) -> HarmonicBasis:
 # batched values of the symmetric-power model
 
 def _form_mul(F, G):
-    """Product of binary forms, batched over points.
+    """Product of binary forms with Gaussian-integer coefficients, batched.
 
-    A form of degree d has d + 1 rows of coefficients over the points, row
-    k that of X^(d-k) Y^k: one complex array of shape (d + 1, #pts) for
-    float points, a pair (re, im) of integer arrays of that shape for exact
-    points.
+    A form of degree d is a pair (re, im) of integer arrays of shape
+    (d + 1, #pts), row k holding the coefficient of X^(d-k) Y^k.
     """
-    if not isinstance(F, tuple):
-        if len(F) > len(G):
-            F, G = G, F
-        out = np.zeros((len(F) + len(G) - 1, F.shape[1]), dtype=F.dtype)
-        d = len(G)
-        for s in range(len(F)):
-            out[s:s + d] += F[s] * G
-        return out
     if len(F[0]) > len(G[0]):
         F, G = G, F
     (fr, fi), (gr, gi) = F, G
@@ -204,36 +205,14 @@ def _form_mul(F, G):
     return re, im
 
 
-def sym_power_values(pts, n: int, cols: int | None = None):
-    """The entries T(x) = [t_{ba}(x)] at each point.
-
-    ``pts`` has shape (#pts, 4) and holds floats, or integers for exact
-    values: Python integers in an object array are always exact, int64 only
-    under a bound the caller proves (the products wrap around silently;
-    ``hecke.shell_monomial_matrix`` states one).  The entries of
-    ``_sym_power_entries`` in the first ``cols`` columns (all n + 1 by
-    default) are evaluated at each point with O(n^3) work and returned as
-
-    - for float points, one complex128 array of shape (n + 1, cols, #pts)
-      indexed [b, a, p];
-    - for integer points, one array of their dtype of shape
-      (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 the real and
-      1 the imaginary part.
-
-    T is the n-th symmetric power of the 2x2 model, so T(1) = I and
-    T(m x) = T(m) T(x).
-    """
-    cols = n + 1 if cols is None else cols
-    pts = np.asarray(pts)
+def _exact_values(pts, n: int, cols: int):
+    """T(x) at integer points by products of binary forms; see below."""
     x1, x2, x3, x4 = pts.T
     # the columns (z, -conj w) and (w, conj z) as linear forms in X, Y
     col_a = (np.stack([x1, -x3]), np.stack([x2, x4]))
     col_b = (np.stack([x3, x1]), np.stack([x4, -x2]))
     one = (np.ones((1, len(pts)), dtype=pts.dtype),
            np.zeros((1, len(pts)), dtype=pts.dtype))
-    exact = pts.dtype.kind != "f"
-    if not exact:
-        col_a, col_b, one = (re + 1j * im for re, im in (col_a, col_b, one))
     # the powers of col_b that column a uses, of degree n - a, kept in
     # increasing degree and dropped once used
     pow_b, power = [], one
@@ -242,21 +221,126 @@ def sym_power_values(pts, n: int, cols: int | None = None):
             power = _form_mul(power, col_b)
         if d > n - cols:
             pow_b.append(power)
-    if exact:
-        T = np.empty((2, n + 1, cols, len(pts)), dtype=pts.dtype)
-    else:
-        T = np.empty((n + 1, cols, len(pts)), dtype=complex)
+    T = np.empty((2, n + 1, cols, len(pts)), dtype=pts.dtype)
     pow_a = one
     for a in range(cols):
         if a:
             pow_a = _form_mul(pow_a, col_a)
-        product = _form_mul(pow_a, pow_b.pop())
+        re, im = _form_mul(pow_a, pow_b.pop())
         # t_{ba} is the coefficient of X^b Y^(n-b), row n - b of the product
-        if exact:
-            T[0, :, a], T[1, :, a] = product[0][::-1], product[1][::-1]
-        else:
-            T[:, a] = product[::-1]
+        T[0, :, a], T[1, :, a] = re[::-1], im[::-1]
     return T
+
+
+@lru_cache(maxsize=8)
+def _model_factors(n: int):
+    """T(1 + k) / 2^n and T(1 - k), from the exact path, rounded to floats."""
+    E = _exact_values(np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object),
+                      n, n + 1).astype(float)
+    T = E[0] + 1j * E[1]
+    A, B = T[..., 0] / 2.0 ** n, T[..., 1]
+    A.setflags(write=False)
+    B.setflags(write=False)
+    return A, B
+
+
+# M holds about (n + 1) cols n floats: 68 MiB at n = 256 and cols = 129
+@lru_cache(maxsize=8)
+def _fourier_matrix(n: int, cols: int):
+    """(M, ms): d_{ba}(theta) - delta_{ba} = M @ [cos ms theta - 1, sin ms theta].
+
+    ms are the m > 0 with m = n mod 2, ascending, and M, read-only and of
+    shape ((n + 1) cols, 2 len(ms)), has rows indexed by (b, a), a < cols.
+    Since cos theta + sin theta j = (1 + k)(cos theta + sin theta i)(1 - k) / 2
+    and T(e^{i theta}) = diag(e^{i (2k - n) theta}),
+    d_{ba}(theta) = sum_k C[b, a, k] e^{i (2k - n) theta} with
+    C[b, a, k] = T(1 + k)[b, k] T(1 - k)[k, a] / 2^n; both factors come from
+    the exact path (``_model_factors``).  d is real, so the terms k and
+    n - k pair into a cosine and a sine of m = 2k - n, and at theta = 0 the
+    cosine coefficients sum to d_{ba}(0) = delta_{ba}, which is therefore
+    added back exactly.
+    """
+    A, B = _model_factors(n)
+    ms = np.arange(2 - n % 2, n + 1, 2)
+    M = np.empty((2, len(ms), n + 1, cols))
+    for j, m in enumerate(ms):
+        hi, lo = (n + m) // 2, (n - m) // 2
+        C_hi = np.multiply.outer(A[:, hi], B[hi, :cols])
+        C_lo = np.multiply.outer(A[:, lo], B[lo, :cols])
+        # Re(C_hi e^{i m theta} + C_lo e^{-i m theta})
+        M[0, j] = (C_hi + C_lo).real
+        M[1, j] = (C_lo - C_hi).imag
+    M = M.reshape(2 * len(ms), (n + 1) * cols).T
+    M.setflags(write=False)
+    return M, ms
+
+
+def _float_values(pts, n: int, cols: int):
+    """T(x) at float points from the Fourier form of d; see below."""
+    M, ms = _fourier_matrix(n, cols)
+    x1, x2, x3, x4 = pts.T
+    r, s = np.hypot(x1, x2), np.hypot(x3, x4)
+    # z = r U and w = s V with U = e^{i phi}, V = e^{i psi}; atan2(0, 0) = 0
+    # sets U = 1 where r = 0 and V = 1 where s = 0
+    phi, psi = np.arctan2(x2, x1), np.arctan2(x4, x3)
+    k = len(ms)
+    angles = np.empty((k + 3, len(pts)))
+    np.multiply.outer(ms, np.arctan2(s, r), out=angles[:k])
+    np.add(phi, psi, out=angles[k])
+    np.subtract(phi, psi, out=angles[k + 1])
+    np.multiply(phi, -n, out=angles[k + 2])
+    cos, sin = np.cos(angles), np.sin(angles)
+    trig = np.concatenate([cos[:k] - 1.0, sin[:k]])
+    d = (M @ trig).reshape(n + 1, cols, len(pts))
+    diag = np.arange(cols)
+    d[diag, diag] += 1.0
+    # |x|^n U^(a+b-n) V^(b-a) = |x|^n conj(U)^n (U V)^b (U conj V)^a
+    rows = np.empty((n + 1, len(pts)), dtype=complex)
+    rows[0] = np.hypot(r, s) ** n * (cos[k + 2] + 1j * sin[k + 2])
+    rows[1:] = cos[k] + 1j * sin[k]
+    np.cumprod(rows, axis=0, out=rows)
+    colq = np.empty((cols, len(pts)), dtype=complex)
+    colq[0] = 1.0
+    colq[1:] = cos[k + 1] + 1j * sin[k + 1]
+    np.cumprod(colq, axis=0, out=colq)
+    T = rows[:, None, :] * colq
+    T *= d
+    return T
+
+
+def sym_power_values(pts, n: int, cols: int | None = None):
+    """The entries T(x) = [t_{ba}(x)] at each point.
+
+    ``pts`` has shape (#pts, 4) and holds floats, or integers for exact
+    values: Python integers in an object array are always exact, int64 only
+    under a bound the caller proves (the products wrap around silently;
+    ``hecke.shell_monomial_matrices`` states one).  The entries of
+    ``_sym_power_entries`` in the first ``cols`` columns (all n + 1 by
+    default) are returned as
+
+    - for float points, one complex128 array of shape (n + 1, cols, #pts)
+      indexed [b, a, p];
+    - for integer points, one array of their dtype of shape
+      (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 the real and
+      1 the imaginary part.
+
+    T is the n-th symmetric power of the 2x2 model, so T(1) = I and
+    T(m x) = T(m) T(x).  Integer points multiply the binary forms
+    (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a), O(n^3) work per point.
+    Float points use the factorisation T(x)[b, a] = |x|^n U^(a+b-n)
+    V^(b-a) d_{ba}(theta), where z = r U, w = s V, theta = atan2(s, r) and
+    d_{ba}(theta) = t_{ba}(cos theta, 0, sin theta, 0) is real: d is one
+    real product of the constant ``_fourier_matrix`` with the cosines and
+    sines of m theta, and the phases are cumulative products.  Every
+    coefficient there is bounded in the unitary frame, so the values stay
+    unitary (rescaled by sqrt(C(n, a) / C(n, b))) to roundoff at high n,
+    and T(1) = I holds exactly.
+    """
+    cols = n + 1 if cols is None else cols
+    pts = np.asarray(pts)
+    if pts.dtype.kind == "f":
+        return _float_values(pts, n, cols)
+    return _exact_values(pts, n, cols)
 
 
 def basis_values(hb: HarmonicBasis, pts: np.ndarray) -> np.ndarray:

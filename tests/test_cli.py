@@ -176,6 +176,14 @@ def test_moments_rerun_byte_identical(tmp_path):
     assert (tmp_path / "moments.csv").read_bytes() == first
 
 
+def test_moments_at_degree_80_passes_the_closure_gate(tmp_path):
+    # the monomial-basis evaluator failed here with closure error 1.83e-7
+    assert run(tmp_path, "moments", "--n", "80", "--grid", "2000",
+               "--seed", "7") == 0
+    rep = json.loads((tmp_path / "moments-80.json").read_text())
+    assert rep["closure_error"] < 1e-10
+
+
 def test_moments_closure_loss_exits_one(tmp_path, monkeypatch, capsys):
     # a decomposition whose bases are 1% too long fails the closure gate
     decompose = hecke.decompose

@@ -308,3 +308,11 @@ def test_pretrace_matches_dense_oracle(n):
     ref = dense_oracle.pretrace_sum(dense_oracle.decompose(n), xs, ys)
     assert np.allclose(lhs, ref, rtol=0, atol=1e-10 * (n + 1) ** 2)
     assert pretrace_residual(dec, xs, ys) < 1e-10 * (n + 1) ** 2
+
+
+def test_closure_at_degree_128():
+    # the monomial-basis products put this closure 5.5e3 off at n = 128;
+    # the factorised evaluator keeps it at roundoff
+    F = eigen_values(128, np.eye(129), sphere_grid(500, seed=7))
+    closure = np.einsum("jkap,jkap->p", F, F)
+    assert np.abs(closure - 129 ** 2).max() < moments.CLOSURE_TOL * 129 ** 2

@@ -4,6 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
+from hecke_sphere import poly
 from hecke_sphere.poly import (
     _sym_power_entries, basis_to_json, basis_values, harmonic_basis,
     sym_power_values,
@@ -221,6 +222,43 @@ def test_complex_path_matches_exact_path(n):
     ref = exact[0].astype(float) + 1j * exact[1].astype(float)
     err = np.abs(T - ref).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_complex_path_matches_exact_path_on_axes(n):
+    # points with z = 0 or w = 0, where the factorisation sets U = 1 or
+    # V = 1, the coordinate axes, the origin and generic integer points,
+    # all columns; the error is measured as in the test above
+    rng = np.random.default_rng(1000 + n)
+    pts = rng.integers(-100, 101, size=(16, 4))
+    pts[:4, :2] = 0
+    pts[4:8, 2:] = 0
+    pts[8:13] = [[3, 0, 0, 0], [0, -2, 0, 0], [0, 0, 5, 0], [0, 0, 0, -1],
+                 [0, 0, 0, 0]]
+    exact = sym_power_values(pts.astype(object), n)
+    T = sym_power_values(pts.astype(float), n)
+    ref = exact[0].astype(float) + 1j * exact[1].astype(float)
+    err = np.abs(T - ref).max(axis=(0, 1))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+
+
+@pytest.fixture
+def fresh_fourier_cache():
+    """The large Fourier matrices a test builds are not left in the cache."""
+    poly._fourier_matrix.cache_clear()
+    yield
+    poly._fourier_matrix.cache_clear()
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_complex_path_unitary_at_high_degree(n, fresh_fourier_cache):
+    # D = T rescaled by sqrt(C(n, a) / C(n, b)) is unitary at unit points;
+    # the monomial-basis products reached |D D^H - I| = 4e4 at n = 128
+    w = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
+    T = sym_power_values(_unit_points(3, n), n)
+    D = np.moveaxis(T, -1, 0) * np.outer(1 / w, w)
+    err = np.abs(D @ D.conj().transpose(0, 2, 1) - np.eye(n + 1)).max()
+    assert err < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 24])
