@@ -7,7 +7,8 @@ assertion in the run passed.
 CSV tables are passed as columns and written a block of rows at a time,
 each field as ``str(value)`` (what ``csv.writer`` writes for ints, floats,
 bools and numpy scalars); no field is quoted, so one that would need
-quoting is refused.  The argument parser is built once per process.
+quoting is refused.  The argument parser is built once per process
+and subcommand, with only the subparser that the command line names.
 """
 
 from __future__ import annotations
@@ -361,15 +362,27 @@ COMMANDS = (
     ("moments", cmd_moments, _NS + ("primes", "grid", "seed"), None),
     ("report", cmd_report, _NS, None),
 )
+NAMES = tuple(c[0] for c in COMMANDS)
 
 
 @lru_cache(maxsize=None)
-def _parser() -> argparse.ArgumentParser:
+def _parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command``'s alone.
+
+    A parser for one subcommand names all of them in its usage line
+    (``metavar``), so its usage and error text are those of the full tree;
+    the full tree keeps argparse's own metavar, which also names the
+    argument in its errors.
+    """
     ap = argparse.ArgumentParser(
         prog="hecke-sphere",
         description="Hecke eigenform experiments on the 3-sphere")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(NAMES) + "}")
     for name, fn, flags, cutoff in COMMANDS:
+        if command not in (None, name):
+            continue
         p = sub.add_parser(name)
         for flag in flags:
             p.add_argument(f"--{flag}", **FLAGS[flag])
@@ -381,7 +394,11 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known subcommand builds its subparser alone; anything else (no
+    # argv, --help, an unknown name) gets the full tree and its messages
+    known = argv and argv[0] in NAMES
+    args = _parser(argv[0] if known else None).parse_args(argv)
     return args.func(args)
 
 

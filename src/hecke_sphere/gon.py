@@ -431,8 +431,9 @@ def _lattice_basis(basis) -> np.ndarray:
     # into floats
     A = basis if isinstance(basis, np.ndarray) else np.array(basis, dtype=object)
     entries = A.ravel().tolist()
+    # ``type(a) is int`` first: the ABC check costs half of this function
     integral = A.dtype.kind in "iu" or A.dtype == object and all(
-        isinstance(a, numbers.Integral) for a in entries)
+        type(a) is int or isinstance(a, numbers.Integral) for a in entries)
     if A.shape != (4, 4) or not integral:
         raise ValueError("basis must be a nonsingular 4x4 integer matrix")
     entries = [int(a) for a in entries]

@@ -15,19 +15,25 @@ harmonic basis (real and imaginary parts of the t_{ba}, made primitive)
 follow from S_N by the conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj
 t_{ba} and the contents.
 
-The layer works on a set of N at once: ``shell_monomial_matrices`` takes
-the shells of all of them from one join and sums them in blocks of
-consecutive shells, one ``sym_power_values`` pass per block, in int64
-where the bound it states holds for each shell segment of the block.  The
-relation check forms all its products S_a S_b in one stacked product.
+Every shell is a disjoint union of eight-point left-unit orbits {u m},
+and T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per
+orbit (``_orbit_representatives``) and S_1 = sum_u T(u) over the eight
+units, so an eighth of the shell is evaluated.  The layer works on a set
+of N at once: ``shell_monomial_matrices`` takes the representatives of all
+of them from one join and sums them in blocks of consecutive shells, one
+``sym_power_values`` pass per block (the first also covering the units),
+in int64 where the bound it states holds for each shell segment of the
+block.  The relation check forms all its products S_a S_b in one stacked
+product.
 
-The spectral side runs in floats: ``_float_shell_sums`` sums the float
-``sym_power_values`` over the unit points m / sqrt N of all its shells
-(one join, blocks of at most ``SHELL_BLOCK`` entries), which is
-S_N / N^(n/2) to roundoff at every degree, and ``joint_eigenspaces`` forms
-all its row operators from those sums in one stacked product.  The exact
-S_N stay the oracle: ``hecke_relations_check``, ``selfadjoint_check`` and
-``t1_vanishing`` read them, and the tests compare the two.
+The spectral side runs in floats: ``_float_shell_sums`` forms S_1 R_N
+from the float ``sym_power_values`` at the units and at the unit points
+m / sqrt N of the representatives (one join, blocks of at most
+``SHELL_BLOCK`` entries), which is S_N / N^(n/2) to roundoff at every
+degree, and ``joint_eigenspaces`` forms all its row operators from those
+sums in one stacked product.  The exact S_N stay the oracle:
+``hecke_relations_check``, ``selfadjoint_check`` and ``t1_vanishing``
+read them, and the tests compare the two.
 
 The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
 and v (x) e_a <-> f_{v,a}, each joint eigenspace is
@@ -73,6 +79,65 @@ def _int64_exact(n: int, N: int, size: int) -> bool:
 #: int64 (``shell_monomial_matrices``) or in floats (``_float_shell_sums``)
 SHELL_BLOCK = 2 ** 14
 
+#: the left units 1, i, j, k, -1, -i, -j, -k in integral coordinates, as
+#: a tuple so that importing the module builds no array
+UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+         (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
+
+#: ``_orbit_mask`` is exact in int64 for coordinates of modulus below
+#: this, so on the doubled coordinates of every shell of norm N < 2^28
+ORBIT_KEY_COORD = 2 ** 15
+
+
+def _orbit_mask(coords, r: int) -> np.ndarray:
+    """True at one point of each left-unit orbit {u m} among ``coords``.
+
+    The units act on the left by i m = (-b, a, -d, c), j m = (-c, d, a, -b)
+    and k m = (-d, -c, b, a) for m = (a, b, c, d), and -1 by negation, so
+    the orbit of m is {+-m, +-i m, +-j m, +-k m}, eight distinct points.
+    The key x . (B^3, B^2, B, 1), with B = 2r + 1 and r at least every
+    |coordinate|, orders the box [-r, r]^4 lexicographically (balanced
+    base-B digits) and is odd, key(-x) = -key(x); so m is the
+    lexicographically largest point of its orbit iff its key k1 exceeds
+    |k_i|, |k_j| and |k_k|, the keys of i m, j m and k m.  Every key is at
+    most r (B^4 - 1) / (B - 1) = (B^4 - 1) / 2 in modulus, below 2^63 iff
+    r < ``ORBIT_KEY_COORD``; a larger r raises ``ValueError``.
+    """
+    if r >= ORBIT_KEY_COORD:
+        raise ValueError(f"orbit key needs coordinates below {ORBIT_KEY_COORD}")
+    B = 2 * r + 1
+    a, b, c, d = coords.T
+    k1 = ((a * B + b) * B + c) * B + d
+    lo = -k1
+    keep = np.ones(len(coords), dtype=bool)
+    for k in (((b * -B + a) * B - d) * B + c,
+              ((c * -B + d) * B + a) * B - b,
+              ((d * -B - c) * B + b) * B + a):
+        keep &= (lo < k) & (k < k1)
+    return keep
+
+
+def _orbit_representatives(n: int, Ns):
+    """(reps, counts): one point per left-unit orbit of each norm-N shell.
+
+    ``reps`` holds the doubled coordinates of the orbit representatives
+    (``_orbit_mask``) of the shells of ``Ns`` from one ``_shell_join``,
+    concatenated in the order of ``Ns``, and ``counts`` their number per
+    shell.  A shell that is not a union of whole orbits, |shell| != 8
+    #reps, raises ``ArithmeticError`` naming n and N.
+    """
+    coords, sizes = _shell_join(Ns, "integral")
+    keep = _orbit_mask(coords, 2 * isqrt(max(Ns)))
+    shell = np.repeat(np.arange(len(Ns)), sizes)
+    counts = np.bincount(shell[keep], minlength=len(Ns))
+    for N, size, count in zip(Ns, sizes.tolist(), counts.tolist()):
+        if size != 8 * count:
+            raise ArithmeticError(
+                f"S_{N} at n={n}: the norm-{N} shell ({size} points) is not "
+                f"a union of whole left-unit orbits ({count} representatives)")
+    return coords[keep], counts
+
+
 #: S_N per (n, N), filled by ``shell_monomial_matrices``
 _SHELL_SUMS: dict = {}
 
@@ -86,38 +151,56 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
     are indexed by the monomials X^b Y^(n-b).  Results are cached per
     (n, N); the shells not yet cached come from one ``_shell_join``.
 
-    Consecutive shells within the int64 bound below are summed in blocks
-    of at most ``SHELL_BLOCK`` entries of T: one ``sym_power_values`` pass
-    per block and one ``np.add.reduceat`` over its shell segments.  A
-    shell above the cap is a block of its own.
+    Each shell is a disjoint union of left-unit orbits {u m}, and
+    T(u m) = T(u) T(m), so S_N = S_1 R_N with R_N the sum of T over one
+    point per orbit (``_orbit_representatives``) and S_1 = sum_u T(u).
+    One ``sym_power_values`` pass per block covers the representatives
+    of consecutive shells, the first block also the eight units; a block
+    holds at most ``SHELL_BLOCK`` entries of T, counted over those points,
+    and one ``np.add.reduceat`` sums its segments.  A shell above the cap
+    is a block of its own.  S_1 is real, since the units are closed under
+    the conjugation x -> x' of the module docstring, and S_1 = 0 at odd n,
+    where T(-u) = -T(u).  So S_N = (S_1 Re R_N, S_1 Im R_N), formed in the
+    dtype of the block.
 
-    The bound holds per shell segment, since a segment is summed on its
-    own.  Every coefficient of the linear forms z X - conj(w) Y and
-    w X + conj(z) Y of ``sym_power_values`` has modulus at most sqrt N, so
-    the coefficient of X^(d-j) Y^j in a product of d of them has modulus at
-    most C(d, j) N^(d/2).  In ``_form_mul`` each real product
-    u_r g_r - u_i g_i (or u_r g_i + u_i g_r) is at most |u| |g| by
-    Cauchy-Schwarz, so for factors of degrees e and d - e every partial
-    sum of a product coefficient is at most
-    sum_s C(e, s) C(d - e, j - s) N^(d/2) = C(d, j) N^(d/2) by Vandermonde,
-    and so at most 2^n N^(n/2) for d <= n.  Every partial sum over the
-    shell is then at most |shell| 2^n N^(n/2); ``_int64_exact`` requires
-    that below 2^63.  A shell above that bound is summed on Python integers
-    in an object array, one pass per shell: its cost is big-integer
-    arithmetic, not the number of calls.
+    Each T(u) has one entry of modulus 1 per row and column, since the 2x2
+    model of a unit is diagonal or antidiagonal with unit entries; so the
+    forms of the unit points are monomials, exact in int64 at any n, and
+    every partial sum of a row of S_1 times a column of R_N is at most
+    8 max |R_N|.  For the representatives the bound holds per shell
+    segment, since a segment is summed on its own.  Every coefficient of
+    the linear forms z X - conj(w) Y and w X + conj(z) Y of
+    ``sym_power_values`` has modulus at most sqrt N, so the coefficient of
+    X^(d-j) Y^j in a product of d of them has modulus at most
+    C(d, j) N^(d/2).  In ``_form_mul`` each real product u_r g_r - u_i g_i
+    (or u_r g_i + u_i g_r) is at most |u| |g| by Cauchy-Schwarz, so for
+    factors of degrees e and d - e every partial sum of a product
+    coefficient is at most sum_s C(e, s) C(d - e, j - s) N^(d/2) =
+    C(d, j) N^(d/2) by Vandermonde, and so at most 2^n N^(n/2) for d <= n.
+    Every partial sum of R_N is then at most #reps 2^n N^(n/2), and every
+    partial sum of S_1 R_N at most 8 #reps 2^n N^(n/2) = |shell| 2^n
+    N^(n/2); ``_int64_exact`` requires that below 2^63.  A shell above
+    that bound is summed on Python integers in an object array, one pass
+    per shell: its cost is big-integer arithmetic, not the number of calls.
     """
     Ns = [int(N) for N in Ns]
     todo = sorted({N for N in Ns if (n, N) not in _SHELL_SUMS})
     if todo:
-        coords, sizes = _shell_join(todo, "integral")
-        coords //= 2
+        reps, counts = _orbit_representatives(n, todo)
+        reps //= 2
+        pts = np.concatenate([np.array(UNITS, dtype=np.int64), reps])
+        # segment 0 is the units, exact in int64 at any n (below), and
+        # segment i + 1 the representatives of the shell todo[i]
+        sizes = [len(UNITS)] + counts.tolist()
         starts = np.concatenate(([0], np.cumsum(sizes)))
-        # runs [i, j, int64] of the shells todo[i:j] summed in one pass;
+        exact = [True] + [_int64_exact(n, N, 8 * c)
+                          for N, c in zip(todo, sizes[1:])]
+        # runs [i, j, int64] of the segments i:j summed in one pass;
         # ``fill`` counts the entries of an open int64 run, None if none
         runs, fill = [], None
-        for i, (N, size) in enumerate(zip(todo, sizes.tolist())):
+        for i, size in enumerate(sizes):
             entries = size * (n + 1) ** 2
-            if not _int64_exact(n, N, size):
+            if not exact[i]:
                 runs.append([i, i + 1, False])
                 fill = None
             elif fill is not None and fill + entries <= SHELL_BLOCK:
@@ -126,22 +209,27 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
             else:
                 runs.append([i, i + 1, True])
                 fill = entries
-        for i, j, exact in runs:
-            pts = coords[starts[i]:starts[j]]
-            if exact:
-                sums = np.add.reduceat(sym_power_values(pts, n),
+        R = []
+        for i, j, int64 in runs:
+            seg = pts[starts[i]:starts[j]]
+            if int64:
+                sums = np.add.reduceat(sym_power_values(seg, n),
                                        starts[i:j] - starts[i], axis=-1)
             else:
-                sums = sym_power_values(pts.astype(object), n).sum(
+                sums = sym_power_values(seg.astype(object), n).sum(
                     axis=-1, keepdims=True)
-            for N, total in zip(todo[i:j], np.moveaxis(sums, -1, 0)):
-                if np.any(total[1]):
-                    raise ArithmeticError(
-                        f"S_{N} at n={n} has a nonzero imaginary part: "
-                        f"the norm-{N} shell is not closed under conjugation")
-                total = total.astype(object)
-                total.setflags(write=False)
-                _SHELL_SUMS[n, N] = total
+            R.extend(np.moveaxis(sums, -1, 0))
+        S1 = R[0][0]
+        totals = [S1 @ r for r in R[1:]]
+        for N, total in zip(todo, totals):
+            if np.any(total[1]):
+                raise ArithmeticError(
+                    f"S_{N} at n={n} has a nonzero imaginary part: "
+                    f"the norm-{N} shell is not closed under conjugation")
+        for N, total in zip(todo, totals):
+            total = total.astype(object)
+            total.setflags(write=False)
+            _SHELL_SUMS[n, N] = total
     return tuple(_SHELL_SUMS[n, N] for N in Ns)
 
 
@@ -380,30 +468,37 @@ def _float_shell_sums(n: int, Ns):
 
     For every N in ``Ns``, in order: ``sums`` is complex of shape
     (len(Ns), n+1, n+1), the float S_N / N^(n/2), and ``sizes`` the shell
-    sizes.  The unit points m / sqrt N of the shells not yet cached come
-    from one ``_shell_join``; the float ``sym_power_values`` runs on blocks
-    of them of at most ``SHELL_BLOCK`` entries of T, whatever shells a
-    block spans.  Cached per (n, N).
+    sizes.  As in ``shell_monomial_matrices`` it is S_1 R_N, with R_N the
+    sum of T(m / sqrt N) over one point m per left-unit orbit of the shells
+    not yet cached (one ``_shell_join``), and S_1 the sum of T over the
+    eight units.  The float ``sym_power_values`` runs on blocks of the
+    units and the unit points m / sqrt N of the representatives of at most
+    ``SHELL_BLOCK`` entries of T, whatever shells a block spans.  Cached
+    per (n, N).
     """
     Ns = [int(N) for N in Ns]
     todo = sorted({N for N in Ns if (n, N) not in _FLOAT_SUMS})
     if todo:
-        coords, sizes = _shell_join(todo, "integral")
+        reps, counts = _orbit_representatives(n, todo)
         # the doubled coordinates 2 m of norm 4 N, divided by 2 sqrt N
-        pts = coords / np.repeat(2.0 * np.sqrt(todo), sizes)[:, None]
-        shell = np.repeat(np.arange(len(todo)), sizes)
-        sums = np.zeros((len(todo), n + 1, n + 1), dtype=complex)
+        pts = np.concatenate(
+            [UNITS, reps / np.repeat(2.0 * np.sqrt(todo), counts)[:, None]])
+        # segment 0 is the units, segment i + 1 the shell todo[i]
+        seg = np.repeat(np.arange(len(todo) + 1),
+                        np.concatenate(([len(UNITS)], counts)))
+        R = np.zeros((len(todo) + 1, n + 1, n + 1), dtype=complex)
         step = max(1, SHELL_BLOCK // (n + 1) ** 2)
         for i in range(0, len(pts), step):
-            ids = shell[i:i + step]
-            # where each shell's run of points starts inside the block
+            ids = seg[i:i + step]
+            # where each segment's run of points starts inside the block
             cut = np.flatnonzero(np.diff(ids, prepend=-1))
             part = np.add.reduceat(sym_power_values(pts[i:i + step], n), cut,
                                    axis=-1)
-            sums[ids[cut]] += np.moveaxis(part, -1, 0)
+            R[ids[cut]] += np.moveaxis(part, -1, 0)
+        sums = R[0] @ R[1:]
         sums.setflags(write=False)
-        for N, S, size in zip(todo, sums, sizes.tolist()):
-            _FLOAT_SUMS[n, N] = (S, size)
+        for N, S, count in zip(todo, sums, counts.tolist()):
+            _FLOAT_SUMS[n, N] = (S, 8 * count)
     return (np.stack([_FLOAT_SUMS[n, N][0] for N in Ns]),
             np.array([_FLOAT_SUMS[n, N][1] for N in Ns], dtype=float))
 

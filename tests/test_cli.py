@@ -213,12 +213,46 @@ def test_modularity_forced_zero_exits_one(tmp_path, capsys):
 
 def test_main_reuses_one_parser_with_fresh_namespaces(tmp_path):
     assert cli._parser() is cli._parser()
+    assert cli._parser("petersson") is cli._parser("petersson")
     assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "100") == 0
     assert run(tmp_path, "counting", "--cutoff", "16") == 0
     # the earlier --cutoff does not leak into the next call: K = 10n
     assert run(tmp_path, "petersson", "--n", "8") == 0
     lines = (tmp_path / "petersson.csv").read_text().splitlines()
     assert '"cutoff": 0' in lines[0] and lines[2].startswith("8,80,")
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, cli.argparse._SubParsersAction)]
+    return list(action.choices)
+
+
+def test_parser_per_command_builds_one_subparser():
+    assert _subcommands(cli._parser()) == list(cli.NAMES)
+    for name in cli.NAMES:
+        assert _subcommands(cli._parser(name)) == [name]
+
+
+def _exit_text(parse, argv, capsys):
+    """Exit code, stdout and stderr of ``parse(argv)``, which must exit."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["shell"], ["--out", "x"],
+    ["hecke-check", "--bogus"], ["hecke-check", "--n", "x"],
+    ["moments", "--n", "4", "extra"], ["shells"], ["shells", "--help"],
+    ["counting", "--n", "4"], ["petersson", "--precision", "quad"]])
+def test_main_messages_match_the_full_tree(argv, capsys):
+    # usage, help and error text, and the exit code, are those of the parser
+    # with every subcommand, whichever parser main builds
+    full = _exit_text(cli._parser().parse_args, argv, capsys)
+    assert _exit_text(main, argv, capsys) == full
+    assert full[0] in (0, 2) and full[1] + full[2]
 
 
 # ---------------------------------------------------------------------------

@@ -480,6 +480,18 @@ def test_non_integer_basis_rejected():
                 fn(basis, body)
 
 
+def test_basis_entry_types():
+    # Python ints, bools and numpy integer scalars are integral entries;
+    # a Fraction, a float, a string or None is not, even when whole
+    e = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for first in (1, True, np.int64(1), np.uint8(1)):
+        B = gon._lattice_basis([[first, 0, 0, 0]] + e)
+        assert B.dtype == np.int64 and B.tolist() == [[1, 0, 0, 0]] + e
+    for first in (Fraction(1), 1.0, np.float64(1), "1", None, 1 + 0j):
+        with pytest.raises(ValueError):
+            gon._lattice_basis([[first, 0, 0, 0]] + e)
+
+
 def test_basis_beyond_int64_rejected():
     # refused with the bound named, not a raw OverflowError from the cast
     e = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]

@@ -12,7 +12,7 @@ from hecke_sphere.hecke import (
     row_basis, selfadjoint_check, shell_monomial_matrix, t1_vanishing,
 )
 from hecke_sphere.poly import harmonic_basis, sym_power_values
-from hecke_sphere.quat import enumerate_shell, r4_count
+from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from poly_oracle import basis_polys, sphere_integral, substitute_left_mul
 
 
@@ -197,12 +197,20 @@ def test_shell_sums_batch_matches_object_path(n, monkeypatch):
     assert exact == ({True, False} if n >= 16 else {True})
 
 
+#: the left units 1, i, j, k, -1, -i, -j, -k, by their multiplication table
+UNITS = [Quaternion.from_int_coords(*u) for u in
+         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+          (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)]]
+
+
 def test_shell_sums_blocks_fill_the_cap(monkeypatch):
-    # at n = 2 a point holds 9 entries of T and the shells of norm 1, 2, 3,
-    # 5 hold 8, 24, 32, 48 points: with a cap of 288 entries norms 1 and 2
-    # fill one block exactly, norm 3 fills the next, and norm 5 is over it
+    # at n = 2 a point holds 9 entries of T; the eight units come first, and
+    # the shells of norm 1, 2, 3, 5, 13 have 1, 3, 4, 6, 14 orbit
+    # representatives: with a cap of 108 entries the units and norms 1 and
+    # 2 fill one block exactly, norms 3 and 5 share the next, and norm 13
+    # is over the cap
     monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
-    monkeypatch.setattr(hecke, "SHELL_BLOCK", 288)
+    monkeypatch.setattr(hecke, "SHELL_BLOCK", 108)
     passes = []
     values = hecke.sym_power_values
 
@@ -211,16 +219,20 @@ def test_shell_sums_blocks_fill_the_cap(monkeypatch):
         return values(pts, n)
 
     monkeypatch.setattr(hecke, "sym_power_values", spy)
-    Ns = [5, 3, 2, 1]
+    Ns = [5, 13, 3, 2, 1]
     sums = hecke.shell_monomial_matrices(2, Ns)
-    assert passes == [(32, np.int64), (32, np.int64), (48, np.int64)]
+    assert passes == [(12, np.int64), (10, np.int64), (14, np.int64)]
     for N, S in zip(Ns, sums):
         assert np.array_equal(S, _object_shell_sum(2, N))
 
 
 def test_shell_sums_refuse_an_imaginary_part(monkeypatch):
     # every shell is closed under (x1, x2, x3, x4) -> (x1, -x2, x3, -x4),
-    # which conjugates T, so S_N is real; a shell missing one point is not
+    # which conjugates T, so S_N is real.  A shell missing one point is not
+    # a union of whole left-unit orbits, which is refused first (at odd n
+    # S_1 = 0, so the imaginary part could not show); a shell missing one
+    # whole orbit passes that check, but not the imaginary part at n = 4.
+    # Nothing is cached either way.
     monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
     join = hecke._shell_join
 
@@ -231,9 +243,116 @@ def test_shell_sums_refuse_an_imaginary_part(monkeypatch):
         return coords[1:], sizes
 
     monkeypatch.setattr(hecke, "_shell_join", drop_first)
-    with pytest.raises(ArithmeticError, match=r"S_5 at n=3 has a nonzero"):
+    with pytest.raises(ArithmeticError, match=r"S_5 at n=3: the norm-5 shell "
+                       r"\(47 points\) is not a union of whole left-unit orbits"):
         hecke.shell_monomial_matrices(3, [5])
     assert (3, 5) not in hecke._SHELL_SUMS
+
+    def drop_an_orbit(ks, parity):
+        coords, sizes = join(ks, parity)
+        m = Quaternion(*map(int, coords[0]))
+        orbit = {(q.c1, q.c2, q.c3, q.c4) for q in (u * m for u in UNITS)}
+        keep = [tuple(c) not in orbit for c in coords.tolist()]
+        sizes = sizes.copy()
+        sizes[0] -= 8
+        return coords[keep], sizes
+
+    monkeypatch.setattr(hecke, "_shell_join", drop_an_orbit)
+    with pytest.raises(ArithmeticError, match=r"S_5 at n=4 has a nonzero"):
+        hecke.shell_monomial_matrices(4, [5])
+    assert (4, 5) not in hecke._SHELL_SUMS
+
+
+def _left_images(coords):
+    """u m for the units u in the order of ``UNITS``, from the coordinate
+    formulas of ``hecke._orbit_mask``; eight arrays like ``coords``."""
+    a, b, c, d = coords.T
+    images = [coords, np.stack([-b, a, -d, c], axis=1),
+              np.stack([-c, d, a, -b], axis=1),
+              np.stack([-d, -c, b, a], axis=1)]
+    return images + [-x for x in images]
+
+
+def test_left_images_are_quaternion_products():
+    coords = enumerate_shell(105, "integral").coords
+    for u, image in zip(UNITS, _left_images(coords)):
+        assert image.tolist() == [
+            [q.c1, q.c2, q.c3, q.c4]
+            for q in (u * Quaternion(*map(int, c)) for c in coords)]
+    assert list(hecke.UNITS) == [u.int_coords for u in UNITS]
+
+
+def test_shells_are_unions_of_orbits():
+    # every shell with N <= 200 is a disjoint union of eight-point left-unit
+    # orbits, and the mask keeps exactly one point of each
+    Ns = list(range(1, 201))
+    coords, sizes = hecke._shell_join(Ns, "integral")
+    r = 2 * isqrt(200)
+    assert np.abs(coords).max() == r
+    keep = hecke._orbit_mask(coords, r)
+    shell = np.repeat(Ns, sizes)
+    B = 2 * r + 1
+    w = np.array([B ** 3, B ** 2, B, 1])
+    # (norm, lexicographic key) sorts the join: each shell is sorted
+    order = shell * B ** 4 + coords @ w
+    assert np.all(np.diff(order) > 0)
+    index, hits = [], np.zeros(len(coords), dtype=int)
+    for image in _left_images(coords):
+        key = shell * B ** 4 + image @ w
+        at = np.searchsorted(order, key)
+        assert np.array_equal(order[np.minimum(at, len(order) - 1)], key)
+        index.append(at)
+        hits += keep[at]
+    index = np.sort(np.stack(index), axis=0)
+    assert np.all(np.diff(index, axis=0) > 0)
+    assert np.all(hits == 1)
+    assert np.array_equal(np.bincount(shell[keep], minlength=201)[1:] * 8, sizes)
+
+
+def test_orbit_key_bound():
+    # the key of _orbit_mask is at most (B^4 - 1) / 2 with B = 2r + 1, below
+    # 2^63 exactly when r < ORBIT_KEY_COORD = 2^15; the shells reach r = 2^15
+    # (doubled coordinates) at N = 2^28
+    top = hecke.ORBIT_KEY_COORD
+    assert ((2 * top - 1) ** 4 - 1) // 2 < 2 ** 63 <= ((2 * top + 1) ** 4 - 1) // 2
+    # the orbit of a point at the bound keeps its lexicographically largest
+    m = Quaternion.from_int_coords(top - 1, -(top - 1), top - 2, 1 - top)
+    orbit = np.array([(u * m).int_coords for u in UNITS], dtype=np.int64)
+    keep = hecke._orbit_mask(orbit, top - 1)
+    assert keep.sum() == 1
+    assert tuple(orbit[keep][0]) == max(map(tuple, orbit.tolist()))
+    with pytest.raises(ValueError, match="orbit key"):
+        hecke._orbit_mask(orbit, top)
+    assert 2 * isqrt(2 ** 28 - 1) < top <= 2 * isqrt(2 ** 28)
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_unit_shell_sum(n):
+    # S_1 = sum of T over the eight units is 8 P with P^2 = P (T_1 = P) at
+    # even n, and 0 at odd n, where T(-u) = -T(u)
+    S = shell_monomial_matrix(n, 1)
+    assert not np.any(S[1])
+    if n % 2:
+        assert not np.any(S[0])
+    else:
+        assert np.array_equal(S[0] @ S[0], 8 * S[0])
+        assert np.any(S[0]) == (n != 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 16, 24])
+def test_float_shell_sums_match_exact(n, monkeypatch):
+    # S_1 R_N in floats against the exact S_N / N^(n/2), in the frame where
+    # each T(m / sqrt N) is unitary (T[b, a] sqrt(C(n, a) / C(n, b))), to
+    # 1e-13 of |shell|, the bound on the sum there
+    monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
+    sums, sizes = hecke._float_shell_sums(n, BATCH_NS)
+    assert np.array_equal(sizes, [r4_count(N) for N in BATCH_NS])
+    g = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
+    for N, S, size in zip(BATCH_NS, sums, sizes):
+        s_re, s_im = shell_monomial_matrix(n, N)
+        exact = (s_re.astype(float) + 1j * s_im.astype(float)) / N ** (n / 2)
+        err = np.abs(S - exact) * g[None, :] / g[:, None]
+        assert err.max() <= 1e-13 * size
 
 
 def test_shell_sums_joined_once(monkeypatch):
