@@ -136,6 +136,17 @@ def _ns(args):
     return [args.n]
 
 
+def _even_ns(args):
+    """``_ns(args)``, refused with one line unless every n is even: the
+    joint eigenspaces and the Hecke relations are built for even n."""
+    ns = _ns(args)
+    odd = [n for n in ns if n % 2]
+    if odd:
+        raise SystemExit(
+            f"hecke-sphere {args.command}: needs even n, got n = {odd[0]}")
+    return ns
+
+
 def _primes(args):
     from .hecke import odd_primes
 
@@ -167,7 +178,7 @@ def cmd_hecke_check(args) -> int:
 
     primes = _primes(args)
     ok = True
-    for n in _ns(args):
+    for n in _even_ns(args):
         rep = hecke_relations_check(n, primes=primes)
         rep["selfadjoint"] = {p: selfadjoint_check(n, p) for p in primes}
         rep["all_pass"] = rep["all_pass"] and all(rep["selfadjoint"].values())
@@ -179,7 +190,7 @@ def cmd_hecke_check(args) -> int:
 def cmd_spectral(args) -> int:
     from .hecke import decompose
 
-    for n in _ns(args):
+    for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         payload = {
             "n": n, "seed_used": dec.seed, "group_tol": dec.group_tol,
@@ -195,7 +206,7 @@ def cmd_pretrace_check(args) -> int:
     from .hecke import decompose
     from .moments import pretrace_residual, sphere_grid
 
-    ns, residuals, tols = _ns(args), [], []
+    ns, residuals, tols = _even_ns(args), [], []
     for n in ns:
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         xs = sphere_grid(args.pairs, seed=args.seed)
@@ -217,12 +228,14 @@ def cmd_theta_identity(args) -> int:
     ks = range(1, args.cutoff + 1)
     ok = True
     n_col, k_col, sides, values = [], [], [], []
-    for n in _ns(args):
+    for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed,
                         even_extras=tuple(ks))
         for k, sv, tc in zip(ks, spectral_coefficient(n, x, y, ks, dec),
                              theta_coefficients(n, x, y, ks)):
-            tv = tc.float_value
+            # the exact value where it exists: the float theta side
+            # cancels badly at higher degree
+            tv = tc.float_value if tc.value is None else float(tc.value)
             ok = ok and abs(sv - tv) <= 1e-8 * (1 + abs(tv))
             n_col += [n, n]
             k_col += [k, k]
@@ -293,7 +306,7 @@ def cmd_moments(args) -> int:
     grid = sphere_grid(args.grid, seed=args.seed)
     stats = ("sup_family", "sup_fourth", "sup_individual")
     reps = []
-    for n in _ns(args):
+    for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         try:
             reps.append(moment_sweep(n, dec, grid, seed=args.seed))

@@ -12,13 +12,16 @@ one table per R sliced at the cutoff with the bounds formed as float arrays,
 ``dyadic_class_count`` one prefix sum plus sqrt(M) window sums.
 
 Lattice points: one cached Bareiss adjugate per basis decides that it is
-nonsingular and gives the coefficient radii (adjugate over the exact
-determinant) and the covolume; when a box exceeds the budget, the basis is
-LLL-reduced first.  Every body is 0-symmetric, so only the lexicographically
-positive half of each coefficient box is formed (the budget is charged for
-the whole box): counts are twice the half's members plus the origin, and the
-greedy minima test a candidate's independence by one dot product with each
-integer row spanning the orthogonal complement of the points chosen so far.
+nonsingular and gives the covolume; every basis is then LLL-reduced once
+(the all-integer algorithm, cached per basis), and every enumeration runs on
+the reduced basis, whose adjugate over the exact determinant gives the
+coefficient radii.  The minima enumerate one region, t * body with t the
+largest gauge of a reduced basis vector.  Every body is 0-symmetric, so only
+the lexicographically positive half of each coefficient box is formed (the
+budget is charged for the whole box): counts are twice the half's members
+plus the origin, and the greedy minima test a candidate's independence by
+one dot product with each integer row spanning the orthogonal complement of
+the points chosen so far.
 Membership is one exact integer test per body, on int64 while every
 coordinate is at most ``INT64_COORD`` and on Python integers above it.
 """
@@ -376,51 +379,75 @@ def _body_region(basis: np.ndarray, body, t: float, budget: int):
 
 
 def _lll(rows) -> list:
-    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the integer
-    vectors ``rows``, with the Gram-Schmidt data kept in exact rationals."""
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the linearly
+    independent integer vectors ``rows``, by the all-integer algorithm (de
+    Weger 1989; Cohen, Alg. 2.6.7).
+
+    With b*_i the Gram-Schmidt vectors, d[i] = |b*_0|^2 ... |b*_{i-1}|^2
+    (d[0] = 1) and lam[i][j] = d[j + 1] mu_ij are integers, and every update
+    below divides exactly: no rational is ever formed."""
     b = [[int(a) for a in r] for r in rows]
     n = len(b)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
 
     def dot(u, v):
         return sum(x * y for x, y in zip(u, v))
 
-    def gram_schmidt():
-        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            v = [Fraction(a) for a in b[i]]
-            for j in range(i):
-                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
-                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-            star.append(v)
-        return star, mu
+    def red(k, l):
+        # size-reduce b_k against b_l: |mu_kl| <= 1/2 afterwards
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = (2 * lam[k][l] + d[l + 1]) // (2 * d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
 
-    star, mu = gram_schmidt()
-    k = 1
+    k, kmax = 1, 0
+    d[1] = dot(b[0], b[0])
     while k < n:
-        for j in range(k - 1, -1, -1):
-            q = round(mu[k][j])
-            if q:
-                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                star, mu = gram_schmidt()
-        if (dot(star[k], star[k])
-                >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1])):
-            k += 1
-        else:
+        if k > kmax:  # incremental Gram-Schmidt of b_k
+            kmax = k
+            for j in range(k + 1):
+                u = dot(b[k], b[j])
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k + 1] = u
+        red(k, k - 1)
+        # Lovasz: |b*_k|^2 >= (3/4 - mu_{k,k-1}^2) |b*_{k-1}|^2
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             b[k - 1], b[k] = b[k], b[k - 1]
-            star, mu = gram_schmidt()
+            for j in range(k - 1):
+                lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+            m = lam[k][k - 1]
+            swapped = (d[k - 1] * d[k + 1] + m * m) // d[k]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+                lam[i][k - 1] = (swapped * t + m * lam[i][k]) // d[k + 1]
+            d[k] = swapped
             k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
     return b
 
 
-def _with_reduction(fn, B: np.ndarray, *args):
-    """``fn(B, *args)``; if its enumeration exceeds the budget, ``fn`` on an
-    LLL-reduced basis of the same lattice, whose coefficient boxes are far
-    smaller when B is skewed (minima and counts do not depend on the basis)."""
-    try:
-        return fn(B, *args)
-    except CapacityError:
-        reduced = np.array(_lll(B.T.tolist()), dtype=np.int64).T
-        return fn(reduced, *args)
+@lru_cache(maxsize=4096)
+def _reduced(entries: tuple) -> np.ndarray:
+    """Read-only LLL-reduced basis (as columns) of the lattice spanned by the
+    columns of the nonsingular 4x4 matrix with row-major ``entries``, cached
+    so that every enumeration of one lattice reduces it once; int64, or
+    Python integers when a reduced entry leaves int64."""
+    cols = _lll([entries[j::4] for j in range(4)])
+    fits = all(-2 ** 63 <= a < 2 ** 63 for c in cols for a in c)
+    B = np.array(cols, dtype=np.int64 if fits else object).T
+    B.setflags(write=False)
+    return B
 
 
 def _lattice_basis(basis) -> np.ndarray:
@@ -447,17 +474,17 @@ def _lattice_basis(basis) -> np.ndarray:
 def successive_minima(basis, body, budget: int = 10 ** 7):
     """Successive minima of ``body`` on the lattice spanned by ``basis``.
 
-    A small coefficient cube supplies four linearly independent points,
-    whose fourth gauge value t bounds lambda_4; the exact region t * body
-    is then enumerated per axis, so the greedy gauge-ordered extraction
-    is certifiably complete; a candidate is independent of the points
-    chosen so far when it is not orthogonal to the integer rows spanning
-    their orthogonal complement.  If either enumeration exceeds the budget,
-    both run again on an LLL-reduced basis.  The basis must be an integer
-    matrix with nonzero exact determinant (``ValueError`` otherwise); the
-    result is cached per basis entries, body and budget, so callers on one
-    lattice share one enumeration, while an exhausted budget raises
-    ``CapacityError`` on every call.
+    The basis is LLL-reduced (once per lattice); its four vectors are
+    linearly independent lattice points, so their largest gauge t bounds
+    lambda_4, and one per-axis enumeration of t * body makes the greedy
+    gauge-ordered extraction certifiably complete; a candidate is
+    independent of the points chosen so far when it is not orthogonal to
+    the integer rows spanning their orthogonal complement.  The basis must
+    be an integer matrix with nonzero exact determinant (``ValueError``
+    otherwise); ``CapacityError`` is raised when the reduced coefficient box
+    exceeds the budget.  The result is cached per basis entries, body and
+    budget, so callers on one lattice share one enumeration, while an
+    exhausted budget raises on every call.
     """
     B = _lattice_basis(basis)
     return _successive_minima(tuple(int(a) for a in B.ravel()), body, budget)
@@ -465,28 +492,18 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
 
 @lru_cache(maxsize=4096)
 def _successive_minima(entries: tuple, body, budget: int) -> tuple:
-    B = np.array(entries, dtype=np.int64).reshape(4, 4)
-    return _with_reduction(_minima, B, body, budget)
-
-
-def _minima(B: np.ndarray, body, budget: int) -> tuple:
-    r = 2
-    while True:
-        C, V = _box_points(B, (r,) * 4, budget)
-        lams = _greedy_minima(C, V, body)
-        if len(lams) == 4:
-            break
-        r *= 2
-    C, V = _body_region(B, body, lams[3] * (1 + 1e-9), budget)
-    lams = _greedy_minima(C, V, body)
-    return tuple(lams)
+    B = _reduced(entries)
+    t = max(math.sqrt(float(body.gauge_sq(v))) for v in B.T.tolist())
+    C, V = _body_region(B, body, t * (1 + 1e-9), budget)
+    return tuple(_greedy_minima(C, V, body))
 
 
 def lattice_point_count(basis, body, budget: int = 10 ** 7) -> int:
-    """Exact |body ∩ lattice| by bounded enumeration: twice the points of
-    the half box in the body, plus the origin (the body and its exact
-    membership test are symmetric under v -> -v)."""
-    _, V = _with_reduction(_body_region, _lattice_basis(basis), body, 1.0, budget)
+    """Exact |body ∩ lattice| by bounded enumeration on the LLL-reduced
+    basis: twice the points of the half box in the body, plus the origin
+    (the body and its exact membership test are symmetric under v -> -v)."""
+    entries = tuple(_lattice_basis(basis).ravel().tolist())
+    _, V = _body_region(_reduced(entries), body, 1.0, budget)
     return 2 * int(np.count_nonzero(body.contains(V))) + 1
 
 

@@ -635,13 +635,19 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
         group_margin=_group_margin(spaces, primes))
 
 
-def decompose(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
-              retries: int = 5) -> SpectralDecomposition:
-    """joint_eigenspaces with automatic seed re-draws on degeneracy."""
-    last = None
-    for s in range(seed, seed + retries):
+#: seeds ``decompose`` tries, from the requested one up
+DECOMPOSE_SEEDS = 5
+
+
+def decompose(n: int, primes=(3, 5), even_extras=(),
+              seed: int = 0) -> SpectralDecomposition:
+    """joint_eigenspaces with automatic seed re-draws on degeneracy: seeds
+    seed, seed + 1, ... are tried, and the last one's ``DegeneracyError``
+    propagates."""
+    for s in range(seed, seed + DECOMPOSE_SEEDS - 1):
         try:
             return joint_eigenspaces(n, primes, even_extras, seed=s)
-        except DegeneracyError as exc:
-            last = exc
-    raise last
+        except DegeneracyError:
+            pass
+    return joint_eigenspaces(n, primes, even_extras,
+                             seed=seed + DECOMPOSE_SEEDS - 1)

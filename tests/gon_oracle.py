@@ -1,20 +1,26 @@
 """Reference successive minima and lattice counts over the full coefficient box.
 
 Keeps the enumeration that ``gon`` replaced: every point of each coefficient
-box (both v and -v, and the origin) is formed and gauged, the greedy
-extraction decides independence by a Bareiss rank of the chosen
-coefficients plus the candidate, and a basis is validated by that rank.
-The tests compare ``gon``'s half-box results with these bit for bit.  The
-exact adjugate, the LLL reduction and the bodies are shared with ``gon``.
+box (both v and -v, and the origin) is formed and gauged, the minima come
+from a doubling coefficient cube followed by the region of its fourth
+minimum, the greedy extraction decides independence by a Bareiss rank of
+the chosen coefficients plus the candidate, and a basis is validated by
+that rank.  The given basis is enumerated first; only when a box exceeds
+the budget is the enumeration rerun on a basis reduced by the oracle's own
+LLL, which keeps the Gram-Schmidt data in ``Fraction``s and rebuilds it
+after every step.  The tests compare ``gon``'s reduce-always, half-box
+results with these bit for bit.  The exact adjugate and the bodies are
+shared with ``gon``.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from hecke_sphere.gon import INT64_COORD, _adjugate, _lll
+from hecke_sphere.gon import INT64_COORD, _adjugate
 from hecke_sphere.quat import CapacityError
 
 
@@ -76,11 +82,50 @@ def body_region(basis: np.ndarray, body, t: float, budget: int):
     return box_points(basis, [int(r) for r in radii], budget)
 
 
+def lll(rows) -> list:
+    """LLL-reduced basis (delta = 3/4) of the lattice spanned by the integer
+    vectors ``rows``, with the Gram-Schmidt data kept in exact rationals."""
+    b = [[int(a) for a in r] for r in rows]
+    n = len(b)
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt():
+        star, mu = [], [[Fraction(0)] * n for _ in range(n)]
+        for i in range(n):
+            v = [Fraction(a) for a in b[i]]
+            for j in range(i):
+                mu[i][j] = dot(b[i], star[j]) / dot(star[j], star[j])
+                v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+            star.append(v)
+        return star, mu
+
+    star, mu = gram_schmidt()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                star, mu = gram_schmidt()
+        if (dot(star[k], star[k])
+                >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(star[k - 1], star[k - 1])):
+            k += 1
+        else:
+            b[k - 1], b[k] = b[k], b[k - 1]
+            star, mu = gram_schmidt()
+            k = max(k - 1, 1)
+    return b
+
+
 def with_reduction(fn, B: np.ndarray, *args):
+    """``fn(B, *args)``, or ``fn`` on an LLL-reduced basis of the same
+    lattice when its enumeration exceeds the budget."""
     try:
         return fn(B, *args)
     except CapacityError:
-        reduced = np.array(_lll(B.T.tolist()), dtype=np.int64).T
+        reduced = np.array(lll(B.T.tolist()), dtype=np.int64).T
         return fn(reduced, *args)
 
 

@@ -98,6 +98,34 @@ def test_theta_identity_small(tmp_path):
     assert len(lines) == 2 + 2 * 6
 
 
+def test_theta_identity_compares_the_exact_theta_value(tmp_path):
+    # at n = 10 the float theta side reads 3.5e-8 at k = 14 (exactly 0):
+    # the exact value is compared and written, and the identity holds
+    assert run(tmp_path, "theta-identity", "--n", "10", "--cutoff", "16") == 0
+    with open(tmp_path / "theta-identity.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    got = {(int(k), side): float(v) for _, k, side, v in rows}
+    for tc in theta.theta_coefficients(10, (1, 2, 2, 0), (1, 0, 0, 0),
+                                       range(1, 17)):
+        assert got[(tc.k, "theta")] == float(tc.value)
+    assert got[(14, "theta")] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ("hecke-check", "--n", "3"), ("spectral", "--n", "3"),
+    ("moments", "--n", "3", "--grid", "10"), ("pretrace-check", "--n", "3"),
+    ("theta-identity", "--n", "3"), ("spectral", "--n-range", "2:5:1")])
+def test_even_only_commands_refuse_odd_n(tmp_path, argv):
+    # one line naming the command and the odd n, not a ValueError traceback,
+    # before any artifact is written
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, *argv)
+    msg = exc.value.code
+    assert isinstance(msg, str) and "\n" not in msg
+    assert msg == f"hecke-sphere {argv[0]}: needs even n, got n = 3"
+    assert not any(tmp_path.iterdir())
+
+
 def test_modularity(tmp_path):
     assert run(tmp_path, "modularity", "--n", "4") == 0
     doc = json.loads((tmp_path / "modularity-4.json").read_text())

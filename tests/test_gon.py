@@ -8,13 +8,13 @@ from math import isqrt
 import gon_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hecke_sphere import gon
 from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
     EPSILON, INT64_COORD, Box, CylinderSpec, _adjugate, _body_region,
-    _box_points, _complement, _lll, a_of_x, d_class_counts, dyadic_class_count,
+    _box_points, _complement, _lll, _reduced, a_of_x, d_class_counts, dyadic_class_count,
     fit_constant, in_cylinder_class, lattice_point_count, minkowski_sandwich,
     product_bound_check, shell_class_count, shell_class_table,
     successive_minima,
@@ -397,7 +397,7 @@ def test_adjugate_is_the_exact_inverse(rows):
 
 def test_float_singular_basis_is_reduced_first():
     # the float inverse of this unimodular basis is singular, and its
-    # coefficient box is about 4e8 wide: the LLL fallback enumerates Z^4
+    # coefficient box is about 4e8 wide: its reduced basis enumerates Z^4
     body = Box((1, 1, 1, 1))
     assert _adjugate(tuple(np.ravel(FLOAT_DET_ZERO).tolist()))[1] in (1, -1)
     assert successive_minima(FLOAT_DET_ZERO, body) == (1.0, 1.0, 1.0, 1.0)
@@ -410,6 +410,24 @@ def test_float_singular_basis_is_reduced_first():
 def test_skewed_basis_fits_the_budget_after_reduction():
     lams = successive_minima(SKEWED, Box((2, 3, 1, 5)))
     assert lams == pytest.approx((0.2, 1 / 3, 0.5, 1.0))
+
+
+def test_skewed_cylinder_is_charged_for_the_reduced_box():
+    # SKEWED spans Z^4, so its reduced basis is a signed permutation of the
+    # unit vectors.  The minima region is t * body with t = 1/2, the largest
+    # gauge of a unit vector: the box 5 * 3 * 3 * 3 = 135.  The count region
+    # is the body's own box 9 * 5 * 5 * 5 = 1125, where the given basis's box
+    # held 725,679 points.
+    body = CylinderSpec(M=8, R=2)
+    gon._successive_minima.cache_clear()
+    assert successive_minima(SKEWED, body, budget=10 ** 3) == (0.25, 0.5, 0.5, 0.5)
+    assert successive_minima(SKEWED, body, budget=135) == (0.25, 0.5, 0.5, 0.5)
+    with pytest.raises(CapacityError):
+        successive_minima(SKEWED, body, budget=134)
+    # |v_1| <= 4 and v_2^2 + v_3^2 + v_4^2 <= 4 (r3 sums 1 + 6 + 12 + 8 + 6)
+    assert lattice_point_count(SKEWED, body, budget=1125) == 9 * 33
+    with pytest.raises(CapacityError):
+        lattice_point_count(SKEWED, body, budget=1124)
 
 
 def test_minkowski_sandwich_identity():
@@ -443,6 +461,10 @@ SKEWED = [[1, 1, 0, 0], [0, 2, 1, 0], [0, 0, 1, 3], [1, 0, 0, 2]]
 # the lattice {(2^31 m, a, b, c)}, whose points leave the int64 range
 BEYOND_INT64 = [[2 ** 31, 2 ** 31, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
                 [0, 0, 0, 1]]
+# columns (2^63 - 1, -2^62, 0, 0) and (2^63 - 1, 2^62, 0, 0): their difference
+# (0, 2^63, 0, 0) is in every reduced basis, and outside int64
+LEAVES_INT64 = [[2 ** 63 - 1, 2 ** 63 - 1, 0, 0], [-2 ** 62, 2 ** 62, 0, 0],
+                [0, 0, 1, 0], [0, 0, 0, 1]]
 # exact rank 3 (the last row is an integer combination of the first three),
 # but its float determinant is about 5.98e7
 FLOAT_DET_LARGE = [[-181602, 287657, 99187, -828522],
@@ -456,9 +478,8 @@ def test_nonsingularity_is_decided_exactly():
     assert round(np.linalg.det(np.array(FLOAT_DET_LARGE, dtype=float))) != 0
     assert _adjugate(tuple(np.ravel(FLOAT_DET_LARGE).tolist())) == (None, 0)
     body = Box((1, 1, 1, 1))
-    # accepted: the small budget is what stops it, not the guard
-    with pytest.raises(CapacityError):
-        successive_minima(FLOAT_DET_ZERO, body, budget=100)
+    # accepted, and its reduced basis (Z^4) fits a budget of 100 points
+    assert successive_minima(FLOAT_DET_ZERO, body, budget=100) == (1.0, 1.0, 1.0, 1.0)
     for fn in (successive_minima, lattice_point_count):
         with pytest.raises(ValueError):
             fn(FLOAT_DET_LARGE, body)
@@ -562,17 +583,76 @@ def test_budget_is_charged_for_the_whole_box(monkeypatch):
     with pytest.raises(CapacityError):
         _body_region(B, body, 1.0, npts - 1)
     want = gon_oracle.lattice_point_count(B, body)
+    # the reduced basis spans Z^4: its box is 3^4 points, far below npts
+    assert lattice_point_count(B, body, budget=npts - 1) == want
+    assert lattice_point_count(B, body, budget=81) == want == 81
+
+
+def test_one_reduction_per_lattice(monkeypatch):
     calls = []
 
     def spy(rows):
         calls.append(rows)
         return _lll(rows)
 
-    # the LLL fallback fires exactly when the whole box exceeds the budget
     monkeypatch.setattr(gon, "_lll", spy)
-    assert lattice_point_count(B, body, budget=npts) == want and not calls
-    assert lattice_point_count(B, body, budget=npts - 1) == want
-    assert len(calls) == 1
+    _reduced.cache_clear()
+    gon._successive_minima.cache_clear()
+    body = CylinderSpec(M=8, R=2)
+    for basis in (SKEWED, np.array(SKEWED)):
+        successive_minima(basis, body)
+        lattice_point_count(basis, body)
+        minkowski_sandwich(basis, body)
+        product_bound_check(basis, body)
+    assert calls == [list(zip(*SKEWED))]
+
+
+def fraction_gram_schmidt(rows):
+    # reference: mu_ij and |b*_i|^2 of the rows in exact rationals
+    star, mu = [], [[Fraction(0)] * len(rows) for _ in rows]
+    for i, b in enumerate(rows):
+        v = [Fraction(a) for a in b]
+        for j in range(i):
+            mu[i][j] = (sum(x * y for x, y in zip(b, star[j]))
+                        / sum(y * y for y in star[j]))
+            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
+        star.append(v)
+    return mu, [sum(x * x for x in v) for v in star]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.one_of(st.integers(-3, 3),
+                                   st.integers(-10 ** 12, 10 ** 12)),
+                         min_size=4, max_size=4), min_size=4, max_size=4))
+@example(SKEWED)
+@example(FLOAT_DET_ZERO)
+@example(BEYOND_INT64)
+@example(LEAVES_INT64)
+def test_lll_is_a_reduced_basis_of_the_lattice(rows):
+    adj, d = _adjugate(tuple(a for r in rows for a in r))
+    assume(d != 0)
+    out = _lll(rows)
+    assert all(type(a) is int for r in out for a in r)
+    # the same lattice: out = U rows with U = out adj / d integral and
+    # |det out| = |det rows|, so U is unimodular
+    assert all(sum(x * y for x, y in zip(r, col)) % d == 0
+               for r in out for col in zip(*adj))
+    assert abs(_adjugate(tuple(a for r in out for a in r))[1]) == abs(d)
+    # size-reduced and Lovasz (delta = 3/4), decided in exact rationals
+    mu, norms = fraction_gram_schmidt(out)
+    assert all(abs(mu[i][j]) <= Fraction(1, 2) for i in range(4) for j in range(i))
+    assert all(norms[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * norms[k - 1]
+               for k in range(1, 4))
+
+
+def test_reduced_basis_may_leave_int64():
+    # the reduced basis of this int64 lattice holds the entry 2^63, so it
+    # stays on Python integers; the count runs on it like any other
+    R = _reduced(tuple(a for r in LEAVES_INT64 for a in r))
+    assert R.dtype == object and 2 ** 63 in R.ravel().tolist()
+    body = Box((1, 1, 1, 1))
+    assert lattice_point_count(LEAVES_INT64, body) == 9
+    assert gon_oracle.lattice_point_count(LEAVES_INT64, body) == 9
 
 
 def test_box_is_normalised():

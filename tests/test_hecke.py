@@ -504,3 +504,20 @@ def test_row_operators_reject_perturbed_sum(monkeypatch):
         hecke._row_operators(4, [1, 3, 5, 9])
     with pytest.raises(hecke.DegeneracyError, match=r"T_5 not real symmetric"):
         decompose(4, primes=(3, 5))
+
+
+def test_decompose_tries_a_fixed_number_of_seeds(monkeypatch):
+    # every seed degenerate: DECOMPOSE_SEEDS consecutive seeds are tried and
+    # the last one's DegeneracyError propagates
+    seeds = []
+
+    def degenerate(n, primes, even_extras, seed):
+        seeds.append(seed)
+        raise hecke.DegeneracyError(f"forced at seed {seed}")
+
+    monkeypatch.setattr(hecke, "joint_eigenspaces", degenerate)
+    with pytest.raises(hecke.DegeneracyError, match="forced at seed 11"):
+        decompose(4, seed=7)
+    assert seeds == list(range(7, 7 + hecke.DECOMPOSE_SEEDS)) == [7, 8, 9, 10, 11]
+    with pytest.raises(TypeError):
+        decompose(4, seed=7, retries=0)
