@@ -7,7 +7,6 @@ from .gon import (
     a_of_x,
     dyadic_class_count,
     fit_constant,
-    in_cylinder_class,
     minkowski_sandwich,
     product_bound_check,
     shell_class_count,
@@ -40,12 +39,11 @@ from .theta import (
     ModularityResult,
     PeterssonEstimate,
     ThetaCoefficient,
-    coset_coefficient,
     modularity_check,
     petersson_estimate,
     spectral_coefficient,
     theta_coefficient,
 )
-from .zonal import chebyshev_U, chebyshev_U_vec, kernel_cap, pretrace_kernel
+from .zonal import chebyshev_U_vec
 
 __version__ = "0.1.0"

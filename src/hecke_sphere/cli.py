@@ -2,7 +2,8 @@
 
 Every output embeds the resolved configuration; CSV bodies are
 deterministic for a fixed configuration.  Exit status 0 means every
-assertion in the run passed.
+assertion in the run passed; a ``ValueError`` from the library (a
+refused input) is printed as one line and exits 1.
 
 CSV tables are passed as columns and written a block of rows at a time,
 each field as ``str(value)`` (what ``csv.writer`` writes for ints, floats,
@@ -147,6 +148,18 @@ def _even_ns(args):
     return ns
 
 
+def _quaternion(flag: str, text: str) -> tuple:
+    """``--x`` / ``--y`` as four integer coordinates, not all zero."""
+    try:
+        q = tuple(int(t) for t in text.split(","))
+    except ValueError:
+        q = ()
+    if len(q) != 4 or not any(q):
+        raise ValueError(
+            f"--{flag}: expected four integers, not all zero, got {text!r}")
+    return q
+
+
 def _primes(args):
     from .hecke import odd_primes
 
@@ -223,8 +236,7 @@ def cmd_theta_identity(args) -> int:
     from .hecke import decompose
     from .theta import spectral_coefficient, theta_coefficients
 
-    x = tuple(int(t) for t in args.x.split(","))
-    y = tuple(int(t) for t in args.y.split(","))
+    x, y = _quaternion("x", args.x), _quaternion("y", args.y)
     ks = range(1, args.cutoff + 1)
     ok = True
     n_col, k_col, sides, values = [], [], [], []
@@ -251,12 +263,9 @@ def cmd_modularity(args) -> int:
 
     ok = True
     for n in _ns(args):
-        try:
-            r = modularity_check(n, ((1, 0), (4, 1)), complex(0.0, args.im),
-                                 K=args.cutoff)
-        except ValueError as exc:  # e.g. z = i/2, a forced zero for n = 6
-            print(f"hecke-sphere modularity: {exc}", file=sys.stderr)
-            return 1
+        # z = i/2 is refused for n = 6: a forced zero of the kernel
+        r = modularity_check(n, ((1, 0), (4, 1)), complex(0.0, args.im),
+                             K=args.cutoff)
         _write_json(args, f"modularity-{n}", {
             "n": n, "K": r.K, "residual": r.residual,
             "tail_bound": r.tail_bound,
@@ -412,7 +421,11 @@ def main(argv=None) -> int:
     # argv, --help, an unknown name) gets the full tree and its messages
     known = argv and argv[0] in NAMES
     args = _parser(argv[0] if known else None).parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"hecke-sphere {args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

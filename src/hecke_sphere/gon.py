@@ -37,7 +37,7 @@ from math import isqrt
 
 import numpy as np
 
-from .quat import CapacityError, Quaternion, _round_up_pow2, r3_counts
+from .quat import CapacityError, _round_up_pow2, r3_counts
 
 EPSILON = 0.1  # fixed exponent slack folded into fitted constants
 
@@ -52,13 +52,6 @@ class CountRecord:
     @property
     def ratio(self) -> float:
         return self.count / self.bound
-
-
-def in_cylinder_class(m: Quaternion, R: int) -> bool:
-    """Exact test of m2^2+m3^2+m4^2 <= nr(m)/R^2 in doubled coordinates."""
-    s4 = m.c2 ** 2 + m.c3 ** 2 + m.c4 ** 2
-    nr4 = m.c1 ** 2 + s4
-    return R * R * s4 <= nr4
 
 
 def _class_table(K: int, R: int) -> np.ndarray:
@@ -149,18 +142,6 @@ def dyadic_class_count(M: int, R: int) -> CountRecord:
     count = int((np.where(m1 > 0, 2, 1) * window).sum())
     bound = math.sqrt(M) + M ** 2 / R ** 3
     return CountRecord("intbound", (M, R), count, bound)
-
-
-def d_class_counts(k: int, i_max: int):
-    """Partition of the norm-k shell into D(2^i) = C(2^i) \\ C(2^(i+1)).
-
-    Returns (counts, core): counts[i] = |D(2^i) shell members| and core the
-    purely real members (imaginary part zero), which lie in every C(R).
-    """
-    cs = [shell_class_count(k, 2 ** i).count for i in range(i_max + 2)]
-    core = 2 * (isqrt(k) ** 2 == k)  # s = 0 members: m1 = +-sqrt(k)
-    counts = [cs[i] - cs[i + 1] for i in range(i_max + 1)]
-    return counts, core
 
 
 def a_of_x(n: int, X: int) -> float:

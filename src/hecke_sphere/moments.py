@@ -289,6 +289,8 @@ def pretrace_residual(dec: SpectralDecomposition, xs: np.ndarray,
     from .zonal import chebyshev_U_vec
 
     m = xs.shape[0]
+    if not m:
+        raise ValueError("the pre-trace residual needs at least one pair")
     R = np.hstack([sp.basis for sp in dec.spaces])
     F = eigen_values(dec.n, R, np.vstack([xs, ys]))
     lhs = np.einsum("jkap,jkap->p", F[..., :m], F[..., m:])

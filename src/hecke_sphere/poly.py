@@ -25,7 +25,6 @@ every degree used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
@@ -128,7 +127,7 @@ def _signed_contents(n: int, b: int, a: int) -> tuple:
 
 @dataclass(frozen=True)
 class HarmonicBasis:
-    """Exact basis of the degree-n harmonic polynomials with its Gram diagonal.
+    """Exact basis of the degree-n harmonic polynomials.
 
     ``labels[i]`` is ``(b, a, part)`` and ``contents[i]`` a nonzero integer;
     basis vector i is part(t_{ba}) / contents[i], the real (part 0) or
@@ -136,14 +135,10 @@ class HarmonicBasis:
     coefficient positive.  No polynomial is stored: ``basis_values``
     evaluates the basis and ``basis_to_json`` writes its coefficients.
     Left multiplication acts on the row label b, right multiplication on
-    the column label a.  The Gram matrix with respect to the uniform
-    probability measure on S^3 is diagonal by Schur orthogonality;
-    ``gram[i]`` is its i-th diagonal entry, C(n, b) / (C(n, a) (n + 1)
-    contents[i]^2), halved unless (b, a) = (n - b, n - a).
+    the column label a.
     """
 
     n: int
-    gram: tuple
     labels: tuple
     contents: tuple
 
@@ -173,13 +168,7 @@ def harmonic_basis(n: int) -> HarmonicBasis:
                 labels.append((b, a, part))
                 contents.append(c)
     assert len(labels) == (n + 1) ** 2 and all(contents)
-    # int |t_{ba}|^2 = C(n, b) / (C(n, a) (n + 1)); Re and Im share it
-    # equally unless t_{ba} is self-conjugate
-    gram = tuple(
-        Fraction(comb(n, b), comb(n, a) * (n + 1) * c * c
-                 * (1 if (b, a) == (n - b, n - a) else 2))
-        for (b, a, _), c in zip(labels, contents))
-    return HarmonicBasis(n, gram, tuple(labels), tuple(contents))
+    return HarmonicBasis(n, tuple(labels), tuple(contents))
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,7 @@ import numpy as np
 
 from .hecke import SpectralDecomposition
 from .moments import eigen_values
-from .quat import (Quaternion, _m1_profiles, _round_up_pow2, _shell_join,
-                   m1_profile)
+from .quat import Quaternion, _m1_profiles, _round_up_pow2, _shell_join
 from .zonal import chebyshev_U_vec
 
 
@@ -79,6 +78,8 @@ def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
 def theta_coefficients(n: int, x, y, ks) -> list:
     """``theta_coefficient(n, x, y, k)`` for every k in ``ks``, in order,
     computed ``THETA_BLOCK`` values of k at a time."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError("coefficients start at k = 1; there is no constant term")
@@ -160,21 +161,6 @@ def spectral_coefficient(n: int, x, y, ks,
                               for sp in dec.spaces])
         out.append((8.0 / (n + 1)) * float(lam @ pair) * float(k) ** (n / 2))
     return out
-
-
-def coset_coefficient(n: int, x, k: int) -> float:
-    """Coefficient of e(kz/2) in the expansion of the shifted kernel at the
-    cusp 1, evaluated at x = y; zero for even k since coset norms are odd."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k % 2 == 0:
-        return 0.0
-    qx = _as_quat(x)
-    # x conj(x) = 1 on the unit sphere, so tr(m x conj(x)) = tr(m)
-    c1s, counts = m1_profile(k, "coset")
-    ts = c1s / (2.0 * math.sqrt(k))
-    vals = chebyshev_U_vec(n, ts)
-    return -float(k) ** (n / 2) * float(counts @ vals)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from hecke_sphere.hecke import (
 )
 from hecke_sphere.moments import MomentReport
 from hecke_sphere.poly import HarmonicBasis, basis_values, harmonic_basis
-from poly_oracle import basis_polys
+from poly_oracle import basis_polys, gram_diagonal
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,7 @@ def _whitened_operator(n, N, sqrt_g):
 def joint_eigenspaces(n, primes=(3, 5), even_extras=(), seed=0,
                       group_tol=1e-7):
     """Dense eigensolve of a seeded combination of the whitened T_p."""
-    hb = harmonic_basis(n)
-    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
+    sqrt_g = np.sqrt(np.array(gram_diagonal(n), dtype=float))
     Ns = sorted(set(primes) | set(even_extras) | {1})
     ops = {N: _whitened_operator(n, N, sqrt_g) for N in Ns}
     rng = np.random.default_rng(seed)
@@ -162,7 +161,7 @@ def pinned_blocks(dec):
     """(vectors, t1_flag) per eigenspace, flagged ones in the pinned basis."""
     n = dec.n
     hb = harmonic_basis(n)
-    sqrt_g = np.sqrt(np.array(hb.gram, dtype=float))
+    sqrt_g = np.sqrt(np.array(gram_diagonal(n), dtype=float))
     perm, sign = _right_j(hb)
     b, a = np.array([lab[:2] for lab in hb.labels]).T
     key = 4 * np.minimum(a, n - a) + (b - n // 2) % 4
@@ -291,6 +290,6 @@ def selfadjoint_check(n, N):
     """G A = A^T G for the exact dense matrix and the exact Gram diagonal."""
     hb = harmonic_basis(n)
     A = hecke_matrix(n, N).entries
-    g = hb.gram
+    g = gram_diagonal(n)
     return all(g[i] * A[i][j] == g[j] * A[j][i]
                for i in range(hb.dim) for j in range(hb.dim))

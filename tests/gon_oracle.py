@@ -10,7 +10,8 @@ the budget is the enumeration rerun on a basis reduced by the oracle's own
 LLL, which keeps the Gram-Schmidt data in ``Fraction``s and rebuilds it
 after every step.  The tests compare ``gon``'s reduce-always, half-box
 results with these bit for bit.  The exact adjugate and the bodies are
-shared with ``gon``.
+shared with ``gon``.  ``in_cylinder_class`` is the per-element membership
+test that the brute-force class counts are taken with.
 """
 
 from __future__ import annotations
@@ -22,6 +23,14 @@ import numpy as np
 
 from hecke_sphere.gon import INT64_COORD, _adjugate
 from hecke_sphere.quat import CapacityError
+
+
+def in_cylinder_class(m, R: int) -> bool:
+    """Exact test of m2^2+m3^2+m4^2 <= nr(m)/R^2 for a quaternion m, in
+    doubled coordinates."""
+    s4 = m.c2 ** 2 + m.c3 ** 2 + m.c4 ** 2
+    nr4 = m.c1 ** 2 + s4
+    return R * R * s4 <= nr4
 
 
 def exact_rank(rows) -> int:

@@ -1,19 +1,20 @@
 """Exact polynomial reference for the polynomial-free harmonic basis.
 
-The package keeps only the labels, contents and Gram diagonal of the
-degree-n harmonic basis and never builds a polynomial.  This module keeps
-the sparse exact polynomials in x1..x4 that the tests check it against:
-``Poly4`` with its content and Laplacian, exact sphere integrals, the
-Fischer (apolar) pairing, substitution under left multiplication, and
-``basis_polys``, the basis polynomials themselves, built from the
-symmetric-power entries and the package's labels.
+The package keeps only the labels and contents of the degree-n harmonic
+basis and never builds a polynomial.  This module keeps the sparse exact
+polynomials in x1..x4 that the tests check it against: ``Poly4`` with its
+content and Laplacian, exact sphere integrals, the Fischer (apolar)
+pairing, substitution under left multiplication, ``basis_polys``, the
+basis polynomials themselves, built from the symmetric-power entries and
+the package's labels, and ``gram_diagonal``, their Gram diagonal in
+closed form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd
+from math import comb, factorial, gcd
 
 from hecke_sphere.poly import _sym_power_entries, harmonic_basis
 from hecke_sphere.quat import Quaternion
@@ -267,3 +268,19 @@ def basis_polys(n: int) -> tuple:
     table = _sym_power_entries(n)
     return tuple(Poly4(n, table[a][b][part]).primitive()
                  for b, a, part in harmonic_basis(n).labels)
+
+
+@lru_cache(maxsize=None)
+def gram_diagonal(n: int) -> tuple:
+    """int_{S^3} p_i^2 for the basis polynomials p_i, in closed form.
+
+    The Gram matrix under the uniform probability measure is diagonal by
+    Schur orthogonality, with int |t_{ba}|^2 = C(n, b) / (C(n, a) (n + 1));
+    Re and Im share it equally unless t_{ba} is self-conjugate, and basis
+    vector i is divided by contents[i].
+    """
+    hb = harmonic_basis(n)
+    return tuple(
+        Fraction(comb(n, b), comb(n, a) * (n + 1) * c * c
+                 * (1 if (b, a) == (n - b, n - a) else 2))
+        for (b, a, _), c in zip(hb.labels, hb.contents))

@@ -239,6 +239,30 @@ def test_modularity_forced_zero_exits_one(tmp_path, capsys):
     assert not (tmp_path / "modularity-6.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("theta-identity", "--n", "4", "--x=1,2,2"),
+    ("theta-identity", "--n", "4", "--x=a,b,c,d"),
+    ("theta-identity", "--n", "4", "--x=0,0,0,0"),
+    ("theta-identity", "--n", "4", "--y=1,0,0,0,0"),
+    ("moments", "--n", "4", "--grid", "0"),
+    ("pretrace-check", "--n", "4", "--pairs", "0"),
+    ("petersson", "--n", "8", "--cutoff", "5"),
+    ("petersson", "--n", "3"),
+    ("shells", "--k", "0"),
+    ("basis", "--n", "-1"),
+    ("report", "--n-range", "2:6:2"),
+    ("modularity", "--n", "-2"),
+    ("modularity", "--n", "6")])
+def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
+    # a ValueError from the library is one stderr line naming the command,
+    # not a traceback, and no artifact is written
+    assert run(tmp_path, *argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"hecke-sphere {argv[0]}: ")
+    assert not any(tmp_path.iterdir())
+
+
 def test_main_reuses_one_parser_with_fresh_namespaces(tmp_path):
     assert cli._parser() is cli._parser()
     assert cli._parser("petersson") is cli._parser("petersson")

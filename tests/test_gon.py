@@ -14,14 +14,15 @@ from hecke_sphere import gon
 from hecke_sphere.cli import main as cli_main
 from hecke_sphere.gon import (
     EPSILON, INT64_COORD, Box, CylinderSpec, _adjugate, _body_region,
-    _box_points, _complement, _lll, _reduced, a_of_x, d_class_counts, dyadic_class_count,
-    fit_constant, in_cylinder_class, lattice_point_count, minkowski_sandwich,
+    _box_points, _complement, _lll, _reduced, a_of_x, dyadic_class_count,
+    fit_constant, lattice_point_count, minkowski_sandwich,
     product_bound_check, shell_class_count, shell_class_table,
     successive_minima,
 )
 from hecke_sphere.quat import (
     CapacityError, Quaternion, enumerate_shell, r3_counts, r4_count,
 )
+from gon_oracle import in_cylinder_class
 
 
 def brute_shell_class_count(k, R):
@@ -81,7 +82,7 @@ def fraction_rank(rows):
 
 
 def test_in_cylinder_class():
-    # purely real members belong to every class
+    # the oracle's membership test: purely real members belong to every class
     assert in_cylinder_class(Quaternion.from_int_coords(3, 0, 0, 0), 1024)
     # nr = 9, imaginary norm 8: in C(1), not in C(2) (4*8 > 9)
     m = Quaternion.from_int_coords(1, 2, 2, 0)
@@ -184,11 +185,13 @@ def test_dyadic_large_r_keeps_only_near_real():
 
 def test_partition_identity():
     for k in (7, 12, 25):
-        counts, core = d_class_counts(k, 5)
-        # D-classes plus the deep tail C(2^(i_max+1)) tile C(1) = the shell
-        tail = shell_class_count(k, 2 ** 6).count
-        assert sum(counts) + tail == r4_count(k)
-        assert core == shell_class_count(k, 2 ** 40).count
+        # the D-classes D(2^i) = C(2^i) - C(2^(i+1)) are the differences of
+        # nested classes, C(1) is the whole shell, and the deep class keeps
+        # only the purely real members m1 = +-sqrt(k)
+        cs = [shell_class_count(k, 2 ** i).count for i in range(7)]
+        assert cs[0] == r4_count(k)
+        assert all(a >= b for a, b in zip(cs, cs[1:]))
+        assert shell_class_count(k, 2 ** 40).count == 2 * (isqrt(k) ** 2 == k)
 
 
 def test_a_of_x_degree_zero():

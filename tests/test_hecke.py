@@ -13,7 +13,9 @@ from hecke_sphere.hecke import (
 )
 from hecke_sphere.poly import harmonic_basis, sym_power_values
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
-from poly_oracle import basis_polys, sphere_integral, substitute_left_mul
+from poly_oracle import (
+    basis_polys, gram_diagonal, sphere_integral, substitute_left_mul,
+)
 
 
 def brute_hecke_matrix(n, N):
@@ -28,7 +30,7 @@ def brute_hecke_matrix(n, N):
             g = substitute_left_mul(p, m)
             img = g if img is None else img + g
         for i, q in enumerate(basis):
-            out[i][j] = sphere_integral(img * q) / hb.gram[i]
+            out[i][j] = sphere_integral(img * q) / gram_diagonal(n)[i]
     return out
 
 
@@ -419,7 +421,7 @@ def test_dense_oracle_invariants(n):
     # the reference itself: G-orthonormal eigenvectors of the dense matrices
     dec = dense_oracle.decompose(n, primes=(3, 5), even_extras=(9, 15))
     hb = harmonic_basis(n)
-    g = np.array(hb.gram, dtype=float)
+    g = np.array(gram_diagonal(n), dtype=float)
     V = dec.all_vectors()
     assert np.allclose((V * g[:, None]).T @ V, np.eye(hb.dim), atol=1e-9)
     for sp in dec.spaces:

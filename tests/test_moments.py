@@ -13,7 +13,7 @@ from hecke_sphere.moments import (
 )
 from hecke_sphere.poly import harmonic_basis
 from hecke_sphere.quat import enumerate_shell
-from poly_oracle import Poly4, basis_polys
+from poly_oracle import Poly4, basis_polys, gram_diagonal
 
 
 def test_grid_deterministic_and_unit():
@@ -159,7 +159,7 @@ def test_right_j_is_exact_signed_permutation(n):
         image = Poly4(n, {(al[2], al[3], al[0], al[1]): (-1) ** (al[0] + al[1]) * v
                           for al, v in p.coeffs.items()})
         assert image == basis[perm[i]].scale(int(sign[i]))
-        assert hb.gram[i] == hb.gram[perm[i]]
+        assert gram_diagonal(n)[i] == gram_diagonal(n)[perm[i]]
 
 
 @pytest.mark.parametrize("n", (4, 6, 8, 10))

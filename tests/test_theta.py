@@ -12,10 +12,10 @@ from hecke_sphere.hecke import decompose
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.theta import (
     DEFAULT_X, DEFAULT_Y, _block_traces, _profile_table, _strip_sums,
-    coset_coefficient, modularity_check, petersson_estimate,
+    modularity_check, petersson_estimate,
     THETA_BLOCK, spectral_coefficient, theta_coefficient, theta_coefficients,
 )
-from hecke_sphere.zonal import chebyshev_U, chebyshev_U_vec
+from hecke_sphere.zonal import chebyshev_U_vec
 
 ONE = (1, 0, 0, 0)
 
@@ -44,7 +44,7 @@ def brute_theta_square_k(n, qx, qy, k):
     total = Fraction(0)
     for m in enumerate_shell(k, "integral").elements:
         t = Fraction((m * qx * qy.conjugate()).tr(), 2 * S * r)
-        total += chebyshev_U(n, t)
+        total += theta_oracle.chebyshev_U(n, t)
     return total * r ** n
 
 
@@ -182,13 +182,11 @@ def test_batch_cross_check_sees_a_perturbed_float_path(monkeypatch):
 
 def test_coset_coefficient_examples():
     # norm-1 coset shell: 16 elements, eight with tr = 1, eight with tr = -1;
-    # U_0 = 1 so the degree-0 value is -16
-    assert coset_coefficient(0, ONE, 1) == pytest.approx(-16.0)
-    assert coset_coefficient(0, ONE, 2) == 0.0
-    assert coset_coefficient(1, ONE, 1) == pytest.approx(0.0)
-    for bad in (0, -1, -2):
-        with pytest.raises(ValueError, match="k must be >= 1"):
-            coset_coefficient(0, ONE, bad)
+    # U_0 = 1 so the degree-0 sum is 16, and U_1(t) = 2t cancels; coset
+    # norms are odd, so every even-k sum vanishes
+    assert _strip_sums(0, 2, "coset").tolist() == [16.0, 0.0]
+    assert _strip_sums(1, 1, "coset")[0] == pytest.approx(0.0)
+    assert not _strip_sums(4, 20, "coset")[1::2].any()
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -9,7 +9,8 @@ traces of one enumerated shell, the profile table concatenated from per-k
 ``m1_profile`` calls, the per-k strip sum S_k, the per-k theta coefficient
 (float sum and integer recurrence over one shell), and the Chebyshev
 re-expansion of U_n into its integer monomial coefficients, summed power by
-power in ``Fraction``s.
+power in ``Fraction``s.  ``chebyshev_U`` evaluates those coefficients
+exactly, the reference for the package's float U_n.
 """
 
 from __future__ import annotations
@@ -58,6 +59,15 @@ def cheb_coeffs(n: int):
             nxt[i] -= c
         prev, cur = cur, nxt
     return tuple(cur)
+
+
+def chebyshev_U(n: int, x):
+    """U_n(x) from its integer coefficients by Horner's rule; exact for int
+    or Fraction x."""
+    acc = 0
+    for c in reversed(cheb_coeffs(n)):
+        acc = acc * x + c
+    return acc
 
 
 def shell_kernel_sum(n: int, k: int, parity: str) -> float:
