@@ -131,10 +131,14 @@ def _ns(args):
         if step < 1 or a > b:
             raise SystemExit(
                 f"--n-range: need step >= 1 and a <= b, got {args.n_range!r}")
-        return list(range(a, b + 1, step))
-    if args.n is None:
+        ns = list(range(a, b + 1, step))
+    elif args.n is None:
         raise SystemExit("one of --n / --n-range is required")
-    return [args.n]
+    else:
+        ns = [args.n]
+    if ns[0] < 0:
+        raise ValueError(f"needs n >= 0, got n = {ns[0]}")
+    return ns
 
 
 def _even_ns(args):
@@ -146,6 +150,16 @@ def _even_ns(args):
         raise SystemExit(
             f"hecke-sphere {args.command}: needs even n, got n = {odd[0]}")
     return ns
+
+
+def _at_least_one(args, flag: str) -> int:
+    """The integer flag ``--<flag>``, refused with one line below 1: a
+    command over no k, grid point or pair would pass vacuously or only
+    fail after its first eigensolve."""
+    value = getattr(args, flag)
+    if value < 1:
+        raise ValueError(f"needs --{flag} >= 1, got {value}")
+    return value
 
 
 def _quaternion(flag: str, text: str) -> tuple:
@@ -219,11 +233,12 @@ def cmd_pretrace_check(args) -> int:
     from .hecke import decompose
     from .moments import pretrace_residual, sphere_grid
 
+    pairs = _at_least_one(args, "pairs")
     ns, residuals, tols = _even_ns(args), [], []
     for n in ns:
         dec = decompose(n, primes=_primes(args), seed=args.seed)
-        xs = sphere_grid(args.pairs, seed=args.seed)
-        ys = sphere_grid(args.pairs, seed=args.seed + 1)
+        xs = sphere_grid(pairs, seed=args.seed)
+        ys = sphere_grid(pairs, seed=args.seed + 1)
         residuals.append(pretrace_residual(dec, xs, ys))
         tols.append(1e-8 * (n + 1) ** 2)
     passed = [r <= t for r, t in zip(residuals, tols)]
@@ -237,7 +252,7 @@ def cmd_theta_identity(args) -> int:
     from .theta import spectral_coefficient, theta_coefficients
 
     x, y = _quaternion("x", args.x), _quaternion("y", args.y)
-    ks = range(1, args.cutoff + 1)
+    ks = range(1, _at_least_one(args, "cutoff") + 1)
     ok = True
     n_col, k_col, sides, values = [], [], [], []
     for n in _even_ns(args):
@@ -312,7 +327,7 @@ def cmd_moments(args) -> int:
     from .hecke import decompose
     from .moments import ClosureError, moment_sweep, sphere_grid
 
-    grid = sphere_grid(args.grid, seed=args.seed)
+    grid = sphere_grid(_at_least_one(args, "grid"), seed=args.seed)
     stats = ("sup_family", "sup_fourth", "sup_individual")
     reps = []
     for n in _even_ns(args):

@@ -9,7 +9,8 @@ Counting cost: one O(K)-memory r3 table per power of two K (2 sqrt(K) numpy
 passes) and one cached table of the class counts of all k <= K per (K, R)
 (sqrt(K) passes): ``shell_class_count`` is a lookup, ``shell_class_table``
 one table per R sliced at the cutoff with the bounds formed as float arrays,
-``dyadic_class_count`` one prefix sum plus sqrt(M) window sums.
+``dyadic_class_count`` one prefix sum plus sqrt(M) window sums, and
+``a_of_x`` one running prefix of A per n, extended in k order on demand.
 
 Lattice points: one cached Bareiss adjugate per basis decides that it is
 nonsingular and gives the covolume; every basis is then LLL-reduced once
@@ -156,12 +157,20 @@ def a_of_x(n: int, X: int) -> float:
     return _a_prefix(n, _round_up_pow2(X))[X]
 
 
-@lru_cache(maxsize=None)
-def _a_prefix(n: int, limit: int) -> tuple:
-    """Running totals A(0), ..., A(limit), accumulated in k order."""
+#: per n, the running totals A(0), A(1), ... that ``_a_prefix`` extends
+_A_PREFIXES: dict = {}
+
+
+def _a_prefix(n: int, limit: int) -> list:
+    """Running totals A(0), ..., A(limit) at least, accumulated in k order:
+    one list per n, extended from its last k, so every A(X) is the same
+    float whatever limits were asked before."""
+    prefix = _A_PREFIXES.setdefault(n, [0.0])
+    if len(prefix) > limit:
+        return prefix
     r3 = r3_counts(limit)
-    total, prefix = 0.0, [0.0]
-    for k in range(1, limit + 1):
+    total = prefix[-1]
+    for k in range(len(prefix), limit + 1):
         inner = 0.0
         for m1 in range(0, isqrt(k) + 1):
             s = k - m1 * m1
@@ -172,7 +181,7 @@ def _a_prefix(n: int, limit: int) -> tuple:
                 inner += mult * int(r3[s]) * min(n + 1.0, math.sqrt(k / s))
         total += inner * inner
         prefix.append(total)
-    return tuple(prefix)
+    return prefix
 
 
 def fit_constant(records) -> float:

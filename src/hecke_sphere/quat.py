@@ -7,8 +7,11 @@ B(Z) (all coordinates integral) and the shifted coset B(Z) + (1+i+j+k)/2
 Norm shells are joined from one cached table of two-square pairs per
 parity: a first pair (c1, c2) and a completing pair (c3, c4) from the
 bucket of the remaining norm, both walked in lexicographic order, so every
-shell comes out sorted without a sort.  The m1 profiles of many shells come
-from one pass over the (k, c1) pairs against the r3 count tables.
+shell comes out sorted without a sort.  One index step serves two
+gathers with equal results: the coordinates of every member, and their
+projection c . v onto one vector, which never forms the coordinates.  The
+m1 profiles of many shells come from one pass over the (k, c1) pairs
+against the r3 count tables.
 """
 
 from __future__ import annotations
@@ -201,16 +204,21 @@ def _shell_norms(ks, parity: str):
     return start, 4 * ks if start else ks
 
 
-def _shell_join(ks, parity: str):
-    """Doubled coordinates of the norm-k shells of one parity for every k in
-    ``ks``, concatenated in the order of ``ks``, and the size of each shell.
+def _join_index(ks, parity: str):
+    """The index step of the shell join for every k in ``ks``: the pair
+    tables ``lex`` and ``by_norm`` of ``_pairs_by_s``, the first pairs
+    ``first`` (indices into ``lex``, in the order of ``ks`` and then of
+    ``lex``) with ``cnt``, the size of each one's completing bucket, the
+    completions ``right`` (indices into ``by_norm``, one per shell
+    member), the size of each shell, and whether the members are read on
+    true integral coordinates, to be doubled.
 
     A member is a first pair (c1, c2) of norm v <= S followed by a pair
     (c3, c4) from the two-square bucket of norm S - v, with S = k on true
-    integral coordinates (doubled at the end) and S = 4k on the odd doubled
-    coset coordinates (no bucket completes an even k).  The first pairs are
-    taken in lexicographic order and every bucket is in lexicographic
-    order, so each shell comes out sorted on (c1, c2, c3, c4) with no sort.
+    integral coordinates and S = 4k on the odd doubled coset coordinates
+    (no bucket completes an even k).  The first pairs are taken in
+    lexicographic order and every bucket is in lexicographic order, so
+    each shell comes out sorted on (c1, c2, c3, c4) with no sort.
     """
     start, S = _shell_norms(ks, parity)
     lex, norms, by_norm, starts = _pairs_by_s(
@@ -222,14 +230,36 @@ def _shell_join(ks, parity: str):
     # the completions of each first pair are one contiguous bucket, walked
     # by index arithmetic over the concatenated output
     right = np.repeat(lo - ends + cnt, cnt) + np.arange(int(cnt.sum()))
+    bounds = np.searchsorted(shell, np.arange(len(S) + 1))
+    sizes = np.diff(np.concatenate(([0], ends))[bounds])
+    return lex, by_norm, first, cnt, right, sizes, not start
+
+
+def _shell_join(ks, parity: str):
+    """Doubled coordinates of the norm-k shells of one parity for every k in
+    ``ks``, concatenated in the order of ``ks``, and the size of each shell:
+    the coordinate gather over ``_join_index``."""
+    lex, by_norm, first, cnt, right, sizes, double = _join_index(ks, parity)
     coords = np.empty((len(right), 4), dtype=np.int64)
     coords[:, :2] = lex[np.repeat(first, cnt)]
     coords[:, 2:] = by_norm[right]
-    if not start:
+    if double:
         coords *= 2
-    bounds = np.searchsorted(shell, np.arange(len(S) + 1))
-    sizes = np.diff(np.concatenate(([0], ends))[bounds])
     return coords, sizes
+
+
+def _shell_projection(ks, parity: str, v):
+    """c . v over the doubled coordinates c of the same shells, in the same
+    order, and the size of each shell: the projection gather over
+    ``_join_index``.  It equals ``_shell_join(ks, parity)[0] @ v`` entry
+    for entry (int64 arithmetic is a ring, wrapped or not), but projects
+    each pair table once and never forms the N x 4 coordinates."""
+    lex, by_norm, first, cnt, right, sizes, double = _join_index(ks, parity)
+    v = np.asarray(v, dtype=np.int64)
+    proj = np.repeat((lex @ v[:2])[first], cnt) + (by_norm @ v[2:])[right]
+    if double:
+        proj *= 2
+    return proj, sizes
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ W_1 = 2T), so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is
 exact whenever (2S)^n is an integer: for every even n, where it is
 2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square.
 Coefficients are computed per block of ``THETA_BLOCK`` values of k: the
-block's traces come from one two-square join over all its shells, then one
-U_n pass over them, summed per k over its own slice, and one recurrence
-over the distinct (k, T) pairs of the block, on int64 under a stated bound
-and on Python integers above it.
+block's traces come from one two-square join over all its shells, projected
+without forming coordinates, then U_n once per distinct (k, T) pair, read
+back per trace and summed per k over its own slice, and one recurrence
+over the same distinct pairs, on int64 under a stated bound and on Python
+integers above it.
 The Petersson strips are batched per degree over one cached profile table.
 """
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .hecke import SpectralDecomposition
 from .moments import eigen_values
-from .quat import Quaternion, _m1_profiles, _round_up_pow2, _shell_join
+from .quat import Quaternion, _m1_profiles, _round_up_pow2, _shell_projection
 from .zonal import chebyshev_U_vec
 
 
@@ -48,11 +49,33 @@ def _block_traces(ks: list, qx: Quaternion, qy: Quaternion):
     integers, and the size of each shell."""
     w = qx * qy.conjugate()
     # tr(m w) = (c(m) . (w1, -w2, -w3, -w4)) / 2 in doubled coordinates
-    vec = np.array([w.c1, -w.c2, -w.c3, -w.c4], dtype=np.int64)
-    coords, sizes = _shell_join(ks, "integral")
-    prod = coords @ vec
+    prod, sizes = _shell_projection(ks, "integral",
+                                    (w.c1, -w.c2, -w.c3, -w.c4))
     assert not np.any(prod & 1)
     return prod // 2, sizes
+
+
+#: most bins per trace for which ``_group_keys`` counts with ``np.bincount``.
+#: A block's keys take len(ks) (2 t_max + 1) values, and t_max <=
+#: 2 sqrt(N_x N_y k) grows without bound in the input norms.  Up to 4 bins
+#: per trace the two bin tables (counts and lookup, 16 bytes a bin) stay of
+#: the order of the block's own per-trace arrays, and counting beat one
+#: sort by 2x at 3.9 bins per trace (1,280 traces); at 90 it was 15x slower
+GROUP_BINS_PER_TRACE = 4
+
+
+def _group_keys(key: np.ndarray, nbins: int):
+    """(keys, inverse, counts) of an int64 ``key`` with values in
+    [0, nbins), as ``np.unique(key, return_inverse=True,
+    return_counts=True)`` returns them: the sorted distinct values, each
+    entry's index into them and how often each occurs."""
+    if nbins > GROUP_BINS_PER_TRACE * len(key):
+        return np.unique(key, return_inverse=True, return_counts=True)
+    counts = np.bincount(key)
+    keys = np.flatnonzero(counts)
+    lookup = np.empty(len(counts), dtype=np.intp)
+    lookup[keys] = np.arange(len(keys))
+    return keys, lookup[key], counts[keys]
 
 
 @dataclass(frozen=True)
@@ -93,12 +116,20 @@ def theta_coefficients(n: int, x, y, ks) -> list:
 def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
     Nx, Ny = qx.nr(), qy.nr()
     T, sizes = _block_traces(ks, qx, qy)
-    ends = np.cumsum(sizes).tolist()
+    # distinct (block index, T) pairs from one 1-D int64 key
+    tmax = int(np.abs(T).max())
+    span = 2 * tmax + 1
+    key = np.repeat(np.arange(len(ks), dtype=np.int64), sizes) * span + (T + tmax)
+    keys, inverse, counts = _group_keys(key, len(ks) * span)
+    idx = keys // span
+    Tu = keys % span - tmax
 
-    # float path: direct summation of U_n at t / (2 sqrt(k N_x N_y)), one
-    # np.sum per k over its own slice, so each k sums as it would alone
-    denoms = [2.0 * math.sqrt(float(k) * Nx * Ny) for k in ks]
-    vals = chebyshev_U_vec(n, T / np.repeat(denoms, sizes))
+    # float path: U_n at t / (2 sqrt(k N_x N_y)) once per distinct pair,
+    # read back per trace in shell order, then one np.sum per k over its
+    # own slice, so each k sums as it would alone
+    denoms = np.array([2.0 * math.sqrt(float(k) * Nx * Ny) for k in ks])
+    vals = chebyshev_U_vec(n, Tu / denoms[idx])[inverse]
+    ends = np.cumsum(sizes).tolist()
     fvs = [float(k) ** (n / 2) * float(np.sum(vals[e - m: e]))
            for k, m, e in zip(ks, sizes, ends)]
 
@@ -108,19 +139,13 @@ def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
         return [ThetaCoefficient(n, k, qx, qy, None, fv)
                 for k, fv in zip(ks, fvs)]
 
-    # distinct (block index, T) pairs from one sort of a 1-D int64 key
-    tmax = int(np.abs(T).max())
-    span = 2 * tmax + 1
-    key = np.repeat(np.arange(len(ks), dtype=np.int64), sizes) * span + (T + tmax)
-    keys, counts = np.unique(key, return_counts=True)
-    idx = keys // span
     # |T| <= 2 S sqrt(k), so |W_m| <= (m+1) (4Pk)^(m/2), every term of the
     # recurrence is at most 2n (4Pk)^(n/2) and each per-k sum at most len(T)
     # times that: int64 when this is below 2^63 (decided on its square),
     # Python integers above
     exact64 = (2 * n * len(T)) ** 2 * (4 * P * max(ks)) ** n < 2 ** 126
     dtype = np.int64 if exact64 else object
-    Tu = (keys % span - tmax).astype(dtype)
+    Tu = Tu.astype(dtype)
     c = np.array([4 * P * k for k in ks], dtype=dtype)[idx]
     prev, cur = 0 * Tu, 0 * Tu + 1  # W_(-1), W_0
     for _ in range(n):

@@ -252,7 +252,14 @@ def test_modularity_forced_zero_exits_one(tmp_path, capsys):
     ("basis", "--n", "-1"),
     ("report", "--n-range", "2:6:2"),
     ("modularity", "--n", "-2"),
-    ("modularity", "--n", "6")])
+    ("modularity", "--n", "6"),
+    ("theta-identity", "--n", "4", "--cutoff", "0"),
+    ("spectral", "--n", "-2"),
+    ("spectral", "--n-range=-4:4:2"),
+    ("hecke-check", "--n", "-2"),
+    ("pretrace-check", "--n", "-2"),
+    ("moments", "--n", "-2"),
+    ("theta-identity", "--n", "-2")])
 def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
     # a ValueError from the library is one stderr line naming the command,
     # not a traceback, and no artifact is written
@@ -261,6 +268,24 @@ def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith(f"hecke-sphere {argv[0]}: ")
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("spectral", "--n", "-2"), "needs n >= 0, got n = -2"),
+    (("theta-identity", "--n", "4", "--cutoff", "0"),
+     "needs --cutoff >= 1, got 0"),
+    (("moments", "--n", "4", "--grid", "0"), "needs --grid >= 1, got 0"),
+    (("pretrace-check", "--n", "4", "--pairs", "0"),
+     "needs --pairs >= 1, got 0")])
+def test_flags_are_refused_before_any_eigensolve(tmp_path, capsys,
+                                                 monkeypatch, argv, want):
+    # the refusal depends only on the flags, so no degree is decomposed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decompose ran before the refusal")
+
+    monkeypatch.setattr(hecke, "decompose", unreachable)
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == f"hecke-sphere {argv[0]}: {want}\n"
 
 
 def test_main_reuses_one_parser_with_fresh_namespaces(tmp_path):

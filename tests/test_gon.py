@@ -216,13 +216,11 @@ def test_a_of_x_brute_force():
     assert a_of_x(n, X) == pytest.approx(total, rel=1e-12)
 
 
-def test_a_of_x_prefix_is_the_direct_sum():
-    # the cached running total adds the same floats in the same order as a
-    # fresh accumulation up to X, so the values agree bit for bit
-    n = 64
-    r3 = r3_counts(200)
+def direct_a_prefix(n, limit):
+    """A(1), ..., A(limit - 1) from one fresh accumulation in k order."""
+    r3 = r3_counts(limit)
     direct, total = {}, 0.0
-    for k in range(1, 200):
+    for k in range(1, limit):
         inner = 0.0
         for m1 in range(0, math.isqrt(k) + 1):
             s = k - m1 * m1
@@ -233,8 +231,26 @@ def test_a_of_x_prefix_is_the_direct_sum():
                 inner += mult * int(r3[s]) * min(n + 1.0, math.sqrt(k / s))
         total += inner * inner
         direct[k] = total
+    return direct
+
+
+def test_a_of_x_prefix_is_the_direct_sum():
+    # the cached running total adds the same floats in the same order as a
+    # fresh accumulation up to X, so the values agree bit for bit
+    direct = direct_a_prefix(64, 200)
     for X in (1, 2, 7, 16, 17, 64, 100, 128, 199):
-        assert a_of_x(n, X) == direct[X]
+        assert a_of_x(64, X) == direct[X]
+
+
+def test_a_of_x_does_not_depend_on_the_order_of_reads(monkeypatch):
+    # one running prefix per n, extended on demand: reading X downwards
+    # from a fresh start, then upwards past it, gives the direct sums
+    monkeypatch.setattr(gon, "_A_PREFIXES", {})
+    direct = direct_a_prefix(128, 600)
+    order = [300, 129, 64, 7, 1, 2, 65, 256, 513, 599]
+    for X in order:
+        assert a_of_x(128, X) == direct[X]
+    assert len(gon._A_PREFIXES[128]) == 1025
 
 
 def test_fit_constant():

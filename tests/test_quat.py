@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from hecke_sphere.quat import (
     ONE, I, J, K, XI, UNITS,
     Quaternion, _pairs_by_s, _r3_counts, _r3_odd_counts, _shell_join,
-    enumerate_shell, m1_profile, r3_counts, r4_count,
+    _shell_projection, enumerate_shell, m1_profile, r3_counts, r4_count,
 )
 
 
@@ -156,6 +156,27 @@ def test_shell_join_is_the_per_k_shells(parity):
     assert sizes.tolist() == [len(c) for c in want]
     assert coords.dtype == np.int64
     assert np.array_equal(coords, np.concatenate(want))
+
+
+# blocks with gaps, repeats and empty coset shells (even k), a block of 16
+# shells near 128 and the coset shell near k = 1023
+PROJECTION_BLOCKS = [[5, 2, 5, 9, 1, 40, 17], list(range(113, 129)), [1023],
+                     [997, 1]]
+# (w1, -w2, -w3, -w4) of theta traces, one with zero entries, and a vector
+# with entries near 2^31
+PROJECTION_VECTORS = [(2, -4, -4, 0), (0, 3, 0, -7), (1, 1, 1, 1),
+                      (2 ** 31 - 1, -(2 ** 30), 5, 2 ** 31 + 3)]
+
+
+@pytest.mark.parametrize("parity", ["integral", "coset"])
+@pytest.mark.parametrize("v", PROJECTION_VECTORS)
+def test_projection_gather_is_the_coordinates_times_v(parity, v):
+    for ks in PROJECTION_BLOCKS:
+        coords, sizes = _shell_join(ks, parity)
+        proj, psizes = _shell_projection(ks, parity, v)
+        assert proj.dtype == np.int64
+        assert np.array_equal(psizes, sizes)
+        assert np.array_equal(proj, coords @ np.array(v, dtype=np.int64))
 
 
 @pytest.mark.parametrize("bad", [0, -1, -9])

@@ -126,9 +126,13 @@ def test_irrational_norm_product_gives_float_only():
     assert math.isfinite(tc.float_value)
 
 
-# (x, y) pairs: square norm products 1, 9 and 9 * 25, non-square 3 and 2
+# a pair whose block keys span about 90 bins per trace at k <= 16
+LARGE_NORM_PAIR = ((300, 400, 0, 0), ONE)
+# (x, y) pairs: square norm products 1, 9 and 9 * 25, non-square 3 and 2,
+# and the large-norm pair (500^2)
 BATCH_PAIRS = [(ONE, ONE), ((1, 2, 2, 0), ONE), ((1, 2, 2, 0), (3, 4, 0, 0)),
-               ((1, 1, 1, 0), ONE), ((1, 1, 0, 0), (1, 0, 0, 0))]
+               ((1, 1, 1, 0), ONE), ((1, 1, 0, 0), (1, 0, 0, 0)),
+               LARGE_NORM_PAIR]
 # starting above 1, with gaps, crossing a block boundary, repeating a k
 BATCH_KS = [list(range(1, 41)), [5, 9, 10, 11, 30],
             list(range(THETA_BLOCK - 2, THETA_BLOCK + 3)), [7, 7, 3]]
@@ -160,6 +164,68 @@ def test_block_traces_are_the_per_k_traces(x, y):
         assert sizes.tolist() == [len(t) for t in want]
         assert T.dtype == np.int64
         assert np.array_equal(T, np.concatenate(want))
+
+
+GROUPING_BLOCKS = [((DEFAULT_X, DEFAULT_Y), list(range(113, 129))),
+                   ((DEFAULT_X, DEFAULT_Y), [7, 7, 3]),
+                   (LARGE_NORM_PAIR, list(range(1, 17)))]
+
+
+@pytest.mark.parametrize("pair,ks", GROUPING_BLOCKS)
+def test_grouping_branches_give_one_table(monkeypatch, pair, ks):
+    # the block's (key, nbins) as _theta_block passes them
+    seen, group = [], theta._group_keys
+
+    def spy(key, nbins):
+        seen.append((key, nbins))
+        return group(key, nbins)
+
+    monkeypatch.setattr(theta, "_group_keys", spy)
+    theta_coefficients(4, *pair, ks)
+    (key, nbins), = seen
+    want = np.unique(key, return_inverse=True, return_counts=True)
+    for bound in (0, nbins):  # force the sort, then the count
+        monkeypatch.setattr(theta, "GROUP_BINS_PER_TRACE", bound)
+        got = group(key, nbins)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("n", [3, 4, 8])
+def test_forced_grouping_branches_keep_every_coefficient(monkeypatch, n):
+    for (x, y), ks in GROUPING_BLOCKS:
+        runs = []
+        for bound in (0, 10 ** 9):
+            monkeypatch.setattr(theta, "GROUP_BINS_PER_TRACE", bound)
+            runs.append(theta_coefficients(n, x, y, ks))
+        assert runs[0] == runs[1]
+        assert [np.float64(tc.float_value).tobytes() for tc in runs[0]] == \
+            [np.float64(tc.float_value).tobytes() for tc in runs[1]]
+
+
+def test_bincount_never_exceeds_the_bins_bound(monkeypatch):
+    # the default point counts its keys, the large-norm pair sorts them,
+    # and no counted table is longer than the bound allows
+    calls = {"bincount": [], "unique": 0}
+    bincount, unique = np.bincount, np.unique
+
+    def counting(x, *args, **kwargs):
+        out = bincount(x, *args, **kwargs)
+        calls["bincount"].append((len(out), len(x)))
+        return out
+
+    def sorting(*args, **kwargs):
+        calls["unique"] += 1
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    monkeypatch.setattr(np, "unique", sorting)
+    theta_coefficients(8, DEFAULT_X, DEFAULT_Y, range(1, 129))
+    assert calls["bincount"] and not calls["unique"]
+    theta_coefficients(4, *LARGE_NORM_PAIR, range(1, 17))
+    assert calls["unique"] == 1
+    for bins, traces in calls["bincount"]:
+        assert bins <= theta.GROUP_BINS_PER_TRACE * traces
 
 
 def test_batch_edge_cases():
