@@ -154,20 +154,22 @@ def a_of_x(n: int, X: int) -> float:
     """
     if X < 1:
         raise ValueError("need X >= 1")
-    return _a_prefix(n, _round_up_pow2(X))[X]
+    _extend_a_prefix(n, _round_up_pow2(X))
+    return _A_PREFIXES[n][X]
 
 
-#: per n, the running totals A(0), A(1), ... that ``_a_prefix`` extends
+#: per n, the running totals A(0), A(1), ... that ``_extend_a_prefix``
+#: accumulates
 _A_PREFIXES: dict = {}
 
 
-def _a_prefix(n: int, limit: int) -> list:
-    """Running totals A(0), ..., A(limit) at least, accumulated in k order:
-    one list per n, extended from its last k, so every A(X) is the same
-    float whatever limits were asked before."""
+def _extend_a_prefix(n: int, limit: int) -> None:
+    """Extend the running totals of ``_A_PREFIXES[n]`` to A(limit) at
+    least, in k order from its last k, so every A(X) is the same float
+    whatever limits were asked before."""
     prefix = _A_PREFIXES.setdefault(n, [0.0])
     if len(prefix) > limit:
-        return prefix
+        return
     r3 = r3_counts(limit)
     total = prefix[-1]
     for k in range(len(prefix), limit + 1):
@@ -181,7 +183,6 @@ def _a_prefix(n: int, limit: int) -> list:
                 inner += mult * int(r3[s]) * min(n + 1.0, math.sqrt(k / s))
         total += inner * inner
         prefix.append(total)
-    return prefix
 
 
 def fit_constant(records) -> float:

@@ -55,13 +55,22 @@ def _block_traces(ks: list, qx: Quaternion, qy: Quaternion):
     return prod // 2, sizes
 
 
-#: most bins per trace for which ``_group_keys`` counts with ``np.bincount``.
-#: A block's keys take len(ks) (2 t_max + 1) values, and t_max <=
-#: 2 sqrt(N_x N_y k) grows without bound in the input norms.  Up to 4 bins
-#: per trace the two bin tables (counts and lookup, 16 bytes a bin) stay of
-#: the order of the block's own per-trace arrays, and counting beat one
-#: sort by 2x at 3.9 bins per trace (1,280 traces); at 90 it was 15x slower
-GROUP_BINS_PER_TRACE = 4
+#: ``_group_keys`` counts with ``np.bincount`` while a block's bins number
+#: at most GROUP_BINS_PER_TRACE * traces + GROUP_BINS_FIXED, and sorts with
+#: ``np.unique`` above.  A block's keys take len(ks) (2 t_max + 1) values,
+#: and t_max <= 2 sqrt(N_x N_y k) grows without bound in the input norms.
+#: Counting costs about 1.5 ns a bin on top of its passes over the traces;
+#: sorting costs a fixed 10 us and about 4 ns a trace more, so the point
+#: where sorting wins is affine in the traces.  Measured on an Intel Xeon
+#: core, it lies near 8,700 bins for 1,280 traces (k <= 16), 22,000 for
+#: 6,312 (k = 33..48) and 55,000 for 18,784 (k = 113..128); the bound
+#: (10,752, 20,816 and 45,760 bins there) keeps near or below it, and keeps
+#: the two bin tables (16 bytes a bin) within 32 bytes a trace plus
+#: 128 KiB.  It covers every block the benchmark draws: at most 9,232 bins
+#: on 1,280 traces, at x = y = (3, 3, 3, 3), where the two ways are within
+#: 2 %, and below 2,200 at the default point of ``modularity``.
+GROUP_BINS_PER_TRACE = 2
+GROUP_BINS_FIXED = 8192
 
 
 def _group_keys(key: np.ndarray, nbins: int):
@@ -69,7 +78,7 @@ def _group_keys(key: np.ndarray, nbins: int):
     [0, nbins), as ``np.unique(key, return_inverse=True,
     return_counts=True)`` returns them: the sorted distinct values, each
     entry's index into them and how often each occurs."""
-    if nbins > GROUP_BINS_PER_TRACE * len(key):
+    if nbins > GROUP_BINS_PER_TRACE * len(key) + GROUP_BINS_FIXED:
         return np.unique(key, return_inverse=True, return_counts=True)
     counts = np.bincount(key)
     keys = np.flatnonzero(counts)

@@ -186,6 +186,7 @@ def test_grouping_branches_give_one_table(monkeypatch, pair, ks):
     want = np.unique(key, return_inverse=True, return_counts=True)
     for bound in (0, nbins):  # force the sort, then the count
         monkeypatch.setattr(theta, "GROUP_BINS_PER_TRACE", bound)
+        monkeypatch.setattr(theta, "GROUP_BINS_FIXED", 0)
         got = group(key, nbins)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and np.array_equal(g, w)
@@ -197,6 +198,7 @@ def test_forced_grouping_branches_keep_every_coefficient(monkeypatch, n):
         runs = []
         for bound in (0, 10 ** 9):
             monkeypatch.setattr(theta, "GROUP_BINS_PER_TRACE", bound)
+            monkeypatch.setattr(theta, "GROUP_BINS_FIXED", 0)
             runs.append(theta_coefficients(n, x, y, ks))
         assert runs[0] == runs[1]
         assert [np.float64(tc.float_value).tobytes() for tc in runs[0]] == \
@@ -204,8 +206,10 @@ def test_forced_grouping_branches_keep_every_coefficient(monkeypatch, n):
 
 
 def test_bincount_never_exceeds_the_bins_bound(monkeypatch):
-    # the default point counts its keys, the large-norm pair sorts them,
-    # and no counted table is longer than the bound allows
+    # the default point and the extreme pair of the perfbench ``exact``
+    # generator (coordinates in [-3, 3], largest t_max at x = y = (3,3,3,3))
+    # count their keys, the large-norm pair sorts them, and no counted table
+    # is longer than the bound allows
     calls = {"bincount": [], "unique": 0}
     bincount, unique = np.bincount, np.unique
 
@@ -221,11 +225,13 @@ def test_bincount_never_exceeds_the_bins_bound(monkeypatch):
     monkeypatch.setattr(np, "bincount", counting)
     monkeypatch.setattr(np, "unique", sorting)
     theta_coefficients(8, DEFAULT_X, DEFAULT_Y, range(1, 129))
+    theta_coefficients(4, (3, 3, 3, 3), (3, 3, 3, 3), range(1, 25))
     assert calls["bincount"] and not calls["unique"]
     theta_coefficients(4, *LARGE_NORM_PAIR, range(1, 17))
     assert calls["unique"] == 1
     for bins, traces in calls["bincount"]:
-        assert bins <= theta.GROUP_BINS_PER_TRACE * traces
+        assert bins <= (theta.GROUP_BINS_PER_TRACE * traces
+                        + theta.GROUP_BINS_FIXED)
 
 
 def test_batch_edge_cases():
