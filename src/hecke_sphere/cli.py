@@ -215,12 +215,12 @@ def cmd_hecke_check(args) -> int:
 
 
 def cmd_spectral(args) -> int:
-    from .hecke import decompose
+    from .hecke import GROUP_TOL, decompose
 
     for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
         payload = {
-            "n": n, "seed_used": dec.seed, "group_tol": dec.group_tol,
+            "n": n, "seed_used": dec.seed, "group_tol": GROUP_TOL,
             "group_margin": dec.group_margin, "spaces": [
                 {"lams": sp.lams, "multiplicity": sp.multiplicity,
                  "t1_flag": sp.t1_flag} for sp in dec.spaces],
@@ -256,8 +256,7 @@ def cmd_theta_identity(args) -> int:
     ok = True
     n_col, k_col, sides, values = [], [], [], []
     for n in _even_ns(args):
-        dec = decompose(n, primes=_primes(args), seed=args.seed,
-                        even_extras=tuple(ks))
+        dec = decompose(n, primes=_primes(args), seed=args.seed)
         for k, sv, tc in zip(ks, spectral_coefficient(n, x, y, ks, dec),
                              theta_coefficients(n, x, y, ks)):
             # the exact value where it exists: the float theta side
@@ -274,7 +273,7 @@ def cmd_theta_identity(args) -> int:
 
 
 def cmd_modularity(args) -> int:
-    from .theta import modularity_check
+    from .theta import TAIL_TOL, modularity_check
 
     ok = True
     for n in _ns(args):
@@ -286,7 +285,7 @@ def cmd_modularity(args) -> int:
             "tail_bound": r.tail_bound,
             "exact_coefficients": r.exact_coefficients,
             "max_exact_gap": r.max_exact_gap})
-        ok = ok and r.residual <= 1e-6 and r.tail_bound < 1e-8
+        ok = ok and r.residual <= 1e-6 and r.tail_bound < TAIL_TOL
     return 0 if ok else 1
 
 

@@ -221,11 +221,6 @@ class CylinderSpec:
         # R^2 s <= 2M iff s <= floor(2M / R^2): no product to overflow
         return (V[:, 0] ** 2 <= two_m) & (s <= two_m // self.R ** 2)
 
-    def norm_coeff(self) -> float:
-        # gauge_sq(v) >= coeff * |v|^2
-        R2 = self.R ** 2
-        return R2 / ((1 + R2) * 2.0 * self.M)
-
     def bbox(self) -> tuple:
         a = math.sqrt(2 * self.M)
         return (a, a / self.R, a / self.R, a / self.R)
@@ -257,9 +252,6 @@ class Box:
     def contains(self, V: np.ndarray) -> np.ndarray:
         """Exact membership of each row of the integer array ``V``."""
         return np.all(np.abs(V) <= np.array(self.h), axis=1)
-
-    def norm_coeff(self) -> float:
-        return 1.0 / sum(float(hi) ** 2 for hi in self.h)
 
     def bbox(self) -> tuple:
         return tuple(float(hi) for hi in self.h)

@@ -17,23 +17,15 @@ t_{ba} and the contents.
 
 Every shell is a disjoint union of eight-point left-unit orbits {u m},
 and T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per
-orbit (``_orbit_representatives``) and S_1 = sum_u T(u) over the eight
-units, so an eighth of the shell is evaluated.  The layer works on a set
-of N at once: ``shell_monomial_matrices`` takes the representatives of all
-of them from one join and sums them in blocks of consecutive shells, one
-``sym_power_values`` pass per block (the first also covering the units),
-in int64 where the bound it states holds for each shell segment of the
-block.  The relation check forms all its products S_a S_b in one stacked
-product.
-
-The spectral side runs in floats: ``_float_shell_sums`` forms S_1 R_N
-from the float ``sym_power_values`` at the units and at the unit points
-m / sqrt N of the representatives (one join, blocks of at most
-``SHELL_BLOCK`` entries), which is S_N / N^(n/2) to roundoff at every
-degree, and ``joint_eigenspaces`` forms all its row operators from those
-sums in one stacked product.  The exact S_N stay the oracle:
-``hecke_relations_check``, ``selfadjoint_check`` and ``t1_vanishing``
-read them, and the tests compare the two.
+orbit and S_1 over the eight units.  ``shell_monomial_matrices`` forms the
+exact S_N, and ``_float_shell_sums`` the float S_N / N^(n/2) from the unit
+points m / sqrt N, each for a set of N from one join.  The exact S_N are
+the oracle: ``hecke_relations_check`` (all products S_a S_b in one
+stacked product), ``selfadjoint_check`` and ``t1_vanishing`` read them.
+``joint_eigenspaces`` diagonalises T_1 and the primes alone, grouping
+classes within the constant ``GROUP_TOL``; ``hecke_eigenvalues`` reads
+lambda(N) of every class for any N on demand from the finished
+decomposition, through the same residual check.
 
 The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
 and v (x) e_a <-> f_{v,a}, each joint eigenspace is
@@ -62,7 +54,7 @@ from .quat import _shell_join
 
 
 class DegeneracyError(Exception):
-    """Joint diagonalisation failed; re-draw the random combination."""
+    """A float T_N is not real symmetric, or not diagonal in the eigenbasis."""
 
 
 def _int64_exact(n: int, N: int, size: int) -> bool:
@@ -392,21 +384,21 @@ def odd_primes(primes) -> tuple:
     return primes
 
 
-def hecke_relations_check(n: int, primes=(3, 5), extra_commuting=()) -> dict:
+def hecke_relations_check(n: int, primes=(3, 5)) -> dict:
     """Exact verification of the Hecke algebra relations on the shell sums.
 
     T_N = S_N / (8 N^(n/2)) acts through S_N on the row label, so
     multiplicativity T_p T_q = T_{pq} for distinct odd primes reads
     S_p S_q = 8 S_{pq}, the recursion T_{p^2} = T_p^2 - p T_1 reads
     8 S_{p^2} = S_p^2 - 8 p^(n+1) S_1, and the commutators are taken over
-    the primes, their squares, products, and ``extra_commuting``.
+    1, the primes, their squares and their pairwise products.
     ``primes`` must be distinct odd primes (``odd_primes``).
     """
     if n % 2:
         raise ValueError("relations are checked on even n")
     report = {}
     primes = tuple(sorted(odd_primes(primes)))
-    Ns = {1} | set(primes) | {p * p for p in primes} | set(extra_commuting)
+    Ns = {1} | set(primes) | {p * p for p in primes}
     Ns |= {p * q for p in primes for q in primes if p < q}
     keys = sorted(Ns)
     S = dict(zip(keys, shell_monomial_matrices(n, keys)))
@@ -543,31 +535,28 @@ class EigenSpace:
         return self.basis.shape[0] * self.basis.shape[1]
 
 
+#: relative tolerance within which prime eigenvalue tables form one space
+GROUP_TOL = 1e-7
+
+
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Joint eigenspaces of the odd Hecke operators at degree n.
 
     ``group_margin`` is the smallest relative gap between the prime
     eigenvalue tables of two distinct spaces (None with fewer than two);
-    tables within ``group_tol`` of each other were grouped together.
+    tables within ``GROUP_TOL`` of each other were grouped together.
+    ``hecke_eigenvalues`` reads lambda(N) of the spaces for any N.
     """
 
     n: int
     seed: int
     spaces: tuple
-    group_tol: float
     group_margin: float | None
 
     @property
     def dim(self):
         return sum(s.multiplicity for s in self.spaces)
-
-    def eigenvalue_of(self, space: EigenSpace, N: int) -> float:
-        lam = space.lams.get(N)
-        if lam is None:
-            raise KeyError(
-                f"eigenvalue for N={N} not computed; add it to even_extras")
-        return lam
 
 
 def _group_margin(spaces, primes):
@@ -577,39 +566,45 @@ def _group_margin(spaces, primes):
     return float(gap[~np.eye(len(L), dtype=bool)].min()) if len(L) > 1 else None
 
 
-def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
-                      group_tol: float = 1e-7) -> SpectralDecomposition:
-    """Simultaneous diagonalisation of the odd Hecke operators on W.
-
-    A fixed-seed random integer combination of the prime operators on the
-    row space is diagonalised; eigenvectors are validated per operator by
-    residual and grouped into W_lambda by matching eigenvalue tables.
-    """
-    if n % 2:
-        raise ValueError("joint decomposition is computed for even n")
-    primes = odd_primes(primes)
-    if not primes:
-        raise ValueError("need at least one odd prime")
-    Ns = sorted(set(primes) | set(even_extras) | {1})
-    ops = dict(zip(Ns, _row_operators(n, Ns)))
-
-    rng = np.random.default_rng(seed)
-    coeffs = rng.integers(1, 1000, size=len(primes))
-    combo = sum(int(c) * ops[p] for c, p in zip(coeffs, primes))
-    _, vecs = np.linalg.eigh(combo)
-
-    tables = {}
-    for N in Ns:
-        S = ops[N]
+def _rayleigh_quotients(n: int, Ns, ops, vecs) -> np.ndarray:
+    """v^T T_N v, shape (len(Ns), columns), per column v of ``vecs`` and
+    T_N in ``ops``; ``DegeneracyError`` names n and the first N at which a
+    column misses T_N v = lambda v by over 1e-9 max(|T_N|, 1)."""
+    out = np.empty((len(Ns), vecs.shape[1]))
+    for i, (N, S) in enumerate(zip(Ns, ops)):
         SV = S @ vecs
         lam = np.einsum("ij,ij->j", vecs, SV)
         resid = np.linalg.norm(SV - vecs * lam[None, :], axis=0)
         tol = 1e-9 * max(np.linalg.norm(S), 1.0)
         if resid.max() > tol:
             raise DegeneracyError(
-                f"n={n} N={N}: residual {resid.max():.3e} exceeds {tol:.3e}; "
-                f"re-draw with a different seed")
-        tables[N] = lam
+                f"n={n} N={N}: residual {resid.max():.3e} exceeds {tol:.3e}")
+        out[i] = lam
+    return out
+
+
+def joint_eigenspaces(n: int, primes=(3, 5),
+                      seed: int = 0) -> SpectralDecomposition:
+    """Simultaneous diagonalisation of the odd Hecke operators on W.
+
+    A fixed-seed random integer combination of the prime operators on the
+    row space is diagonalised; eigenvectors are validated by residual for
+    T_1 and each prime (``_rayleigh_quotients``) and grouped into W_lambda
+    by matching prime eigenvalue tables within ``GROUP_TOL``.
+    """
+    if n % 2:
+        raise ValueError("joint decomposition is computed for even n")
+    primes = odd_primes(primes)
+    if not primes:
+        raise ValueError("need at least one odd prime")
+    Ns = sorted(set(primes) | {1})
+    ops = dict(zip(Ns, _row_operators(n, Ns)))
+
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(1, 1000, size=len(primes))
+    combo = sum(int(c) * ops[p] for c, p in zip(coeffs, primes))
+    _, vecs = np.linalg.eigh(combo)
+    tables = dict(zip(Ns, _rayleigh_quotients(n, Ns, ops.values(), vecs)))
 
     # group eigenvectors whose prime tables agree within tolerance
     order = np.lexsort(tuple(tables[p] for p in reversed(primes)))
@@ -617,7 +612,7 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
     for j in order:
         for g in groups:
             r = g[0]
-            if all(abs(tables[p][j] - tables[p][r]) <= group_tol * (1 + abs(tables[p][r]))
+            if all(abs(tables[p][j] - tables[p][r]) <= GROUP_TOL * (1 + abs(tables[p][r]))
                    for p in primes):
                 g.append(j)
                 break
@@ -630,24 +625,39 @@ def joint_eigenspaces(n: int, primes=(3, 5), even_extras=(), seed: int = 0,
         lams = {N: float(np.mean(tables[N][idxs])) for N in Ns}
         t1 = 1 if lams[1] > 0.5 else 0
         spaces.append(EigenSpace(lams=lams, basis=vecs[:, idxs], t1_flag=t1))
-    return SpectralDecomposition(
-        n=n, seed=seed, spaces=tuple(spaces), group_tol=group_tol,
-        group_margin=_group_margin(spaces, primes))
+    return SpectralDecomposition(n=n, seed=seed, spaces=tuple(spaces),
+                                 group_margin=_group_margin(spaces, primes))
+
+
+def hecke_eigenvalues(dec: SpectralDecomposition, Ns) -> np.ndarray:
+    """lambda(N) of every space of ``dec`` for every N in ``Ns``.
+
+    Shape (len(Ns), len(dec.spaces)), from one ``_row_operators`` call: the
+    mean of the space's column quotients, as ``EigenSpace.lams`` holds for
+    1 and the primes.  A T_N that is not scalar on some space fails the
+    residual check of ``_rayleigh_quotients``, which names that N.
+    """
+    # in C order, as eigh returns it: one BLAS kernel serves both callers
+    vecs = np.ascontiguousarray(np.hstack([sp.basis for sp in dec.spaces]))
+    lam = _rayleigh_quotients(dec.n, Ns, _row_operators(dec.n, Ns), vecs)
+    cuts = np.cumsum([sp.basis.shape[1] for sp in dec.spaces])[:-1]
+    return np.array([p.mean(axis=1) for p in np.split(lam, cuts, axis=1)]).T
 
 
 #: seeds ``decompose`` tries, from the requested one up
 DECOMPOSE_SEEDS = 5
 
 
-def decompose(n: int, primes=(3, 5), even_extras=(),
-              seed: int = 0) -> SpectralDecomposition:
+def decompose(n: int, primes=(3, 5), seed: int = 0) -> SpectralDecomposition:
     """joint_eigenspaces with automatic seed re-draws on degeneracy: seeds
     seed, seed + 1, ... are tried, and the last one's ``DegeneracyError``
-    propagates."""
+    propagates.  The seed only moves the basis inside the prime
+    eigenspaces, so ``hecke_eigenvalues`` is not retried: a T_N that is not
+    scalar on a space fails its residual check at every seed.
+    """
     for s in range(seed, seed + DECOMPOSE_SEEDS - 1):
         try:
-            return joint_eigenspaces(n, primes, even_extras, seed=s)
+            return joint_eigenspaces(n, primes, seed=s)
         except DegeneracyError:
             pass
-    return joint_eigenspaces(n, primes, even_extras,
-                             seed=seed + DECOMPOSE_SEEDS - 1)
+    return joint_eigenspaces(n, primes, seed=seed + DECOMPOSE_SEEDS - 1)

@@ -31,7 +31,7 @@ from math import isqrt
 
 import numpy as np
 
-from .hecke import SpectralDecomposition
+from .hecke import SpectralDecomposition, hecke_eigenvalues
 from .moments import eigen_values
 from .quat import Quaternion, _m1_profiles, _round_up_pow2, _shell_projection
 from .zonal import chebyshev_U_vec
@@ -181,20 +181,18 @@ def spectral_coefficient(n: int, x, y, ks,
     """Spectral side of the central identity: the k-th coefficient of
     (8/(n+1)) sum_j phi_j(x) phi_j(y) Phi_j for each k in ``ks``.
 
-    The eigenbasis is evaluated at x and y once; only the eigenvalues
-    change with k."""
+    The eigenbasis is evaluated at x and y once, and every lambda(k) is
+    read from ``dec`` in one ``hecke_eigenvalues`` call."""
     if dec.n != n:
         raise ValueError("decomposition was computed for a different degree")
     qx, qy = _as_quat(x), _as_quat(y)
     R = np.hstack([sp.basis for sp in dec.spaces])
     F = eigen_values(n, R, np.stack([qx.unit_vector(), qy.unit_vector()]))
     pair = np.einsum("jka,jka->k", F[..., 0], F[..., 1])
-    out = []
-    for k in ks:
-        lam = np.concatenate([np.full(sp.basis.shape[1], dec.eigenvalue_of(sp, k))
-                              for sp in dec.spaces])
-        out.append((8.0 / (n + 1)) * float(lam @ pair) * float(k) ** (n / 2))
-    return out
+    lams = np.repeat(hecke_eigenvalues(dec, ks),
+                     [sp.basis.shape[1] for sp in dec.spaces], axis=1)
+    return [(8.0 / (n + 1)) * float(lam @ pair) * float(k) ** (n / 2)
+            for k, lam in zip(ks, lams)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +201,8 @@ def spectral_coefficient(n: int, x, y, ks,
 
 DEFAULT_X = Quaternion(2, 4, 4, 0)  # (1+2i+2j)/3, norm 9
 DEFAULT_Y = Quaternion(2, 0, 0, 0)  # 1
+#: certified tail of ``modularity_check`` relative to |F(z)|; cli gates on it
+TAIL_TOL = 1e-8
 
 
 def _coeff_tail_bound(n: int, K: int, y: float) -> float:
@@ -234,13 +234,12 @@ class ModularityResult:
 
 
 def modularity_check(n: int, gamma, z: complex, K: int = 0,
-                     x=DEFAULT_X, y=DEFAULT_Y,
-                     tail_tol: float = 1e-8) -> ModularityResult:
+                     x=DEFAULT_X, y=DEFAULT_Y) -> ModularityResult:
     """Relative residual |F(gamma z) - (cz+d)^(n+2) F(z)| / |F(z)|.
 
     Both evaluations truncate the Fourier series at K terms; K grows
     automatically until the certified truncation tail, relative to |F(z)|,
-    drops below ``tail_tol``.
+    drops below ``TAIL_TOL``.
     """
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
@@ -271,7 +270,7 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
         scale = abs(c * z + d) ** (n + 2)
         if all(v == 0.0 for v in coeffs.values()):
             # kernel vanishes identically up to K; residual is the tail alone
-            if tail * (1 + scale) < tail_tol:
+            if tail * (1 + scale) < TAIL_TOL:
                 return ModularityResult(n=n, K=K, residual=0.0,
                                         tail_bound=tail * (1 + scale),
                                         value=0j, **stats)
@@ -285,7 +284,7 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
             if abs(Fz) < 1e-3 * cmax:
                 raise ValueError("test point is ill-conditioned: |F(z)| too small")
             rel_tail = tail * (1 + scale) / abs(Fz)
-            if rel_tail < tail_tol:
+            if rel_tail < TAIL_TOL:
                 residual = abs(Fgz - (c * z + d) ** (n + 2) * Fz) / abs(Fz)
                 return ModularityResult(n=n, K=K, residual=residual,
                                         tail_bound=rel_tail, value=Fz, **stats)

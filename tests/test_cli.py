@@ -77,10 +77,10 @@ def test_spectral_records_seed_used(tmp_path, monkeypatch):
     # a DegeneracyError on the requested seed makes decompose re-draw
     solve = hecke.joint_eigenspaces
 
-    def degenerate_at_3(n, primes, even_extras, seed):
+    def degenerate_at_3(n, primes, seed):
         if seed == 3:
             raise hecke.DegeneracyError("forced")
-        return solve(n, primes, even_extras, seed=seed)
+        return solve(n, primes, seed=seed)
 
     monkeypatch.setattr(hecke, "joint_eigenspaces", degenerate_at_3)
     assert run(tmp_path, "spectral", "--n", "4", "--seed", "3") == 0

@@ -97,16 +97,15 @@ def test_selfadjoint_rejects_perturbed_sum(n, N, monkeypatch):
 
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_relations(n):
-    report = hecke_relations_check(n, primes=(3, 5), extra_commuting=(15,))
+    report = hecke_relations_check(n, primes=(3, 5))
     assert report["all_pass"], report
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_relations_match_dense_oracle(n):
     # same keys and the same verdicts as the dense integer matrices
-    kw = dict(primes=(3, 5, 7), extra_commuting=(9, 15))
-    report = hecke_relations_check(n, **kw)
-    assert report == dense_oracle.hecke_relations_check(n, **kw)
+    report = hecke_relations_check(n, primes=(3, 5, 7))
+    assert report == dense_oracle.hecke_relations_check(n, primes=(3, 5, 7))
     assert report["all_pass"]
 
 
@@ -385,8 +384,9 @@ def _shell_operator(n, N):
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_decomposition_invariants(n):
-    dec = decompose(n, primes=(3, 5), even_extras=(9, 15))
+    dec = decompose(n, primes=(3, 5))
     assert dec.dim == (n + 1) ** 2
+    extras = hecke.hecke_eigenvalues(dec, (9, 15))
 
     # the bases of the W_lambda are orthonormal across the decomposition,
     # and the row vectors are orthonormal for the weights C(n, b)
@@ -396,16 +396,17 @@ def test_decomposition_invariants(n):
     w = np.array([comb(n, b) for b in range(n + 1)], dtype=float)
     assert np.allclose(P.conj().T @ (w[:, None] * P), np.eye(n + 1), atol=1e-12)
 
-    for sp in dec.spaces:
+    for sp, (lam9, lam15) in zip(dec.spaces, extras.T):
+        lams = {**sp.lams, 9: lam9, 15: lam15}
         # eigenvalue table is internally consistent with the exact shell sums
         V = P @ sp.basis
         for N in (3, 5, 9, 15):
-            R_N = _shell_operator(n, N) @ V - sp.lams[N] * V
+            R_N = _shell_operator(n, N) @ V - lams[N] * V
             assert np.abs(R_N).max() < 1e-8
         # multiplicativity on the eigenvalue level
-        assert sp.lams[15] == pytest.approx(sp.lams[3] * sp.lams[5], abs=1e-9)
-        assert sp.lams[9] == pytest.approx(
-            sp.lams[3] ** 2 - 3 * sp.lams[1], abs=1e-8)
+        assert lams[15] == pytest.approx(lams[3] * lams[5], abs=1e-9)
+        assert lams[9] == pytest.approx(
+            lams[3] ** 2 - 3 * lams[1], abs=1e-8)
         assert sp.t1_flag in (0, 1)
         assert sp.multiplicity % (n + 1) == 0
 
@@ -433,21 +434,78 @@ def test_dense_oracle_invariants(n):
 @pytest.mark.parametrize("n", [4, 8, 12, 24])
 def test_decomposition_matches_dense_oracle(n):
     extras = (9, 15)
-    dec = decompose(n, primes=(3, 5), even_extras=extras)
+    dec = decompose(n, primes=(3, 5))
     ref = dense_oracle.decompose(n, primes=(3, 5), even_extras=extras)
     assert ([(sp.multiplicity, sp.t1_flag) for sp in dec.spaces]
             == [(sp.multiplicity, sp.t1_flag) for sp in ref.spaces])
-    for sp, rp in zip(dec.spaces, ref.spaces):
-        assert sp.lams.keys() == rp.lams.keys()
-        for N, lam in sp.lams.items():
+    read = hecke.hecke_eigenvalues(dec, extras)
+    for sp, rp, col in zip(dec.spaces, ref.spaces, read.T):
+        lams = {**sp.lams, **dict(zip(extras, col))}
+        assert lams.keys() == rp.lams.keys()
+        for N, lam in lams.items():
             assert lam == pytest.approx(rp.lams[N], abs=1e-9)
-    assert dec.group_margin > dec.group_tol
+    assert dec.group_margin > hecke.GROUP_TOL
 
 
-def test_eigenvalue_of_missing_raises():
-    dec = decompose(4, primes=(3, 5))
-    with pytest.raises(KeyError):
-        dec.eigenvalue_of(dec.spaces[0], 7)
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_eigenvalue_readout_matches_dense_oracle(n):
+    # lambda(9) and lambda(15), read from the finished decomposition, against
+    # the dense eigensolve that diagonalised T_9 and T_15 up front
+    dec = decompose(n, primes=(3, 5))
+    ref = dense_oracle.decompose(n, primes=(3, 5), even_extras=(9, 15))
+    read = hecke.hecke_eigenvalues(dec, (9, 15))
+    assert read.shape == (2, len(dec.spaces)) == (2, len(ref.spaces))
+    for i, N in enumerate((9, 15)):
+        for lam, rp in zip(read[i], ref.spaces):
+            assert lam == pytest.approx(rp.lams[N], abs=1e-9)
+
+
+def _perturb_row_operator(monkeypatch, N, E):
+    """Make ``_row_operators`` return T_N + E, leaving every other N as is."""
+    good = hecke._row_operators
+
+    def perturbed(n, Ns):
+        return np.stack([op + E if M == N else op
+                         for M, op in zip(Ns, good(n, Ns))])
+
+    monkeypatch.setattr(hecke, "_row_operators", perturbed)
+
+
+def test_residual_gate_rejects_a_prime_at_every_seed(monkeypatch):
+    # a small random symmetric perturbation of T_5 no longer commutes with
+    # T_3: no seed's combination diagonalises both, so every seed fails its
+    # residual check
+    n = 4
+    E = np.random.default_rng(0).standard_normal((n + 1, n + 1))
+    _perturb_row_operator(monkeypatch, 5, 1e-6 * (E + E.T))
+    seeds = []
+    solve = hecke.joint_eigenspaces
+
+    def spy(n, primes, seed):
+        seeds.append(seed)
+        return solve(n, primes, seed=seed)
+
+    monkeypatch.setattr(hecke, "joint_eigenspaces", spy)
+    with pytest.raises(hecke.DegeneracyError,
+                       match=r"n=4 N=\d+: residual \S+ exceeds"):
+        decompose(n, primes=(3, 5), seed=2)
+    assert seeds == list(range(2, 2 + hecke.DECOMPOSE_SEEDS))
+
+
+@pytest.mark.parametrize("N", [9, 15])
+def test_residual_gate_rejects_a_readout_not_scalar_on_a_class(
+        monkeypatch, N):
+    # T_N + E with E coupling two basis vectors of one class: the read-out
+    # runs the eigensolve's residual check and names N
+    n = 6
+    dec = decompose(n, primes=(3, 5))
+    sp = next(sp for sp in dec.spaces if sp.basis.shape[1] >= 2)
+    u, v = sp.basis[:, 0], sp.basis[:, 1]
+    _perturb_row_operator(monkeypatch, N, 1e-6 * (np.outer(u, v) + np.outer(v, u)))
+    assert hecke.hecke_eigenvalues(dec, (3, 5)).shape == (2, len(dec.spaces))
+    with pytest.raises(hecke.DegeneracyError,
+                       match=rf"n=6 N={N}: residual \S+ exceeds"):
+        hecke.hecke_eigenvalues(dec, (3, 5, N))
 
 
 def test_unflagged_part_is_single_space():
@@ -513,7 +571,7 @@ def test_decompose_tries_a_fixed_number_of_seeds(monkeypatch):
     # the last one's DegeneracyError propagates
     seeds = []
 
-    def degenerate(n, primes, even_extras, seed):
+    def degenerate(n, primes, seed):
         seeds.append(seed)
         raise hecke.DegeneracyError(f"forced at seed {seed}")
 

@@ -263,7 +263,7 @@ def test_coset_coefficient_examples():
 
 @pytest.mark.parametrize("n", [2, 4])
 def test_central_identity_small(n):
-    dec = decompose(n, primes=(3, 5), even_extras=tuple(range(1, 11)))
+    dec = decompose(n, primes=(3, 5))
     ks = (1, 2, 3, 5, 8, 10)
     for x, y in [(ONE, ONE), ((1, 2, 2, 0), ONE)]:
         for k, sc in zip(ks, spectral_coefficient(n, x, y, ks, dec)):
@@ -274,7 +274,7 @@ def test_central_identity_small(n):
 
 def test_spectral_coefficient_matches_dense_oracle():
     n = 4
-    dec = decompose(n, primes=(3, 5), even_extras=tuple(range(1, 25)))
+    dec = decompose(n, primes=(3, 5))
     ref = dense_oracle.decompose(n, primes=(3, 5),
                                  even_extras=tuple(range(1, 25)))
     for x, y in [(ONE, ONE), ((1, 2, 2, 0), ONE), ((1, 1, 1, 0), (1, 2, 0, 0))]:
@@ -288,7 +288,7 @@ def test_spectral_coefficient_matches_dense_oracle():
 def test_spectral_coefficient_batch_is_per_k():
     # one evaluation of the eigenbasis serves every k, value for value
     n = 6
-    dec = decompose(n, primes=(3, 5), even_extras=tuple(range(1, 13)))
+    dec = decompose(n, primes=(3, 5))
     x, y = (1, 2, 2, 0), (3, 4, 0, 0)
     ks = range(1, 13)
     batch = spectral_coefficient(n, x, y, ks, dec)
