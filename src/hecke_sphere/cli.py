@@ -2,8 +2,10 @@
 
 Every output embeds the resolved configuration; CSV bodies are
 deterministic for a fixed configuration.  Exit status 0 means every
-assertion in the run passed; a ``ValueError`` from the library (a
-refused input) is printed as one line and exits 1.
+assertion in the run passed.  A refused input, a ``ValueError`` from the
+flag parsers here or from the library, is printed by ``main`` as one line
+``hecke-sphere <command>: <reason>`` and exits 1; argparse's own usage
+errors exit 2.
 
 CSV tables are passed as columns and written a block of rows at a time,
 each field as ``str(value)`` (what ``csv.writer`` writes for ints, floats,
@@ -127,13 +129,14 @@ def _ns(args):
         try:
             a, b, step = (int(t) for t in args.n_range.split(":"))
         except ValueError:
-            raise SystemExit(f"--n-range: expected a:b:step, got {args.n_range!r}")
+            raise ValueError(
+                f"--n-range: expected a:b:step, got {args.n_range!r}") from None
         if step < 1 or a > b:
-            raise SystemExit(
+            raise ValueError(
                 f"--n-range: need step >= 1 and a <= b, got {args.n_range!r}")
         ns = list(range(a, b + 1, step))
     elif args.n is None:
-        raise SystemExit("one of --n / --n-range is required")
+        raise ValueError("one of --n / --n-range is required")
     else:
         ns = [args.n]
     if ns[0] < 0:
@@ -142,13 +145,12 @@ def _ns(args):
 
 
 def _even_ns(args):
-    """``_ns(args)``, refused with one line unless every n is even: the
-    joint eigenspaces and the Hecke relations are built for even n."""
+    """``_ns(args)``, refused unless every n is even: the joint
+    eigenspaces and the Hecke relations are built for even n."""
     ns = _ns(args)
     odd = [n for n in ns if n % 2]
     if odd:
-        raise SystemExit(
-            f"hecke-sphere {args.command}: needs even n, got n = {odd[0]}")
+        raise ValueError(f"needs even n, got n = {odd[0]}")
     return ns
 
 
@@ -180,7 +182,7 @@ def _primes(args):
     try:
         return odd_primes(int(p) for p in args.primes.split(","))
     except ValueError as exc:
-        raise SystemExit(f"--primes: {exc}")
+        raise ValueError(f"--primes: {exc}") from None
 
 
 def cmd_shells(args) -> int:

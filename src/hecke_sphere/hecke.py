@@ -5,23 +5,24 @@ operator T_N is that sum divided by 8 N^(n/2).  The degree-n harmonics are
 spanned by the matrix coefficients t_{ba} of T(x) = Sym^n of the 2x2 model
 of x (see ``poly``).  Since T(m x) = T(m) T(x), the unscaled operator sends
 f_{v,a}(x) = sum_b v_b t_{ba}(x) to f_{S_N^T v, a}, where
-S_N = sum_{nr(m)=N} T(m) is an exact (n+1) x (n+1) matrix of Gaussian
-integers: every Hecke operator acts on the row label alone.  S_N is in
-fact real: the conjugate of the 2x2 model of x is the model of
-x' = (x1, -x2, x3, -x4), so T(x') = conj T(x), and every shell is closed
-under x -> x'; ``shell_monomial_matrices`` refuses a sum whose imaginary
+S_N = sum_{nr(m)=N} T(m) is an (n+1) x (n+1) matrix: every Hecke operator
+acts on the row label alone.  S_N is real: the conjugate of the 2x2 model
+of x is the model of x' = (x1, -x2, x3, -x4), so T(x') = conj T(x), and
+every shell is closed under x -> x'.  So S_N is stored as one exact
+integer matrix; ``shell_monomial_matrices`` refuses a sum whose imaginary
 part is not zero.  The exact checks read S_N directly.  The matrices in the
 harmonic basis (real and imaginary parts of the t_{ba}, made primitive)
 follow from S_N by the conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj
-t_{ba} and the contents.
+t_{ba} and the contents, since part(S_N t) = S_N part(t).
 
 Every shell is a disjoint union of eight-point left-unit orbits {u m},
 and T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per
 orbit and S_1 over the eight units.  ``shell_monomial_matrices`` forms the
 exact S_N, and ``_float_shell_sums`` the float S_N / N^(n/2) from the unit
-points m / sqrt N, each for a set of N from one join.  The exact S_N are
-the oracle: ``hecke_relations_check`` (all products S_a S_b in one
-stacked product), ``selfadjoint_check`` and ``t1_vanishing`` read them.
+points m / sqrt N, each for a set of N from one join and through one
+block loop, ``_run_sums``.  The exact S_N are the oracle:
+``hecke_relations_check`` (all products S_a S_b in one stacked product),
+``selfadjoint_check`` and ``t1_vanishing`` read them.
 ``joint_eigenspaces`` diagonalises T_1 and the primes alone, grouping
 classes within the constant ``GROUP_TOL``; ``hecke_eigenvalues`` reads
 lambda(N) of every class for any N on demand from the finished
@@ -67,8 +68,9 @@ def _int64_exact(n: int, N: int, size: int) -> bool:
     return size * size * 4 ** n * N ** n < 2 ** 126
 
 
-#: most entries of T (points x (n+1)^2) that one block of shells holds, in
-#: int64 (``shell_monomial_matrices``) or in floats (``_float_shell_sums``)
+#: most entries of T (points x (n+1)^2) that one block of ``_run_sums``
+#: holds, in int64 (``shell_monomial_matrices``) or in floats
+#: (``_float_shell_sums``)
 SHELL_BLOCK = 2 ** 14
 
 #: the left units 1, i, j, k, -1, -i, -j, -k in integral coordinates, as
@@ -134,92 +136,95 @@ def _orbit_representatives(n: int, Ns):
 _SHELL_SUMS: dict = {}
 
 
+def _run_sums(pts, n: int, sizes, step: int) -> np.ndarray:
+    """Sum of ``sym_power_values(pts, n)`` over each run of ``pts``.
+
+    ``pts`` is cut into consecutive runs of ``sizes`` points; the result
+    has one entry per run, of the shape and dtype of the values of a point.
+    The values are taken on blocks of ``step`` points, whatever runs a
+    block spans; one ``np.add.reduceat`` sums the pieces of the runs inside
+    a block, and each piece is added to its run's total.
+    """
+    run = np.repeat(np.arange(len(sizes)), sizes)
+    R = None
+    for i in range(0, len(pts), step):
+        ids = run[i:i + step]
+        # where each run's piece starts inside the block
+        cut = np.flatnonzero(np.diff(ids, prepend=-1))
+        part = np.add.reduceat(sym_power_values(pts[i:i + step], n), cut,
+                               axis=-1)
+        if R is None:
+            R = np.zeros((len(sizes),) + part.shape[:-1], dtype=part.dtype)
+        R[ids[cut]] += np.moveaxis(part, -1, 0)
+    return R
+
+
 def shell_monomial_matrices(n: int, Ns) -> tuple:
     """S_N = sum over the norm-N shell of T(m) for every N in ``Ns``, in order.
 
-    Each S_N is exact, of shape (2, n+1, n+1): entry [0] is the real part
-    and [1] the imaginary part, as Python integers in a read-only object
-    array.  T(m) acts on binary forms of degree n, so its rows and columns
-    are indexed by the monomials X^b Y^(n-b).  Results are cached per
-    (n, N); the shells not yet cached come from one ``_shell_join``.
+    Each S_N is exact and real, of shape (n+1, n+1), as Python integers in
+    a read-only object array.  T(m) acts on binary forms of degree n, so
+    its rows and columns are indexed by the monomials X^b Y^(n-b).
+    Results are cached per (n, N); the shells not yet cached come from one
+    ``_shell_join``.
 
     Each shell is a disjoint union of left-unit orbits {u m}, and
     T(u m) = T(u) T(m), so S_N = S_1 R_N with R_N the sum of T over one
     point per orbit (``_orbit_representatives``) and S_1 = sum_u T(u).
-    One ``sym_power_values`` pass per block covers the representatives
-    of consecutive shells, the first block also the eight units; a block
-    holds at most ``SHELL_BLOCK`` entries of T, counted over those points,
-    and one ``np.add.reduceat`` sums its segments.  A shell above the cap
-    is a block of its own.  S_1 is real, since the units are closed under
-    the conjugation x -> x' of the module docstring, and S_1 = 0 at odd n,
-    where T(-u) = -T(u).  So S_N = (S_1 Re R_N, S_1 Im R_N), formed in the
-    dtype of the block.
+    ``_run_sums`` takes the eight units and the representatives of every
+    shell within the int64 bound below in int64, on blocks of
+    ``SHELL_BLOCK`` entries of T, the loop of ``_float_shell_sums``.  A
+    shell above the bound is one object-array pass of its own.  S_1 is
+    real, since the units are closed under the conjugation x -> x' of the
+    module docstring, and S_1 = 0 at odd n, where T(-u) = -T(u).  So
+    S_1 Im R_N is zero; it is formed, and a sum where it is not raises
+    ``ArithmeticError`` and caches nothing.  S_N = S_1 Re R_N is formed
+    in the dtype of R_N.
 
     Each T(u) has one entry of modulus 1 per row and column, since the 2x2
     model of a unit is diagonal or antidiagonal with unit entries; so the
     forms of the unit points are monomials, exact in int64 at any n, and
     every partial sum of a row of S_1 times a column of R_N is at most
-    8 max |R_N|.  For the representatives the bound holds per shell
-    segment, since a segment is summed on its own.  Every coefficient of
-    the linear forms z X - conj(w) Y and w X + conj(z) Y of
-    ``sym_power_values`` has modulus at most sqrt N, so the coefficient of
-    X^(d-j) Y^j in a product of d of them has modulus at most
-    C(d, j) N^(d/2).  In ``_form_mul`` each real product u_r g_r - u_i g_i
-    (or u_r g_i + u_i g_r) is at most |u| |g| by Cauchy-Schwarz, so for
-    factors of degrees e and d - e every partial sum of a product
-    coefficient is at most sum_s C(e, s) C(d - e, j - s) N^(d/2) =
-    C(d, j) N^(d/2) by Vandermonde, and so at most 2^n N^(n/2) for d <= n.
-    Every partial sum of R_N is then at most #reps 2^n N^(n/2), and every
-    partial sum of S_1 R_N at most 8 #reps 2^n N^(n/2) = |shell| 2^n
+    8 max |R_N|.  Every coefficient of the linear forms z X - conj(w) Y
+    and w X + conj(z) Y of ``sym_power_values`` has modulus at most
+    sqrt N, so the coefficient of X^(d-j) Y^j in a product of d of them
+    has modulus at most C(d, j) N^(d/2).  In ``_form_mul`` each real
+    product u_r g_r - u_i g_i (or u_r g_i + u_i g_r) is at most |u| |g| by
+    Cauchy-Schwarz, so for factors of degrees e and d - e every partial
+    sum of a product coefficient is at most sum_s C(e, s) C(d - e, j - s)
+    N^(d/2) = C(d, j) N^(d/2) by Vandermonde, and so at most 2^n N^(n/2)
+    for d <= n.  Every partial sum of R_N, over any subset of the
+    representatives, is then at most #reps 2^n N^(n/2): this covers a
+    shell split across blocks, whose pieces are summed in turn.  Every
+    partial sum of S_1 R_N is at most 8 #reps 2^n N^(n/2) = |shell| 2^n
     N^(n/2); ``_int64_exact`` requires that below 2^63.  A shell above
-    that bound is summed on Python integers in an object array, one pass
-    per shell: its cost is big-integer arithmetic, not the number of calls.
+    that bound is summed on Python integers, in one pass: its cost is
+    big-integer arithmetic, and smaller blocks would only add
+    ``_form_mul`` calls.
     """
     Ns = [int(N) for N in Ns]
     todo = sorted({N for N in Ns if (n, N) not in _SHELL_SUMS})
     if todo:
         reps, counts = _orbit_representatives(n, todo)
-        reps //= 2
-        pts = np.concatenate([np.array(UNITS, dtype=np.int64), reps])
-        # segment 0 is the units, exact in int64 at any n (below), and
-        # segment i + 1 the representatives of the shell todo[i]
-        sizes = [len(UNITS)] + counts.tolist()
-        starts = np.concatenate(([0], np.cumsum(sizes)))
-        exact = [True] + [_int64_exact(n, N, 8 * c)
-                          for N, c in zip(todo, sizes[1:])]
-        # runs [i, j, int64] of the segments i:j summed in one pass;
-        # ``fill`` counts the entries of an open int64 run, None if none
-        runs, fill = [], None
-        for i, size in enumerate(sizes):
-            entries = size * (n + 1) ** 2
-            if not exact[i]:
-                runs.append([i, i + 1, False])
-                fill = None
-            elif fill is not None and fill + entries <= SHELL_BLOCK:
-                runs[-1][1] = i + 1
-                fill += entries
-            else:
-                runs.append([i, i + 1, True])
-                fill = entries
-        R = []
-        for i, j, int64 in runs:
-            seg = pts[starts[i]:starts[j]]
-            if int64:
-                sums = np.add.reduceat(sym_power_values(seg, n),
-                                       starts[i:j] - starts[i], axis=-1)
-            else:
-                sums = sym_power_values(seg.astype(object), n).sum(
-                    axis=-1, keepdims=True)
-            R.extend(np.moveaxis(sums, -1, 0))
-        S1 = R[0][0]
-        totals = [S1 @ r for r in R[1:]]
+        shells = np.split(reps // 2, np.cumsum(counts)[:-1])
+        exact = [_int64_exact(n, N, 8 * len(s)) for N, s in zip(todo, shells)]
+        small = [s for s, e in zip(shells, exact) if e]
+        # run 0 is the units, exact in int64 at any n (below)
+        R = iter(_run_sums(
+            np.concatenate([np.array(UNITS, dtype=np.int64)] + small), n,
+            [len(UNITS)] + [len(s) for s in small],
+            max(1, SHELL_BLOCK // (n + 1) ** 2)))
+        S1 = next(R)[0]
+        totals = [S1 @ (next(R) if e else
+                        _run_sums(s.astype(object), n, [len(s)], len(s))[0])
+                  for s, e in zip(shells, exact)]
         for N, total in zip(todo, totals):
             if np.any(total[1]):
                 raise ArithmeticError(
                     f"S_{N} at n={n} has a nonzero imaginary part: "
                     f"the norm-{N} shell is not closed under conjugation")
         for N, total in zip(todo, totals):
-            total = total.astype(object)
+            total = total[0].astype(object)
             total.setflags(write=False)
             _SHELL_SUMS[n, N] = total
     return tuple(_SHELL_SUMS[n, N] for N in Ns)
@@ -228,11 +233,11 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
 # also an lru_cache, so that its hits can be counted (perfbench/tracer.py)
 @lru_cache(maxsize=None)
 def shell_monomial_matrix(n: int, N: int) -> np.ndarray:
-    """S_N of one shell, exact; shape (2, n+1, n+1).
+    """S_N of one shell, exact and real; shape (n+1, n+1).
 
     The one-N call of ``shell_monomial_matrices``, which states the layout
     and the int64 bound; that bound holds per shell, so a shell is summed
-    in int64 or on Python integers alike here and inside a block.
+    in int64 or on Python integers alike here and in a batch.
     """
     return shell_monomial_matrices(n, [N])[0]
 
@@ -271,19 +276,15 @@ def _unscaled_map(n: int, N: int):
     / c[i]; R[:, i] holds the basis coordinates of the numerator.
     """
     hb = harmonic_basis(n)
-    s_re, s_im = shell_monomial_matrix(n, N)
+    S = shell_monomial_matrix(n, N)
     index, factor = _part_coordinates(hb)
     b, a, part = np.array(hb.labels, dtype=np.intp).T
-    imag = part[:, None] == 1
-    # Re(S t) = S_re Re t - S_im Im t and Im(S t) = S_im Re t + S_re Im t:
-    # coefficients of Re t_{c a} and Im t_{c a} in column i, shape (dim, n+1)
-    on_re = np.where(imag, s_im[b], s_re[b])
-    on_im = np.where(imag, s_re[b], -s_im[b])
+    # S is real, so part(S t) = S part(t): column i holds S[b, c] times
+    # the coordinates of part(t_{c a}), indexed [i, c]
+    at = (part[:, None], np.arange(n + 1), a[:, None])
     R = np.zeros((hb.dim, hb.dim), dtype=object)
-    cols = np.arange(hb.dim)[:, None]
     # a = n/2 sends t_{ca} and t_{n-c,a} to one basis vector: accumulate
-    np.add.at(R, (index[0][:, a].T, cols), on_re * factor[0][:, a].T)
-    np.add.at(R, (index[1][:, a].T, cols), on_im * factor[1][:, a].T)
+    np.add.at(R, (index[at], np.arange(hb.dim)[:, None]), S[b] * factor[at])
     return R, np.array(hb.contents, dtype=object)
 
 
@@ -345,28 +346,14 @@ def t1_vanishing(n: int) -> bool:
 
 
 def selfadjoint_check(n: int, N: int) -> bool:
-    """Exact self-adjointness: C(n, c) S_N[b, c] = conj(S_N[c, b]) C(n, b).
+    """Exact self-adjointness: C(n, c) S_N[b, c] = S_N[c, b] C(n, b).
 
-    With the weights C(n, b) of the module docstring this is G T = T^T G.
+    With the weights C(n, b) of the module docstring this is G T = T^T G;
+    S_N is real (``shell_monomial_matrices``), so no conjugate enters.
     """
-    s_re, s_im = shell_monomial_matrix(n, N)
+    S = shell_monomial_matrix(n, N)
     w = np.array([comb(n, b) for b in range(n + 1)], dtype=object)
-    return bool(np.all(s_re * w == s_re.T * w[:, None])
-                and np.all(s_im * w == -s_im.T * w[:, None]))
-
-
-def _gauss_products(S, pairs) -> dict:
-    """S_a S_b for every (a, b) in ``pairs``, from one stacked matmul.
-
-    ``S`` maps N to a shell sum stored as (real, imaginary); the imaginary
-    part is zero (``shell_monomial_matrices`` checks it), so only the real
-    parts are multiplied and the products keep that layout.
-    """
-    A = np.stack([S[a][0] for a, _ in pairs])
-    B = np.stack([S[b][0] for _, b in pairs])
-    prod = np.zeros((len(pairs), 2) + A.shape[1:], dtype=A.dtype)
-    prod[:, 0] = A @ B
-    return dict(zip(pairs, prod))
+    return bool(np.all(S * w == S.T * w[:, None]))
 
 
 def odd_primes(primes) -> tuple:
@@ -406,7 +393,9 @@ def hecke_relations_check(n: int, primes=(3, 5)) -> dict:
     pairs = [(p, p) for p in primes]
     pairs += [ab for i, a in enumerate(keys) for b in keys[i + 1:]
               for ab in ((a, b), (b, a))]
-    prod = _gauss_products(S, pairs)
+    A = np.stack([S[a] for a, _ in pairs])
+    B = np.stack([S[b] for _, b in pairs])
+    prod = dict(zip(pairs, A @ B))
 
     for p in primes:
         for q in primes:
@@ -463,10 +452,10 @@ def _float_shell_sums(n: int, Ns):
     sizes.  As in ``shell_monomial_matrices`` it is S_1 R_N, with R_N the
     sum of T(m / sqrt N) over one point m per left-unit orbit of the shells
     not yet cached (one ``_shell_join``), and S_1 the sum of T over the
-    eight units.  The float ``sym_power_values`` runs on blocks of the
-    units and the unit points m / sqrt N of the representatives of at most
-    ``SHELL_BLOCK`` entries of T, whatever shells a block spans.  Cached
-    per (n, N).
+    eight units.  ``_run_sums`` takes the float ``sym_power_values`` of the
+    units and of the unit points m / sqrt N of the representatives on
+    blocks of ``SHELL_BLOCK`` entries of T, whatever shells a block spans.
+    Cached per (n, N).
     """
     Ns = [int(N) for N in Ns]
     todo = sorted({N for N in Ns if (n, N) not in _FLOAT_SUMS})
@@ -475,18 +464,8 @@ def _float_shell_sums(n: int, Ns):
         # the doubled coordinates 2 m of norm 4 N, divided by 2 sqrt N
         pts = np.concatenate(
             [UNITS, reps / np.repeat(2.0 * np.sqrt(todo), counts)[:, None]])
-        # segment 0 is the units, segment i + 1 the shell todo[i]
-        seg = np.repeat(np.arange(len(todo) + 1),
-                        np.concatenate(([len(UNITS)], counts)))
-        R = np.zeros((len(todo) + 1, n + 1, n + 1), dtype=complex)
-        step = max(1, SHELL_BLOCK // (n + 1) ** 2)
-        for i in range(0, len(pts), step):
-            ids = seg[i:i + step]
-            # where each segment's run of points starts inside the block
-            cut = np.flatnonzero(np.diff(ids, prepend=-1))
-            part = np.add.reduceat(sym_power_values(pts[i:i + step], n), cut,
-                                   axis=-1)
-            R[ids[cut]] += np.moveaxis(part, -1, 0)
+        R = _run_sums(pts, n, [len(UNITS)] + counts.tolist(),
+                      max(1, SHELL_BLOCK // (n + 1) ** 2))
         sums = R[0] @ R[1:]
         sums.setflags(write=False)
         for N, S, count in zip(todo, sums, counts.tolist()):

@@ -46,10 +46,11 @@ def test_hecke_check_exit_zero(tmp_path):
 
 
 @pytest.mark.parametrize("primes", ["2,3", "3,9", "3,3"])
-def test_hecke_check_refuses_bad_primes(tmp_path, primes):
+def test_hecke_check_refuses_bad_primes(tmp_path, capsys, primes):
     # refused before any report is written, not reported as a failed relation
-    with pytest.raises(SystemExit, match="--primes"):
-        run(tmp_path, "hecke-check", "--n", "4", "--primes", primes)
+    assert run(tmp_path, "hecke-check", "--n", "4", "--primes", primes) == 1
+    assert capsys.readouterr().err.startswith(
+        "hecke-sphere hecke-check: --primes: ")
     assert not (tmp_path / "hecke-check-4.json").exists()
 
 
@@ -115,14 +116,12 @@ def test_theta_identity_compares_the_exact_theta_value(tmp_path):
     ("hecke-check", "--n", "3"), ("spectral", "--n", "3"),
     ("moments", "--n", "3", "--grid", "10"), ("pretrace-check", "--n", "3"),
     ("theta-identity", "--n", "3"), ("spectral", "--n-range", "2:5:1")])
-def test_even_only_commands_refuse_odd_n(tmp_path, argv):
+def test_even_only_commands_refuse_odd_n(tmp_path, capsys, argv):
     # one line naming the command and the odd n, not a ValueError traceback,
     # before any artifact is written
-    with pytest.raises(SystemExit) as exc:
-        run(tmp_path, *argv)
-    msg = exc.value.code
-    assert isinstance(msg, str) and "\n" not in msg
-    assert msg == f"hecke-sphere {argv[0]}: needs even n, got n = 3"
+    assert run(tmp_path, *argv) == 1
+    assert (capsys.readouterr().err
+            == f"hecke-sphere {argv[0]}: needs even n, got n = 3\n")
     assert not any(tmp_path.iterdir())
 
 
@@ -169,19 +168,21 @@ def test_counting_small(tmp_path):
     assert doc["pass"] is True
 
 
-def test_n_range_and_missing_n(tmp_path):
+def test_n_range_and_missing_n(tmp_path, capsys):
     assert run(tmp_path, "basis", "--n-range", "0:4:2") == 0
     for n in (0, 2, 4):
         assert (tmp_path / f"basis-{n}.json").exists()
-    with pytest.raises(SystemExit):
-        run(tmp_path, "basis")
+    assert run(tmp_path, "basis") == 1
+    assert (capsys.readouterr().err
+            == "hecke-sphere basis: one of --n / --n-range is required\n")
 
 
 @pytest.mark.parametrize("spec", ["8:8:0", "8:4:2", "8:12:-2", "8:12", "a:b:c"])
-def test_n_range_refuses_zero_step_and_empty_ranges(tmp_path, spec):
+def test_n_range_refuses_zero_step_and_empty_ranges(tmp_path, capsys, spec):
     # refused with a message before any artifact is written
-    with pytest.raises(SystemExit, match="--n-range"):
-        run(tmp_path, "petersson", "--n-range", spec)
+    assert run(tmp_path, "petersson", "--n-range", spec) == 1
+    assert capsys.readouterr().err.startswith(
+        "hecke-sphere petersson: --n-range: ")
     assert not (tmp_path / "petersson.csv").exists()
 
 
@@ -259,10 +260,14 @@ def test_modularity_forced_zero_exits_one(tmp_path, capsys):
     ("hecke-check", "--n", "-2"),
     ("pretrace-check", "--n", "-2"),
     ("moments", "--n", "-2"),
-    ("theta-identity", "--n", "-2")])
+    ("theta-identity", "--n", "-2"),
+    ("spectral", "--n-range", "4:2:1"),
+    ("spectral", "--n-range", "a:b:c"),
+    ("basis",),
+    ("hecke-check", "--n", "4", "--primes", "2,3")])
 def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
-    # a ValueError from the library is one stderr line naming the command,
-    # not a traceback, and no artifact is written
+    # a refused flag or library input is one stderr line naming the
+    # command, not a traceback, and no artifact is written
     assert run(tmp_path, *argv) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -13,6 +13,7 @@ from hecke_sphere.hecke import (
 )
 from hecke_sphere.poly import harmonic_basis, sym_power_values
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
+from hecke_sphere.zonal import chebyshev_U_vec
 from poly_oracle import (
     basis_polys, gram_diagonal, sphere_integral, substitute_left_mul,
 )
@@ -90,7 +91,7 @@ def test_selfadjoint_matches_dense_oracle(n):
 @pytest.mark.parametrize("n,N", [(2, 3), (4, 5), (6, 9)])
 def test_selfadjoint_rejects_perturbed_sum(n, N, monkeypatch):
     S = shell_monomial_matrix(n, N).copy()
-    S[1, 0, n] += 1  # one imaginary entry off its conjugate partner
+    S[0, n] += 1  # one entry off its weighted transpose partner
     monkeypatch.setattr(hecke, "shell_monomial_matrix", lambda n, N: S)
     assert not selfadjoint_check(n, N)
 
@@ -140,9 +141,12 @@ def test_primes_must_be_distinct_odd_primes(primes):
 
 @lru_cache(maxsize=None)
 def _object_shell_sum(n, N):
-    """S_N summed over the shell on Python integers, the unbounded path."""
+    """S_N summed over the shell on Python integers, the unbounded path;
+    its imaginary part is zero, and the real part is returned."""
     coords = enumerate_shell(N, "integral").coords // 2
-    return sym_power_values(coords.astype(object), n).sum(axis=-1)
+    re, im = sym_power_values(coords.astype(object), n).sum(axis=-1)
+    assert not np.any(im)
+    return re
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 16])
@@ -190,7 +194,7 @@ def test_shell_sums_batch_matches_object_path(n, monkeypatch):
     sums = hecke.shell_monomial_matrices(n, BATCH_NS)
     assert len(sums) == len(BATCH_NS)
     for N, S in zip(BATCH_NS, sums):
-        assert S.shape == (2, n + 1, n + 1)
+        assert S.shape == (n + 1, n + 1)
         assert S.dtype == object and not S.flags.writeable
         assert all(type(v) is int for v in S.ravel())
         assert np.array_equal(S, _object_shell_sum(n, N))
@@ -207,9 +211,10 @@ UNITS = [Quaternion.from_int_coords(*u) for u in
 def test_shell_sums_blocks_fill_the_cap(monkeypatch):
     # at n = 2 a point holds 9 entries of T; the eight units come first, and
     # the shells of norm 1, 2, 3, 5, 13 have 1, 3, 4, 6, 14 orbit
-    # representatives: with a cap of 108 entries the units and norms 1 and
-    # 2 fill one block exactly, norms 3 and 5 share the next, and norm 13
-    # is over the cap
+    # representatives: with a cap of 108 entries a block holds 12 points,
+    # so the units and norms 1 and 2 fill the first block exactly, norms 3
+    # and 5 and two points of norm 13 the next, and the other twelve points
+    # of norm 13 the last: the norm-13 shell straddles two blocks
     monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
     monkeypatch.setattr(hecke, "SHELL_BLOCK", 108)
     passes = []
@@ -222,7 +227,7 @@ def test_shell_sums_blocks_fill_the_cap(monkeypatch):
     monkeypatch.setattr(hecke, "sym_power_values", spy)
     Ns = [5, 13, 3, 2, 1]
     sums = hecke.shell_monomial_matrices(2, Ns)
-    assert passes == [(12, np.int64), (10, np.int64), (14, np.int64)]
+    assert passes == [(12, np.int64)] * 3
     for N, S in zip(Ns, sums):
         assert np.array_equal(S, _object_shell_sum(2, N))
 
@@ -332,12 +337,35 @@ def test_unit_shell_sum(n):
     # S_1 = sum of T over the eight units is 8 P with P^2 = P (T_1 = P) at
     # even n, and 0 at odd n, where T(-u) = -T(u)
     S = shell_monomial_matrix(n, 1)
-    assert not np.any(S[1])
     if n % 2:
-        assert not np.any(S[0])
+        assert not np.any(S)
     else:
-        assert np.array_equal(S[0] @ S[0], 8 * S[0])
-        assert np.any(S[0]) == (n != 2)
+        assert np.array_equal(S @ S, 8 * S)
+        assert np.any(S) == (n != 2)
+
+
+@pytest.mark.parametrize("n", [12, 24])
+def test_trace_identity_ties_eigensolve_to_shell_sums(n):
+    # basis-free: the trace of T_N on W is sum_lambda dim W_lambda lambda(N)
+    # from the eigensolve, and tr S_N / (8 N^(n/2)) from the exact sums;
+    # tr T(m) is the character of Sym^n, N^(n/2) U_n(m_1 / sqrt N), so it
+    # is also (1/8) sum over the shell of U_n(m_1 / sqrt N).  Each side is
+    # at most r4(N) (n + 1) / 8, and they agree to 1e-12 r4(N)
+    Ns = [1, 3, 5, 9, 15, 25, 49]
+    dec = decompose(n, primes=(3, 5))
+    dims = [sp.basis.shape[1] for sp in dec.spaces]
+    spectral = hecke.hecke_eigenvalues(dec, Ns) @ dims
+    for N, lam in zip(Ns, spectral):
+        exact = np.trace(shell_monomial_matrix(n, N)) / (8 * N ** (n // 2))
+        # the doubled coordinates have first entry 2 m_1
+        c1 = enumerate_shell(N, "integral").coords[:, 0]
+        zonal = chebyshev_U_vec(n, c1 / (2 * np.sqrt(N))).sum() / 8
+        tol = 1e-12 * r4_count(N)
+        assert abs(lam - exact) <= tol and abs(zonal - exact) <= tol
+    # T_1 is the projector onto the unit-invariant rows, of rank
+    # inv(n) = (n + 1 + 3 (-1)^(n/2)) / 4: tr S_1 = 8 inv(n) exactly
+    inv = (n + 1 + 3 * (-1) ** (n // 2)) // 4
+    assert np.trace(shell_monomial_matrix(n, 1)) == 8 * inv
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 16, 24])
@@ -350,8 +378,7 @@ def test_float_shell_sums_match_exact(n, monkeypatch):
     assert np.array_equal(sizes, [r4_count(N) for N in BATCH_NS])
     g = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
     for N, S, size in zip(BATCH_NS, sums, sizes):
-        s_re, s_im = shell_monomial_matrix(n, N)
-        exact = (s_re.astype(float) + 1j * s_im.astype(float)) / N ** (n / 2)
+        exact = shell_monomial_matrix(n, N).astype(float) / N ** (n / 2)
         err = np.abs(S - exact) * g[None, :] / g[:, None]
         assert err.max() <= 1e-13 * size
 
@@ -377,8 +404,7 @@ def test_shell_sums_joined_once(monkeypatch):
 
 def _shell_operator(n, N):
     """Float S_N^T / (8 N^(n/2)), the action of T_N on row vectors."""
-    s_re, s_im = shell_monomial_matrix(n, N)
-    S = s_re.astype(float) + 1j * s_im.astype(float)
+    S = shell_monomial_matrix(n, N).astype(float)
     return S.T / (8.0 * N ** (n / 2))
 
 
@@ -518,10 +544,10 @@ def test_unflagged_part_is_single_space():
 
 def _row_operator(n, N):
     """T_N on W in ``row_basis(n)``, formed for one N."""
-    s_re, s_im = shell_monomial_matrix(n, N)
+    S = shell_monomial_matrix(n, N)
     P = row_basis(n)
     w = np.array([float(comb(n, b)) for b in range(n + 1)])
-    S_T = (s_re.T.astype(float) + 1j * s_im.T.astype(float)) * w[:, None]
+    S_T = S.T.astype(float) * w[:, None]
     M = P.conj().T @ S_T @ P / (8.0 * float(N) ** (n / 2))
     return 0.5 * (M.real + M.real.T)
 
