@@ -15,11 +15,13 @@ integer points (products of binary forms) and in floats at float points
 through the factorisation T(x)[b, a] = |x|^n U^(a+b-n) V^(b-a) d_{ba}(theta)
 and the Fourier form of Wigner's d-matrix (T. Risbo, J. Geodesy 70, 1996;
 Feng, Wang, Yang and Jin, Phys. Rev. E 92, 2015): one real product of a
-constant matrix, derived from two exact values of T, with the cosines and
-sines of the multiples of theta, and two phase products.  Its
-coefficients are bounded in the unitary frame, so the float values stay
-unitary, up to the rescaling by sqrt(C(n, a) / C(n, b)), to roundoff at
-every degree used.
+constant matrix with the cosines and sines of the multiples of theta, and
+two phase products.  The constant matrix comes from the exact factors
+T(1 + k) and T(1 - k) = conj T(1 + k), whose entries are Krawtchouk
+polynomial values read from an O(n^2) integer recurrence.  The
+coefficients of that matrix are bounded in the unitary frame, so the float
+values stay unitary, up to the rescaling by sqrt(C(n, a) / C(n, b)), to
+roundoff at every degree used.
 """
 
 from __future__ import annotations
@@ -221,13 +223,45 @@ def _exact_values(pts, n: int, cols: int):
     return T
 
 
+def _model_integers(n: int):
+    """T(1 + k) exactly: (re, im), lists of Python integers indexed [b][a].
+
+    At 1 + k the columns (z X - conj(w) Y, w X + conj(z) Y) are (X + iY,
+    iX + Y), so T(1 + k)[b, a] = i^(b-a) c[a][n-b], where c[a][m] is the
+    coefficient of t^m in P_a = (1 - t)^a (1 + t)^(n-a), a Krawtchouk
+    polynomial value (Koornwinder, SIAM J. Math. Anal. 13, 1982).  The
+    rows c[a] come from (1 + t) P_{a+1} = (1 - t) P_a: O(n^2) additions
+    and no division.
+    """
+    row = [comb(n, m) for m in range(n + 1)]
+    re = [[0] * (n + 1) for _ in range(n + 1)]
+    im = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(n + 1):
+        if a:
+            # c[a][m] = c[a-1][m] - c[a-1][m-1] - c[a][m-1]
+            prev, row = row, [row[0]]
+            for m in range(1, n + 1):
+                row.append(prev[m] - prev[m - 1] - row[m - 1])
+        for b in range(n + 1):
+            # i^(b-a) is real for even b - a and negative for (b - a) % 4 >= 2
+            part = im if (b - a) % 2 else re
+            part[b][a] = -row[n - b] if (b - a) % 4 >= 2 else row[n - b]
+    return re, im
+
+
 @lru_cache(maxsize=8)
 def _model_factors(n: int):
-    """T(1 + k) / 2^n and T(1 - k), from the exact path, rounded to floats."""
-    E = _exact_values(np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object),
-                      n, n + 1).astype(float)
-    T = E[0] + 1j * E[1]
-    A, B = T[..., 0] / 2.0 ** n, T[..., 1]
+    """(A, B) = (T(1 + k) / 2^n, T(1 - k)), exact integers rounded to floats.
+
+    1 - k = (1 + k)', so T(1 - k) = conj T(1 + k) (see ``hecke``): both
+    come from one ``_model_integers`` table, converted once.  Every zero
+    is +0.0, so A and B equal bit for bit the factors rounded from
+    ``_exact_values`` at (1, 0, 0, 1) and (1, 0, 0, -1).
+    """
+    re, im = np.array(_model_integers(n), dtype=float)
+    A = (re + 1j * im) / 2.0 ** n
+    # conj T(1 + k), with +0.0 imaginary zeros where .conj() gives -0.0
+    B = re - 1j * im
     A.setflags(write=False)
     B.setflags(write=False)
     return A, B
@@ -243,11 +277,11 @@ def _fourier_matrix(n: int, cols: int):
     Since cos theta + sin theta j = (1 + k)(cos theta + sin theta i)(1 - k) / 2
     and T(e^{i theta}) = diag(e^{i (2k - n) theta}),
     d_{ba}(theta) = sum_k C[b, a, k] e^{i (2k - n) theta} with
-    C[b, a, k] = T(1 + k)[b, k] T(1 - k)[k, a] / 2^n; both factors come from
-    the exact path (``_model_factors``).  d is real, so the terms k and
-    n - k pair into a cosine and a sine of m = 2k - n, and at theta = 0 the
-    cosine coefficients sum to d_{ba}(0) = delta_{ba}, which is therefore
-    added back exactly.
+    C[b, a, k] = T(1 + k)[b, k] T(1 - k)[k, a] / 2^n, where both factors
+    are exact Krawtchouk integers rounded once (``_model_factors``).  d is
+    real, so the terms k and n - k pair into a cosine and a sine of
+    m = 2k - n, and at theta = 0 the cosine coefficients sum to
+    d_{ba}(0) = delta_{ba}, which is therefore added back exactly.
     """
     A, B = _model_factors(n)
     ms = np.arange(2 - n % 2, n + 1, 2)
@@ -319,7 +353,8 @@ def sym_power_values(pts, n: int, cols: int | None = None):
     Float points use the factorisation T(x)[b, a] = |x|^n U^(a+b-n)
     V^(b-a) d_{ba}(theta), where z = r U, w = s V, theta = atan2(s, r) and
     d_{ba}(theta) = t_{ba}(cos theta, 0, sin theta, 0) is real: d is one
-    real product of the constant ``_fourier_matrix`` with the cosines and
+    real product of the constant ``_fourier_matrix`` (built from the exact
+    Krawtchouk factors T(1 +- k) of ``_model_factors``) with the cosines and
     sines of m theta, and the phases are cumulative products.  Every
     coefficient there is bounded in the unitary frame, so the values stay
     unitary (rescaled by sqrt(C(n, a) / C(n, b))) to roundoff at high n,

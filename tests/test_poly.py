@@ -263,6 +263,77 @@ def test_complex_path_unitary_at_high_degree(n, fresh_fourier_cache):
     assert err < 1e-12
 
 
+@pytest.mark.parametrize("n", range(0, 65))
+def test_model_factors_match_exact_path(n):
+    # the recurrence table is T(1 + k) exactly, T(1 - k) is its conjugate,
+    # and the float factors equal those rounded from the binary-form
+    # products, in value and in the sign of every zero
+    E = poly._exact_values(np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object),
+                           n, n + 1)
+    re, im = poly._model_integers(n)
+    assert E[0, ..., 0].tolist() == re and E[1, ..., 0].tolist() == im
+    assert E[0, ..., 1].tolist() == re
+    assert E[1, ..., 1].tolist() == [[-v for v in row] for row in im]
+    F = E.astype(float)
+    T = F[0] + 1j * F[1]
+    for got, ref in zip(poly._model_factors(n), (T[..., 0] / 2.0 ** n, T[..., 1])):
+        assert np.array_equal(got, ref)
+        for part in ("real", "imag"):
+            assert np.array_equal(np.signbit(getattr(got, part)),
+                                  np.signbit(getattr(ref, part)))
+
+
+@pytest.mark.parametrize("n", [4, 12, 24])
+def test_fourier_matrix_matches_exact_path(n):
+    # d(theta) = delta + M @ [cos ms theta - 1, sin ms theta] against the
+    # exact d(theta) = T(p) / |p|^n at p = (x1, 0, x3, 0) with |p| an integer
+    pts = np.array([[5, 0, 0, 0], [3, 0, 4, 0], [5, 0, 12, 0], [8, 0, -15, 0],
+                    [0, 0, 1, 0]])
+    radii = np.array([5, 5, 13, 17, 1])
+    exact = sym_power_values(pts.astype(object), n)
+    assert not np.any(exact[1])
+    ref = exact[0].astype(float) / radii.astype(float) ** n
+    theta = np.arctan2(pts[:, 2], pts[:, 0])
+    full, ms = poly._fourier_matrix(n, n + 1)
+    assert np.array_equal(ms, np.arange(2 - n % 2, n + 1, 2))
+    for cols in (n // 2 + 1, n + 1):
+        M, _ = poly._fourier_matrix(n, cols)
+        assert M.shape == ((n + 1) * cols, 2 * len(ms)) and not M.flags.writeable
+        # the rows of the first cols columns of the full matrix, bit for bit
+        lead = full.reshape(n + 1, n + 1, -1)[:, :cols]
+        assert np.array_equal(M, lead.reshape(M.shape))
+        trig = np.concatenate([np.cos(np.outer(ms, theta)) - 1.0,
+                               np.sin(np.outer(ms, theta))])
+        d = (M @ trig).reshape(n + 1, cols, len(pts))
+        d[np.arange(cols), np.arange(cols)] += 1.0
+        err = np.abs(d - ref[:, :cols]).max(axis=(0, 1))
+        assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+
+
+def test_model_integers_unitary_at_degree_96():
+    # (1 + k)(1 - k) = 2, so T(1 + k) conj T(1 + k) = T(2) = 2^n I exactly;
+    # the exact path is too slow to serve as the oracle at this degree
+    n = 96
+    re, im = (np.array(part, dtype=object) for part in poly._model_integers(n))
+    # (re + i im)(re - i im) = re re + im im + i (im re - re im)
+    scalar = [[2 ** n if b == a else 0 for a in range(n + 1)] for b in range(n + 1)]
+    assert (re @ re + im @ im).tolist() == scalar
+    assert not np.any(im @ re - re @ im)
+
+
+def test_model_integers_match_krawtchouk_sums_at_degree_512():
+    # T(1 + k)[b, a] = i^(b-a) sum_j (-1)^j C(a, j) C(n-a, n-b-j) on 50
+    # seeded entries
+    n = 512
+    re, im = poly._model_integers(n)
+    rng = np.random.default_rng(512)
+    for b, a in rng.integers(0, n + 1, size=(50, 2)).tolist():
+        c = sum((-1) ** j * comb(a, j) * comb(n - a, n - b - j)
+                for j in range(max(0, a - b), min(a, n - b) + 1))
+        want = [(c, 0), (0, c), (-c, 0), (0, -c)][(b - a) % 4]
+        assert (re[b][a], im[b][a]) == want
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 24])
 def test_complex_path_identity_and_multiplicative(n):
     T = sym_power_values(np.array([[1.0, 0.0, 0.0, 0.0]]), n)
