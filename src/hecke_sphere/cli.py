@@ -5,7 +5,9 @@ deterministic for a fixed configuration.  Exit status 0 means every
 assertion in the run passed.  A refused input, a ``ValueError`` from the
 flag parsers here or from the library, is printed by ``main`` as one line
 ``hecke-sphere <command>: <reason>`` and exits 1; argparse's own usage
-errors exit 2.
+errors exit 2.  A failed check exits 1 with one line of the same form
+naming its worst case and the gate it missed, after its artifacts are
+written.
 
 CSV tables are passed as columns and written a block of rows at a time,
 each field as ``str(value)`` (what ``csv.writer`` writes for ints, floats,
@@ -176,6 +178,12 @@ def _quaternion(flag: str, text: str) -> tuple:
     return q
 
 
+def _failed(args, reason: str) -> int:
+    """Exit status 1 for a failed check, with one stderr line saying why."""
+    print(f"hecke-sphere {args.command}: {reason}", file=sys.stderr)
+    return 1
+
+
 def _primes(args):
     from .hecke import odd_primes
 
@@ -206,14 +214,22 @@ def cmd_hecke_check(args) -> int:
     from .hecke import hecke_relations_check, selfadjoint_check
 
     primes = _primes(args)
-    ok = True
+    failed = []
     for n in _even_ns(args):
         rep = hecke_relations_check(n, primes=primes)
+        failed += [(n, name) for name, ok in rep.items()
+                   if name != "all_pass" and not ok]
         rep["selfadjoint"] = {p: selfadjoint_check(n, p) for p in primes}
         rep["all_pass"] = rep["all_pass"] and all(rep["selfadjoint"].values())
-        ok = ok and rep["all_pass"]
+        failed += [(n, f"S{p} self-adjoint")
+                   for p, ok in rep["selfadjoint"].items() if not ok]
         _write_json(args, f"hecke-check-{n}", {"report": rep})
-    return 0 if ok else 1
+    if failed:
+        # the relations are exact: a check holds or it does not
+        n, name = failed[0]
+        return _failed(args, f"{len(failed)} exact check(s) fail; "
+                             f"first at n = {n}: {name}")
+    return 0
 
 
 def cmd_spectral(args) -> int:
@@ -246,7 +262,11 @@ def cmd_pretrace_check(args) -> int:
     passed = [r <= t for r, t in zip(residuals, tols)]
     _write_csv(args, "pretrace-check", ["n", "residual", "tol", "pass"],
                [ns, residuals, tols, passed])
-    return 0 if all(passed) else 1
+    if all(passed):
+        return 0
+    r, t, n = max(zip(residuals, tols, ns), key=lambda c: c[0] / c[1])
+    return _failed(args, f"residual {r:.3g} > tol {t:.3g} at n = {n} "
+                         f"({r / t:.3g} times the tolerance)")
 
 
 def cmd_theta_identity(args) -> int:
@@ -255,7 +275,7 @@ def cmd_theta_identity(args) -> int:
 
     x, y = _quaternion("x", args.x), _quaternion("y", args.y)
     ks = range(1, _at_least_one(args, "cutoff") + 1)
-    ok = True
+    misses = []
     n_col, k_col, sides, values = [], [], [], []
     for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args), seed=args.seed)
@@ -264,20 +284,28 @@ def cmd_theta_identity(args) -> int:
             # the exact value where it exists: the float theta side
             # cancels badly at higher degree
             tv = tc.float_value if tc.value is None else float(tc.value)
-            ok = ok and abs(sv - tv) <= 1e-8 * (1 + abs(tv))
+            gate = 1e-8 * (1 + abs(tv))
+            if not abs(sv - tv) <= gate:
+                misses.append((abs(sv - tv) / gate, n, k, sv, tv, gate))
             n_col += [n, n]
             k_col += [k, k]
             sides += ["theta", "spectral"]
             values += [tv, sv]
     _write_csv(args, "theta-identity", ["n", "k", "side", "value"],
                [n_col, k_col, sides, values])
-    return 0 if ok else 1
+    if not misses:
+        return 0
+    _, n, k, sv, tv, gate = max(misses)
+    return _failed(args, f"{len(misses)} of {len(values) // 2} coefficients "
+                         f"miss the gate |spectral - theta| <= "
+                         f"1e-8 (1 + |theta|); worst n = {n}, k = {k}: "
+                         f"spectral {sv:.3g}, theta {tv:.3g}, gate {gate:.3g}")
 
 
 def cmd_modularity(args) -> int:
     from .theta import TAIL_TOL, modularity_check
 
-    ok = True
+    misses = []
     for n in _ns(args):
         # z = i/2 is refused for n = 6: a forced zero of the kernel
         r = modularity_check(n, ((1, 0), (4, 1)), complex(0.0, args.im),
@@ -287,8 +315,17 @@ def cmd_modularity(args) -> int:
             "tail_bound": r.tail_bound,
             "exact_coefficients": r.exact_coefficients,
             "max_exact_gap": r.max_exact_gap})
-        ok = ok and r.residual <= 1e-6 and r.tail_bound < TAIL_TOL
-    return 0 if ok else 1
+        if not r.residual <= 1e-6:
+            misses.append((r.residual / 1e-6, n,
+                           f"residual {r.residual:.3g} > 1e-06"))
+        if not r.tail_bound < TAIL_TOL:
+            misses.append((r.tail_bound / TAIL_TOL, n,
+                           f"tail bound {r.tail_bound:.3g} >= {TAIL_TOL:.3g} "
+                           f"at K = {r.K}"))
+    if not misses:
+        return 0
+    ratio, n, what = max(misses)
+    return _failed(args, f"n = {n}: {what} ({ratio:.3g} times the gate)")
 
 
 def cmd_petersson(args) -> int:
@@ -321,7 +358,15 @@ def cmd_counting(args) -> int:
                + [np.concatenate([s, d]) for s, d in zip(single, dyad)])
     C = max(float(ratios.max(initial=0.0)), fit_constant(dyadic))
     _write_json(args, "counting-summary", {"constant": C, "pass": C <= 64})
-    return 0 if C <= 64 else 1
+    if C <= 64:
+        return 0
+    if ratios.size and ratios.max() == C:
+        k, j = np.unravel_index(ratios.argmax(), ratios.shape)
+        case = f"singlebound k = {k + 1}, R = {Rs[j]}"
+    else:
+        r = max(dyadic, key=lambda r: r.ratio)
+        case = f"{r.family} M = {r.params[0]}, R = {r.params[1]}"
+    return _failed(args, f"count / bound reaches {C:.4g} > 64 at {case}")
 
 
 def cmd_moments(args) -> int:
@@ -336,8 +381,7 @@ def cmd_moments(args) -> int:
         try:
             reps.append(moment_sweep(n, dec, grid, seed=args.seed))
         except ClosureError as exc:
-            print(f"hecke-sphere moments: {exc}", file=sys.stderr)
-            return 1
+            return _failed(args, str(exc))
         _write_json(args, f"moments-{n}", asdict(reps[-1]))
     _write_csv(args, "moments", ["n", "stat", "value"],
                [[r.n for r in reps for _ in stats], list(stats) * len(reps),

@@ -23,10 +23,12 @@ view, without a copy, and the sweep sums its statistics on the float view
 of the product itself.  The weights sqrt((n + 1) C(n, a)) are formed in
 floats and cached per n.  A sweep checks that the closure sums (below)
 stay within ``CLOSURE_TOL`` of (n + 1)^2.  The float values of
-``sym_power_values`` are unitary to roundoff (about 1e-13 at n = 128), so
-the gate holds far past the degrees swept here; it still raises
-``ClosureError`` rather than report statistics of a basis that is not
-orthonormal.
+``sym_power_values``, rescaled by sqrt(C(n, a) / C(n, b)), are unitary to
+roundoff (a deviation of about 1.5e-13 at n = 128 and 3e-13 at n = 256
+over 200 random unit points; the closure error of a 500-point sweep reads
+1.1e-13 and 2.3e-13), so the gate holds far past the degrees swept here;
+it still raises ``ClosureError`` rather than report statistics of a basis
+that is not orthonormal.
 
 Which statistics depend on a basis.  Since the multiplicity factor is the
 column label, sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda at every x,

@@ -16,12 +16,14 @@ through the factorisation T(x)[b, a] = |x|^n U^(a+b-n) V^(b-a) d_{ba}(theta)
 and the Fourier form of Wigner's d-matrix (T. Risbo, J. Geodesy 70, 1996;
 Feng, Wang, Yang and Jin, Phys. Rev. E 92, 2015): one real product of a
 constant matrix with the cosines and sines of the multiples of theta, and
-two phase products.  The constant matrix comes from the exact factors
-T(1 + k) and T(1 - k) = conj T(1 + k), whose entries are Krawtchouk
-polynomial values read from an O(n^2) integer recurrence.  The
-coefficients of that matrix are bounded in the unitary frame, so the float
-values stay unitary, up to the rescaling by sqrt(C(n, a) / C(n, b)), to
-roundoff at every degree used.
+two phase products.  No transcendental function is called: the phases U,
+V and e^{i theta} are the coordinates divided by their moduli, and every
+multiple angle and phase power is a cumulative complex product.  The
+constant matrix comes from the exact factors T(1 + k) and
+T(1 - k) = conj T(1 + k), whose entries are Krawtchouk polynomial values
+read from an O(n^2) integer recurrence.  The coefficients of that matrix
+are bounded in the unitary frame, so the float values stay unitary, up to
+the rescaling by sqrt(C(n, a) / C(n, b)), to roundoff at every degree used.
 """
 
 from __future__ import annotations
@@ -298,33 +300,58 @@ def _fourier_matrix(n: int, cols: int):
     return M, ms
 
 
+def _unit(z, r):
+    """z / r where r > 0 and 1 where r = 0, with no division by zero."""
+    return np.divide(z, r, out=np.ones(len(z), dtype=complex), where=r > 0)
+
+
+def _int_power(u, n: int):
+    """u^n by repeated squaring: numpy's complex power calls exp and log
+    from an exponent of 100 on."""
+    out = np.ones_like(u)
+    while n:
+        if n & 1:
+            out = out * u
+        u = u * u
+        n >>= 1
+    return out
+
+
 def _float_values(pts, n: int, cols: int):
-    """T(x) at float points from the Fourier form of d; see below."""
+    """T(x) at float points from the Fourier form of d, by products; see below.
+
+    The unit phases U = z / |z|, V = w / |w| and E = e^{i theta} =
+    (|z| + i |w|) / |x| are read off the coordinates, each 1 where its
+    modulus is 0, so no point lies on a branch cut: a signed zero
+    coordinate gives the same values bit for bit.
+    e^{i m theta} for the m of ``_fourier_matrix`` is the cumulative product
+    E^(2 - n mod 2), E^2, E^2, ...; at x = 1 every factor is exactly 1, so
+    T(1) = I holds exactly.
+    """
     M, ms = _fourier_matrix(n, cols)
     x1, x2, x3, x4 = pts.T
     r, s = np.hypot(x1, x2), np.hypot(x3, x4)
-    # z = r U and w = s V with U = e^{i phi}, V = e^{i psi}; atan2(0, 0) = 0
-    # sets U = 1 where r = 0 and V = 1 where s = 0
-    phi, psi = np.arctan2(x2, x1), np.arctan2(x4, x3)
-    k = len(ms)
-    angles = np.empty((k + 3, len(pts)))
-    np.multiply.outer(ms, np.arctan2(s, r), out=angles[:k])
-    np.add(phi, psi, out=angles[k])
-    np.subtract(phi, psi, out=angles[k + 1])
-    np.multiply(phi, -n, out=angles[k + 2])
-    cos, sin = np.cos(angles), np.sin(angles)
-    trig = np.concatenate([cos[:k] - 1.0, sin[:k]])
+    norm = np.hypot(r, s)
+    U, V = _unit(x1 + 1j * x2, r), _unit(x3 + 1j * x4, s)
+    E = _unit(r + 1j * s, norm)
+    E2 = E * E
+    powers = np.empty((len(ms), len(pts)), dtype=complex)
+    powers[:] = E2
+    if n % 2:
+        powers[:1] = E
+    np.cumprod(powers, axis=0, out=powers)
+    trig = np.concatenate([powers.real - 1.0, powers.imag])
     d = (M @ trig).reshape(n + 1, cols, len(pts))
     diag = np.arange(cols)
     d[diag, diag] += 1.0
     # |x|^n U^(a+b-n) V^(b-a) = |x|^n conj(U)^n (U V)^b (U conj V)^a
     rows = np.empty((n + 1, len(pts)), dtype=complex)
-    rows[0] = np.hypot(r, s) ** n * (cos[k + 2] + 1j * sin[k + 2])
-    rows[1:] = cos[k] + 1j * sin[k]
+    rows[0] = norm ** n * _int_power(U.conj(), n)
+    rows[1:] = U * V
     np.cumprod(rows, axis=0, out=rows)
     colq = np.empty((cols, len(pts)), dtype=complex)
     colq[0] = 1.0
-    colq[1:] = cos[k + 1] + 1j * sin[k + 1]
+    colq[1:] = U * V.conj()
     np.cumprod(colq, axis=0, out=colq)
     T = rows[:, None, :] * colq
     T *= d
@@ -351,14 +378,15 @@ def sym_power_values(pts, n: int, cols: int | None = None):
     T(m x) = T(m) T(x).  Integer points multiply the binary forms
     (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a), O(n^3) work per point.
     Float points use the factorisation T(x)[b, a] = |x|^n U^(a+b-n)
-    V^(b-a) d_{ba}(theta), where z = r U, w = s V, theta = atan2(s, r) and
-    d_{ba}(theta) = t_{ba}(cos theta, 0, sin theta, 0) is real: d is one
+    V^(b-a) d_{ba}(theta), where z = r U, w = s V, r + i s = |x| e^{i theta}
+    and d_{ba}(theta) = t_{ba}(cos theta, 0, sin theta, 0) is real: d is one
     real product of the constant ``_fourier_matrix`` (built from the exact
-    Krawtchouk factors T(1 +- k) of ``_model_factors``) with the cosines and
-    sines of m theta, and the phases are cumulative products.  Every
-    coefficient there is bounded in the unitary frame, so the values stay
-    unitary (rescaled by sqrt(C(n, a) / C(n, b))) to roundoff at high n,
-    and T(1) = I holds exactly.
+    Krawtchouk factors T(1 +- k) of ``_model_factors``) with the real and
+    imaginary parts of e^{i m theta}.  The phases are read off the
+    coordinates and their powers are cumulative complex products, with no
+    trigonometric call.  Every coefficient there is bounded in the unitary
+    frame, so the values stay unitary (rescaled by sqrt(C(n, a) / C(n, b)))
+    to roundoff at high n, and T(1) = I holds exactly.
     """
     cols = n + 1 if cols is None else cols
     pts = np.asarray(pts)

@@ -3,13 +3,14 @@ import dataclasses
 import io
 import json
 import math
+import re
 import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hecke_sphere import cli, hecke, theta
+from hecke_sphere import cli, hecke, moments, theta
 from hecke_sphere.cli import main
 
 
@@ -238,6 +239,106 @@ def test_modularity_forced_zero_exits_one(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
     assert err.startswith("hecke-sphere modularity: ") and "ill-conditioned" in err
     assert not (tmp_path / "modularity-6.json").exists()
+
+
+def _failure_line(capsys, command):
+    """The stderr of a failed check: one line naming the command."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(f"hecke-sphere {command}: ")
+    return err
+
+
+def test_theta_identity_failure_names_its_worst_coefficient(tmp_path, capsys):
+    # at n = 10 and cutoff 40 the spectral side misses exact zeros of the
+    # theta side at some even k >= 26 by up to a few 1e-7 against the 1e-8
+    # gate: roundoff on terms of size 6e8.  The table is written all the
+    # same, and the line names the worst miss in it
+    assert run(tmp_path, "theta-identity", "--n", "10", "--cutoff", "40") == 1
+    err = _failure_line(capsys, "theta-identity")
+    m = re.fullmatch(r"hecke-sphere theta-identity: (\d+) of 40 coefficients "
+                     r"miss the gate \|spectral - theta\| <= 1e-8 "
+                     r"\(1 \+ \|theta\|\); worst n = 10, k = (\d+): "
+                     r"spectral (\S+), theta (\S+), gate (\S+)\n", err)
+    assert m
+    with open(tmp_path / "theta-identity.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[2:]
+    sides = {(int(k), side): float(v) for _, k, side, v in rows}
+    gap = {k: abs(sides[k, "spectral"] - sides[k, "theta"])
+           / (1e-8 * (1 + abs(sides[k, "theta"]))) for k in range(1, 41)}
+    k = int(m[2])
+    assert int(m[1]) == sum(g > 1 for g in gap.values()) > 0
+    assert gap[k] == max(gap.values())
+    assert m.groups()[2:] == (f"{sides[k, 'spectral']:.3g}", f"{sides[k, 'theta']:.3g}",
+                     f"{1e-8 * (1 + abs(sides[k, 'theta'])):.3g}")
+
+
+def test_pretrace_check_failure_names_its_worst_degree(tmp_path, monkeypatch,
+                                                       capsys):
+    # tol = 1e-8 (n + 1)^2: 2.5e-7 at n = 4, 4.9e-7 at n = 6
+    residual = {4: 1e-9, 6: 1e-6}
+    monkeypatch.setattr(moments, "pretrace_residual",
+                        lambda dec, xs, ys: residual[dec.n])
+    assert run(tmp_path, "pretrace-check", "--n-range", "4:6:2",
+               "--pairs", "5") == 1
+    err = _failure_line(capsys, "pretrace-check")
+    assert "residual 1e-06 > tol 4.9e-07 at n = 6 (2.04 times" in err
+    rows = (tmp_path / "pretrace-check.csv").read_text().splitlines()[2:]
+    assert [r.rsplit(",", 1)[1] for r in rows] == ["True", "False"]
+
+
+def test_hecke_check_failure_names_the_failed_relation(tmp_path, monkeypatch,
+                                                       capsys):
+    monkeypatch.setattr(hecke, "selfadjoint_check", lambda n, p: p != 5)
+    assert run(tmp_path, "hecke-check", "--n", "4") == 1
+    err = _failure_line(capsys, "hecke-check")
+    assert "1 exact check(s) fail; first at n = 4: S5 self-adjoint" in err
+    doc = json.loads((tmp_path / "hecke-check-4.json").read_text())
+    assert doc["report"]["all_pass"] is False
+
+    # a failed relation is named before the self-adjointness checks
+    relations = hecke.hecke_relations_check
+
+    def broken(n, primes):
+        rep = relations(n, primes=primes)
+        rep["T3*T5=T15"] = rep["all_pass"] = False
+        return rep
+
+    monkeypatch.setattr(hecke, "hecke_relations_check", broken)
+    assert run(tmp_path, "hecke-check", "--n", "4") == 1
+    err = _failure_line(capsys, "hecke-check")
+    assert "2 exact check(s) fail; first at n = 4: T3*T5=T15" in err
+
+
+def test_modularity_failure_names_its_residual(tmp_path, monkeypatch, capsys):
+    check = theta.modularity_check
+
+    def loose(*args, **kwargs):
+        return dataclasses.replace(check(*args, **kwargs), residual=3e-6)
+
+    monkeypatch.setattr(theta, "modularity_check", loose)
+    assert run(tmp_path, "modularity", "--n", "4") == 1
+    err = _failure_line(capsys, "modularity")
+    assert "n = 4: residual 3e-06 > 1e-06 (3 times the gate)" in err
+
+
+def test_counting_failure_names_its_worst_record(tmp_path, monkeypatch,
+                                                 capsys):
+    from hecke_sphere import gon
+
+    count = gon.dyadic_class_count
+
+    def inflated(M, R):
+        rec = count(M, R)
+        return dataclasses.replace(rec, count=1000 * rec.count) if (
+            (M, R) == (64, 2)) else rec
+
+    monkeypatch.setattr(gon, "dyadic_class_count", inflated)
+    assert run(tmp_path, "counting", "--cutoff", "16") == 1
+    err = _failure_line(capsys, "counting")
+    assert "> 64 at intbound M = 64, R = 2" in err
+    doc = json.loads((tmp_path / "counting-summary.json").read_text())
+    assert doc["pass"] is False
 
 
 @pytest.mark.parametrize("argv", [

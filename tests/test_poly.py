@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 from math import comb
 
@@ -242,6 +243,45 @@ def test_complex_path_matches_exact_path_on_axes(n):
     ref = exact[0].astype(float) + 1j * exact[1].astype(float)
     err = np.abs(T - ref).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+
+
+#: the cuts of atan2 along the negative axes, approached from either side,
+#: points with z = 0 or w = 0 and the origin; rows 2i and 2i + 1 differ
+#: only in the sign of a zero coordinate
+CUT_POINTS = np.array([
+    [-1.0, 0.0, 0.0, 0.0], [-1.0, -0.0, 0.0, 0.0],
+    [0.0, 0.0, -1.0, 0.0], [0.0, 0.0, -1.0, -0.0],
+    [-3.0, 0.0, -4.0, 0.0], [-3.0, -0.0, -4.0, -0.0],
+    [-0.0, 0.0, 2.0, -5.0], [0.0, -0.0, 2.0, -5.0],
+    [7.0, -1.0, -0.0, 0.0], [7.0, -1.0, 0.0, -0.0],
+    [0.0, 0.0, 0.0, 0.0], [-0.0, -0.0, -0.0, -0.0]])
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_complex_path_at_branch_cuts_and_degenerate_points(n):
+    # the phases are read off the coordinates, so a signed zero cannot put
+    # a point on either side of a cut: each pair agrees bit for bit, and
+    # every value matches the exact path as in the tests above
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        T = sym_power_values(CUT_POINTS, n)
+    assert T[..., 0::2].tobytes() == T[..., 1::2].tobytes()
+    exact = sym_power_values(CUT_POINTS.astype(int).astype(object), n)
+    ref = exact[0].astype(float) + 1j * exact[1].astype(float)
+    err = np.abs(T - ref).max(axis=(0, 1))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+
+
+def test_complex_path_calls_no_transcendental_function(monkeypatch):
+    # every phase and every multiple angle comes from complex products of
+    # the coordinates
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the float path called a transcendental function")
+
+    for name in ("arctan2", "cos", "sin", "exp", "log"):
+        monkeypatch.setattr(np, name, forbidden)
+    for n in (0, 1, 12, 25):
+        sym_power_values(_unit_points(4, n), n, cols=n // 2 + 1)
 
 
 @pytest.fixture
