@@ -12,8 +12,11 @@ written.
 CSV tables are passed as columns and written a block of rows at a time,
 each field as ``str(value)`` (what ``csv.writer`` writes for ints, floats,
 bools and numpy scalars); no field is quoted, so one that would need
-quoting is refused.  The argument parser is built once per process
-and subcommand, with only the subparser that the command line names.
+quoting is refused.  The check is made as a field is formatted
+(``_field_text``), not on the written text: integer, bool and float64
+array columns need none, and each distinct ``str`` value is checked once.  The argument
+parser is built once per process and subcommand, with only the subparser
+that the command line names.
 """
 
 from __future__ import annotations
@@ -68,7 +71,13 @@ def _field_text(col):
 
     An integer array whose value range is shorter than its length (shell
     coordinates, k, R) reads its text from a table of ``str(v)`` over that
-    range; every other value is formatted with one ``str``."""
+    range; every other value is formatted with one ``str``.  The text of an
+    integer, bool or float64 array holds no separator, so it is not
+    checked; every other field is refused as it is formatted when it is
+    None or its text holds ",", '"', CR or LF.  A ``str`` value is
+    formatted and checked once per distinct value; other values are not
+    memoised, since equal values (0.0 and -0.0, 1 and True) differ in text.
+    """
     if isinstance(col, np.ndarray) and col.dtype.kind == "i" and len(col):
         lo, hi = int(col.min()), int(col.max())
         if hi - lo < len(col):
@@ -79,25 +88,27 @@ def _field_text(col):
     if isinstance(col, np.ndarray) and (col.dtype.kind in "iub"
                                         or col.dtype == np.float64):
         return lambda a, b: list(map(str, col[a:b].tolist()))
+    memo = {}
 
-    def text(a, b):
-        vals = col[a:b]
-        if any(v is None for v in vals):
+    def field(v):
+        if v is None:
             raise ValueError("CSV field is None")
-        return list(map(str, vals))
+        text = str(v)
+        if "," in text or '"' in text or "\r" in text or "\n" in text:
+            raise ValueError('CSV field holds ",", \'"\', CR or LF')
+        if type(v) is str:
+            memo[v] = text
+        return text
 
-    return text
+    return lambda a, b: [memo[v] if type(v) is str and v in memo else field(v)
+                         for v in col[a:b]]
 
 
 def _csv_block(fields) -> str:
-    """Rows of ``str`` fields (one list per column) as CSV text, refusing
-    any field that ``csv.writer`` would quote."""
+    """Rows of checked ``str`` fields (one list per column, from
+    ``_field_text``) as CSV text."""
     rows = len(fields[0])
-    text = "\r\n".join(map(",".join, zip(*fields))) + "\r\n" if rows else ""
-    if ('"' in text or text.count(",") != rows * (len(fields) - 1)
-            or text.count("\r") != rows or text.count("\n") != rows):
-        raise ValueError('CSV field holds ",", \'"\', CR or LF')
-    return text
+    return "\r\n".join(map(",".join, zip(*fields))) + "\r\n" if rows else ""
 
 
 def _write_csv(args, name: str, header, columns):

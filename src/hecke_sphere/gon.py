@@ -10,10 +10,13 @@ passes) and one cached table of the class counts of all k <= K per (K, R)
 (sqrt(K) passes): ``shell_class_count`` is a lookup, ``shell_class_table``
 one table per R sliced at the cutoff with the bounds formed as float arrays,
 ``dyadic_class_count`` one prefix sum plus sqrt(M) window sums, and
-``a_of_x`` one running prefix of A per n, extended in k order on demand.
+``a_of_x`` one running prefix of A per n, extended in k order on demand
+by (k, m1) tables that add the terms in the order of the scalar loop.
 
-Lattice points: one cached Bareiss adjugate per basis decides that it is
-nonsingular and gives the covolume; every basis is then LLL-reduced once
+Lattice points: each public function validates its basis once
+(``_lattice_basis``) and passes the entries to the cached helpers; one
+cached Bareiss adjugate per basis decides that it is nonsingular and gives
+the covolume; every basis is then LLL-reduced once
 (the all-integer algorithm, cached per basis), and every enumeration runs on
 the reduced basis, whose adjugate over the exact determinant gives the
 coefficient radii.  The minima enumerate one region, t * body with t the
@@ -166,23 +169,30 @@ _A_PREFIXES: dict = {}
 def _extend_a_prefix(n: int, limit: int) -> None:
     """Extend the running totals of ``_A_PREFIXES[n]`` to A(limit) at
     least, in k order from its last k, so every A(X) is the same float
-    whatever limits were asked before."""
+    whatever limits were asked before.
+
+    A block of k is one (k, m1) table of the terms mult r3(s) min(n + 1,
+    sqrt(k / s)) with s = k - m1^2 (mult (n + 1) at s = 0, and 0 at s < 0
+    or r3(s) = 0, which leaves a sum unchanged), summed along m1 by
+    ``np.cumsum``, which adds in order as the loop over m1 would (``np.sum``
+    adds pairwise).  The squares are added by one ``np.cumsum`` seeded with
+    the last total, so every A(X) is the float of the scalar loop bit for
+    bit.  A table holds at most 2^14 terms, so memory stays O(limit)."""
     prefix = _A_PREFIXES.setdefault(n, [0.0])
     if len(prefix) > limit:
         return
     r3 = r3_counts(limit)
-    total = prefix[-1]
-    for k in range(len(prefix), limit + 1):
-        inner = 0.0
-        for m1 in range(0, isqrt(k) + 1):
-            s = k - m1 * m1
-            mult = 2 if m1 > 0 else 1
-            if s == 0:
-                inner += mult * (n + 1)
-            elif r3[s]:
-                inner += mult * int(r3[s]) * min(n + 1.0, math.sqrt(k / s))
-        total += inner * inner
-        prefix.append(total)
+    m1 = np.arange(isqrt(limit) + 1, dtype=np.int64)
+    mult = np.where(m1 > 0, 2, 1)
+    rows = max(1, 2 ** 14 // len(m1))
+    for k0 in range(len(prefix), limit + 1, rows):
+        k = np.arange(k0, min(k0 + rows, limit + 1), dtype=np.int64)[:, None]
+        s = k - m1 * m1
+        coef = mult * np.where(s >= 0, r3[np.maximum(s, 0)], 0)
+        cap = np.minimum(np.sqrt(k / np.maximum(s, 1)), n + 1.0)
+        inner = np.cumsum(coef * np.where(s == 0, n + 1.0, cap), axis=1)[:, -1]
+        totals = np.cumsum(np.concatenate(([prefix[-1]], inner * inner)))
+        prefix += totals[1:].tolist()
 
 
 def fit_constant(records) -> float:
@@ -433,10 +443,12 @@ def _reduced(entries: tuple) -> np.ndarray:
     return B
 
 
-def _lattice_basis(basis) -> np.ndarray:
-    """``basis`` as an int64 array, checked to be a 4x4 matrix of integers
-    (a float entry is refused, not truncated) in int64 range with nonzero
-    exact determinant (a float determinant misjudges both ways)."""
+def _lattice_basis(basis) -> tuple:
+    """The row-major entries of ``basis`` as Python integers, checked to be
+    a 4x4 matrix of integers (a float entry is refused, not truncated) in
+    int64 range with nonzero exact determinant (a float determinant
+    misjudges both ways).  Each public lattice function calls it once and
+    passes the entries to the cached helpers."""
     # nested lists stay Python integers: numpy would turn [[2**63, 0, ...]]
     # into floats
     A = basis if isinstance(basis, np.ndarray) else np.array(basis, dtype=object)
@@ -446,12 +458,12 @@ def _lattice_basis(basis) -> np.ndarray:
         type(a) is int or isinstance(a, numbers.Integral) for a in entries)
     if A.shape != (4, 4) or not integral:
         raise ValueError("basis must be a nonsingular 4x4 integer matrix")
-    entries = [int(a) for a in entries]
+    entries = tuple(int(a) for a in entries)
     if any(not -2 ** 63 <= a < 2 ** 63 for a in entries):
         raise ValueError("basis entries must lie in int64: -2^63 <= a < 2^63")
-    if _adjugate(tuple(entries))[1] == 0:
+    if _adjugate(entries)[1] == 0:
         raise ValueError("basis must be a nonsingular 4x4 integer matrix")
-    return np.array(entries, dtype=np.int64).reshape(4, 4)
+    return entries
 
 
 def successive_minima(basis, body, budget: int = 10 ** 7):
@@ -469,8 +481,7 @@ def successive_minima(basis, body, budget: int = 10 ** 7):
     budget, so callers on one lattice share one enumeration, while an
     exhausted budget raises on every call.
     """
-    B = _lattice_basis(basis)
-    return _successive_minima(tuple(int(a) for a in B.ravel()), body, budget)
+    return _successive_minima(_lattice_basis(basis), body, budget)
 
 
 @lru_cache(maxsize=4096)
@@ -485,22 +496,27 @@ def lattice_point_count(basis, body, budget: int = 10 ** 7) -> int:
     """Exact |body ∩ lattice| by bounded enumeration on the LLL-reduced
     basis: twice the points of the half box in the body, plus the origin
     (the body and its exact membership test are symmetric under v -> -v)."""
-    entries = tuple(_lattice_basis(basis).ravel().tolist())
+    return _lattice_point_count(_lattice_basis(basis), body, budget)
+
+
+def _lattice_point_count(entries: tuple, body, budget: int) -> int:
     _, V = _body_region(_reduced(entries), body, 1.0, budget)
     return 2 * int(np.count_nonzero(body.contains(V))) + 1
 
 
 def product_bound_check(basis, body, budget: int = 10 ** 7) -> bool:
     """|body ∩ lattice| <= prod_i (1 + 2i / lambda_i)."""
-    lams = successive_minima(basis, body, budget)
-    count = lattice_point_count(basis, body, budget)
+    entries = _lattice_basis(basis)
+    lams = _successive_minima(entries, body, budget)
+    count = _lattice_point_count(entries, body, budget)
     prod = math.prod(1 + 2 * (i + 1) / lams[i] for i in range(4))
     return count <= prod * (1 + 1e-12)
 
 
 def minkowski_sandwich(basis, body, budget: int = 10 ** 7):
     """(lower, middle, upper) of 2^4/4! <= prod lambda_i vol/covol <= 2^4."""
-    lams = successive_minima(basis, body, budget)
-    covol = abs(_adjugate(tuple(_lattice_basis(basis).ravel().tolist()))[1])
+    entries = _lattice_basis(basis)
+    lams = _successive_minima(entries, body, budget)
+    covol = abs(_adjugate(entries)[1])
     middle = math.prod(lams) * body.volume() / covol
     return 16.0 / 24.0, middle, 16.0

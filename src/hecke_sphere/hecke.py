@@ -141,18 +141,28 @@ def _run_sums(pts, n: int, sizes, step: int) -> np.ndarray:
 
     ``pts`` is cut into consecutive runs of ``sizes`` points; the result
     has one entry per run, of the shape and dtype of the values of a point.
-    The values are taken on blocks of ``step`` points, whatever runs a
-    block spans; one ``np.add.reduceat`` sums the pieces of the runs inside
-    a block, and each piece is added to its run's total.
+    The values are taken on blocks of at most ``step`` points that hold
+    whole runs, in order.  A run longer than ``step`` starts a block and is
+    cut at multiples of ``step`` from its own start; its last piece starts
+    the block that the next runs join.  So a run is cut where it would be
+    alone, and its float sum does not depend on the runs summed with it.
+    One ``np.add.reduceat`` sums the pieces of the runs inside a block, and
+    each piece is added to its run's total in order.
     """
+    starts, end = [0], 0
+    for size in sizes:
+        end += size
+        if end - starts[-1] > step:
+            if end - size > starts[-1]:
+                starts.append(end - size)
+            starts += range(starts[-1] + step, end, step)
     run = np.repeat(np.arange(len(sizes)), sizes)
     R = None
-    for i in range(0, len(pts), step):
-        ids = run[i:i + step]
+    for i, j in zip(starts, starts[1:] + [len(pts)]):
+        ids = run[i:j]
         # where each run's piece starts inside the block
         cut = np.flatnonzero(np.diff(ids, prepend=-1))
-        part = np.add.reduceat(sym_power_values(pts[i:i + step], n), cut,
-                               axis=-1)
+        part = np.add.reduceat(sym_power_values(pts[i:j], n), cut, axis=-1)
         if R is None:
             R = np.zeros((len(sizes),) + part.shape[:-1], dtype=part.dtype)
         R[ids[cut]] += np.moveaxis(part, -1, 0)
@@ -454,8 +464,9 @@ def _float_shell_sums(n: int, Ns):
     not yet cached (one ``_shell_join``), and S_1 the sum of T over the
     eight units.  ``_run_sums`` takes the float ``sym_power_values`` of the
     units and of the unit points m / sqrt N of the representatives on
-    blocks of ``SHELL_BLOCK`` entries of T, whatever shells a block spans.
-    Cached per (n, N).
+    blocks of at most ``SHELL_BLOCK`` entries of T that hold whole shells,
+    a longer shell cut where it would be cut alone, so a cached sum does
+    not depend on which shells were summed with it.  Cached per (n, N).
     """
     Ns = [int(N) for N in Ns]
     todo = sorted({N for N in Ns if (n, N) not in _FLOAT_SUMS})

@@ -15,8 +15,10 @@ Coefficients are computed per block of ``THETA_BLOCK`` values of k: the
 block's traces come from one two-square join over all its shells, projected
 without forming coordinates, then U_n once per distinct (k, T) pair, read
 back per trace and summed per k over its own slice, and one recurrence
-over the same distinct pairs, on int64 under a stated bound and on Python
-integers above it.
+over the same distinct pairs.  The recurrence runs on int64 while every
+term fits, 2n (4 N_x N_y k)^(n/2) < 2^63, and on Python integers above;
+the per-k sums of counts times W_n move to Python integers on their own
+when the number of traces times that bound does not fit.
 The Petersson strips are batched per degree over one cached profile table.
 """
 
@@ -148,20 +150,23 @@ def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
         return [ThetaCoefficient(n, k, qx, qy, None, fv)
                 for k, fv in zip(ks, fvs)]
 
-    # |T| <= 2 S sqrt(k), so |W_m| <= (m+1) (4Pk)^(m/2), every term of the
-    # recurrence is at most 2n (4Pk)^(n/2) and each per-k sum at most len(T)
-    # times that: int64 when this is below 2^63 (decided on its square),
-    # Python integers above
-    exact64 = (2 * n * len(T)) ** 2 * (4 * P * max(ks)) ** n < 2 ** 126
-    dtype = np.int64 if exact64 else object
+    # |T| <= 2 S sqrt(k), so |W_m| <= (m+1) (4Pk)^(m/2): every term of the
+    # recurrence is at most 2n (4Pk)^(n/2), and each per-k sum of counts
+    # times W_n at most len(T) times that.  The recurrence runs on int64
+    # when the term bound is below 2^63 and the sums when len(T) times it
+    # is (both decided on their squares), each on Python integers above
+    term_sq = 4 * n * n * (4 * P * max(ks)) ** n
+    dtype = np.int64 if term_sq < 2 ** 126 else object
     Tu = Tu.astype(dtype)
     c = np.array([4 * P * k for k in ks], dtype=dtype)[idx]
     prev, cur = 0 * Tu, 0 * Tu + 1  # W_(-1), W_0
     for _ in range(n):
         prev, cur = cur, 2 * Tu * cur - c * prev
+    if len(T) ** 2 * term_sq >= 2 ** 126:
+        cur = cur.astype(object)
     # every shell is nonempty (r4(k) >= 8), so each block index starts a run
     starts = np.flatnonzero(np.diff(idx, prepend=-1))
-    sums = np.add.reduceat(cur * counts.astype(dtype), starts)
+    sums = np.add.reduceat(cur * counts, starts)
     # (2S)^n = 2^n P^(n/2) S^(n mod 2), and S is an integer for odd n
     denom = 2 ** n * P ** (n // 2) * S ** (n % 2)
     out = []

@@ -481,6 +481,8 @@ COLUMNS = {
     "str": ["singlebound", "intbound", "a b", " x", "", "sp\u00e9ctral"],
     "str array": np.array(["theta", "spectral"]),
     "object array": np.array([1, 0.5, "x"], dtype=object),
+    # equal (and equally hashed) values whose text differs
+    "equal values": [0.0, -0.0, 1, True, 1.0, np.float64(-0.0)],
 }
 
 
@@ -520,7 +522,8 @@ def test_write_csv_refuses_fields_that_need_quoting(tmp_path, bad, where):
     # in any block, and no partial file is left
     col = ["ok"] * (B + 10)
     col[where] = bad
-    for column in (col, np.array(col, dtype=object)):
+    # a list, an object array and a numpy str array (object with None)
+    for column in (col, np.array(col, dtype=object), np.array(col)):
         with pytest.raises(ValueError):
             written(tmp_path, ["s", "i"], [column, np.arange(len(col))])
         assert not (tmp_path / "t.csv").exists()

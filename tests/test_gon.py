@@ -253,6 +253,17 @@ def test_a_of_x_does_not_depend_on_the_order_of_reads(monkeypatch):
     assert len(gon._A_PREFIXES[128]) == 1025
 
 
+@pytest.mark.parametrize("n", [0, 2, 256])
+def test_a_of_x_across_blocks_is_the_direct_sum(monkeypatch, n):
+    # A(1024) is built from tables of at most 2^14 terms, 33 values of m1
+    # wide, so its k run over three blocks; every A(X) on the way is the
+    # loop's float
+    monkeypatch.setattr(gon, "_A_PREFIXES", {})
+    direct = direct_a_prefix(n, 1025)
+    assert a_of_x(n, 1024) == direct[1024]
+    assert gon._A_PREFIXES[n][1:] == [direct[X] for X in range(1, 1025)]
+
+
 def test_fit_constant():
     recs = [shell_class_count(k, 2) for k in range(1, 50)]
     c = fit_constant(recs)
@@ -525,8 +536,9 @@ def test_basis_entry_types():
     # a Fraction, a float, a string or None is not, even when whole
     e = [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
     for first in (1, True, np.int64(1), np.uint8(1)):
-        B = gon._lattice_basis([[first, 0, 0, 0]] + e)
-        assert B.dtype == np.int64 and B.tolist() == [[1, 0, 0, 0]] + e
+        entries = gon._lattice_basis([[first, 0, 0, 0]] + e)
+        assert entries == tuple(a for r in [[1, 0, 0, 0]] + e for a in r)
+        assert all(type(a) is int for a in entries)
     for first in (Fraction(1), 1.0, np.float64(1), "1", None, 1 + 0j):
         with pytest.raises(ValueError):
             gon._lattice_basis([[first, 0, 0, 0]] + e)

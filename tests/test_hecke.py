@@ -212,9 +212,10 @@ def test_shell_sums_blocks_fill_the_cap(monkeypatch):
     # at n = 2 a point holds 9 entries of T; the eight units come first, and
     # the shells of norm 1, 2, 3, 5, 13 have 1, 3, 4, 6, 14 orbit
     # representatives: with a cap of 108 entries a block holds 12 points,
-    # so the units and norms 1 and 2 fill the first block exactly, norms 3
-    # and 5 and two points of norm 13 the next, and the other twelve points
-    # of norm 13 the last: the norm-13 shell straddles two blocks
+    # so the units and norms 1 and 2 fill the first block exactly, and
+    # norms 3 and 5 hold 10 points of the next, where the 14 points of
+    # norm 13 do not fit.  Norm 13 is longer than a block: it is cut 12
+    # points from its own start, so it straddles the last two blocks
     monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
     monkeypatch.setattr(hecke, "SHELL_BLOCK", 108)
     passes = []
@@ -227,7 +228,8 @@ def test_shell_sums_blocks_fill_the_cap(monkeypatch):
     monkeypatch.setattr(hecke, "sym_power_values", spy)
     Ns = [5, 13, 3, 2, 1]
     sums = hecke.shell_monomial_matrices(2, Ns)
-    assert passes == [(12, np.int64)] * 3
+    assert passes == [(12, np.int64), (10, np.int64), (12, np.int64),
+                      (2, np.int64)]
     for N, S in zip(Ns, sums):
         assert np.array_equal(S, _object_shell_sum(2, N))
 
@@ -381,6 +383,23 @@ def test_float_shell_sums_match_exact(n, monkeypatch):
         exact = shell_monomial_matrix(n, N).astype(float) / N ** (n / 2)
         err = np.abs(S - exact) * g[None, :] / g[:, None]
         assert err.max() <= 1e-13 * size
+
+
+@pytest.mark.parametrize("points", [None, 7])
+def test_eigenvalues_do_not_depend_on_earlier_calls(monkeypatch, points):
+    # the float shell sums are cached per (n, N), and a shell is cut into
+    # blocks where it would be cut alone, so lambda(N) is the same float
+    # whichever shells were summed before it.  A cap of 7 points cuts the
+    # eight units and every shell with more than 7 orbit representatives
+    monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
+    if points:
+        monkeypatch.setattr(hecke, "SHELL_BLOCK", points * 11 ** 2)
+    dec = decompose(10, (3, 5), 0)
+    hecke.hecke_eigenvalues(dec, range(1, 17))
+    after = hecke.hecke_eigenvalues(dec, range(1, 41))
+    hecke._FLOAT_SUMS.clear()
+    alone = hecke.hecke_eigenvalues(dec, range(1, 41))
+    assert after.tobytes() == alone.tobytes()
 
 
 def test_shell_sums_joined_once(monkeypatch):

@@ -155,6 +155,34 @@ def test_batch_is_bitwise_the_per_k_coefficient(n):
         assert theta_coefficients(n, (1, 1, 1, 0), ONE, [4])[0].value is None
 
 
+def _recurrence_regime(n, ks):
+    """Where ``_theta_block`` runs a block at the default points: "int64"
+    (terms and sums), "sums" (int64 terms, Python-integer sums) or
+    "object" (both on Python integers), from the bounds it states."""
+    P = DEFAULT_X.nr() * DEFAULT_Y.nr()
+    T, _ = _block_traces(ks, DEFAULT_X, DEFAULT_Y)
+    terms = 4 * n * n * (4 * P * max(ks)) ** n
+    if terms >= 2 ** 126:
+        return "object"
+    return "int64" if len(T) ** 2 * terms < 2 ** 126 else "sums"
+
+
+@pytest.mark.parametrize("n,ks,regime", [(8, range(1, 65), "int64"),
+                                         (8, range(65, 129), "sums"),
+                                         (12, range(1, 17), "sums"),
+                                         (12, range(17, 65), "object")])
+def test_recurrence_regimes_match_the_oracle(n, ks, regime):
+    # the integer recurrence on int64, on int64 with Python-integer sums,
+    # and on Python integers gives the oracle's exact and float values
+    ks = list(ks)
+    blocks = [ks[i: i + THETA_BLOCK] for i in range(0, len(ks), THETA_BLOCK)]
+    assert {_recurrence_regime(n, b) for b in blocks} == {regime}
+    for tc in theta_coefficients(n, DEFAULT_X, DEFAULT_Y, ks):
+        want = theta_oracle.theta_coefficient_per_k(n, DEFAULT_X, DEFAULT_Y,
+                                                    tc.k)
+        assert tc == want and type(tc.value) is Fraction
+
+
 @pytest.mark.parametrize("x,y", BATCH_PAIRS)
 def test_block_traces_are_the_per_k_traces(x, y):
     qx, qy = theta._as_quat(x), theta._as_quat(y)
