@@ -342,8 +342,7 @@ def cmd_modularity(args) -> int:
 def cmd_petersson(args) -> int:
     from .theta import petersson_estimate
 
-    ests = [petersson_estimate(n, args.cutoff or 10 * n, args.precision)
-            for n in _ns(args)]
+    ests = [petersson_estimate(n, args.cutoff or 10 * n) for n in _ns(args)]
     header = ["n", "K", "rho", "log_I1", "log_I2", "tail_ratio"]
     _write_csv(args, "petersson", header,
                [[getattr(p, f) for p in ests] for f in header])
@@ -434,7 +433,6 @@ FLAGS = {
     "x": {"default": "1,2,2,0"},
     "y": {"default": "1,0,0,0"},
     "im": {"type": float, "default": 0.5},
-    "precision": {"choices": ("double", "extended"), "default": "double"},
     "k": {"type": int, "required": True},
     "parity": {"choices": ("integral", "coset"), "default": "integral"},
 }
@@ -450,7 +448,7 @@ COMMANDS = (
     ("pretrace-check", cmd_pretrace_check, _NS + ("primes", "seed", "pairs"), None),
     ("theta-identity", cmd_theta_identity, _NS + ("primes", "seed", "x", "y"), 40),
     ("modularity", cmd_modularity, _NS + ("im",), 0),
-    ("petersson", cmd_petersson, _NS + ("precision",), 0),
+    ("petersson", cmd_petersson, _NS, 0),
     ("counting", cmd_counting, (), 4096),
     ("moments", cmd_moments, _NS + ("primes", "grid", "seed"), None),
     ("report", cmd_report, _NS, None),

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, isqrt
 
@@ -315,19 +314,6 @@ class HeckeMatrix:
     @property
     def dim(self):
         return len(self.entries)
-
-    def scale(self) -> Fraction:
-        """T_N = scale * entries (requires n even or N a perfect square)."""
-        return Fraction(1, 8 * self.denom * _int_pow_half(self.N, self.n))
-
-
-def _int_pow_half(N: int, n: int) -> int:
-    if n % 2 == 0:
-        return N ** (n // 2)
-    r = isqrt(N)
-    if r * r != N:
-        raise ValueError("N^(n/2) is not integral for odd n and non-square N")
-    return r ** n
 
 
 @lru_cache(maxsize=None)

@@ -7,8 +7,10 @@ those coefficients are harmonic, have integer coefficients, and are
 mutually orthogonal on the sphere.  So the Gram matrix is diagonal and
 known in closed form: by Schur orthogonality, int_{S^3} |t_{ba}|^2 =
 C(n, b) / (C(n, a) (n + 1)) under the uniform probability measure.  The
-basis is named by labels and integer contents; no polynomial is built
-except for the ``basis`` JSON.
+basis is named by labels and integer contents.  ``_sym_power_entries``
+is the one definition of the t_{ba} as polynomials: ``harmonic_basis``
+reads the contents off it and ``basis_to_json`` the coefficients, and no
+other code builds a polynomial.
 
 ``sym_power_values`` evaluates T(x) = [t_{ba}(x)] in batches, exactly at
 integer points (products of binary forms) and in floats at float points
@@ -81,52 +83,12 @@ def _sym_power_entries(n: int):
     return table
 
 
-@lru_cache(maxsize=None)
-def _parity_profile(p: int, q: int) -> tuple:
-    """(gcd, top, sign) of the nonzero K[m] with m even, then with m odd.
-
-    K = _conj_power(p, q); ``top`` is the largest such m and ``sign`` the
-    sign of K[top], or (0, -1, 0) when all of them vanish.
-    """
-    K = _conj_power(p, q)
-    out = []
-    for r in (0, 1):
-        nz = [m for m in range(r, len(K), 2) if K[m]]
-        out.append((gcd(*(K[m] for m in nz)), nz[-1], 1 if K[nz[-1]] > 0 else -1)
-                   if nz else (0, -1, 0))
-    return tuple(out)
-
-
-def _signed_contents(n: int, b: int, a: int) -> tuple:
-    """Signed contents of Re t_{ba} and Im t_{ba}; 0 for a vanishing part.
-
-    Term i of ``_sym_power_entries`` puts c_i Kz[m] Kw[mw] (-1)^((m+mw)//2)
-    on x^(dz-m, m, n-dz-mw, mw), in Re or Im as m + mw is even or odd, and
-    no monomial occurs in two terms.  Over the m of parity r and the mw of
-    parity r' the gcd is |c_i| gcd(Kz) gcd(Kw), and the lex-first monomial
-    takes the largest m, then the largest mw.  The sign is that of the
-    lex-first coefficient of the part.
-    """
-    g = [0, 0]
-    first = [None, None]
-    for i in range(max(0, a + b - n), min(a, b) + 1):
-        c = comb(a, i) * comb(n - a, b - i)
-        kz = _parity_profile(i, n - a - b + i)
-        kw = _parity_profile(b - i, a - i)
-        dz = n - a - b + 2 * i
-        for r in (0, 1):
-            gz, mz, sz = kz[r]
-            for rw in (0, 1):
-                gw, mw, sw = kw[rw]
-                if not (gz and gw):
-                    continue
-                part = (r + rw) % 2
-                g[part] = gcd(g[part], c * gz * gw)
-                key = (dz - mz, mz, n - dz - mw, mw)
-                if first[part] is None or key < first[part][0]:
-                    sign = (-1) ** (a - i + (mz + mw) // 2) * sz * sw
-                    first[part] = (key, sign)
-    return tuple(gp * f[1] if f else 0 for gp, f in zip(g, first))
+def _signed_content(coeffs: dict) -> int:
+    """gcd of the coefficients, signed like the lex-first one; 0 if none."""
+    if not coeffs:
+        return 0
+    g = gcd(*coeffs.values())
+    return g if coeffs[min(coeffs)] > 0 else -g
 
 
 @dataclass(frozen=True)
@@ -136,8 +98,10 @@ class HarmonicBasis:
     ``labels[i]`` is ``(b, a, part)`` and ``contents[i]`` a nonzero integer;
     basis vector i is part(t_{ba}) / contents[i], the real (part 0) or
     imaginary (part 1) part of t_{ba} made primitive with its lex-first
-    coefficient positive.  No polynomial is stored: ``basis_values``
-    evaluates the basis and ``basis_to_json`` writes its coefficients.
+    coefficient positive; the content is the gcd of that part's
+    coefficients in ``_sym_power_entries``.  No polynomial is stored:
+    ``basis_values`` evaluates the basis and ``basis_to_json`` writes its
+    coefficients.
     Left multiplication acts on the row label b, right multiplication on
     the column label a.
     """
@@ -156,13 +120,14 @@ def harmonic_basis(n: int) -> HarmonicBasis:
     """Exact-rational basis of the degree-n harmonic subspace, dim (n+1)^2."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    table = _sym_power_entries(n)
     labels, contents = [], []
     # one of t_{ba} and t_{n-b,n-a} = (-1)^(a+b) conj t_{ba}, the lex-first
     for b in range(n + 1):
         for a in range(n + 1):
             if (b, a) > (n - b, n - a):
                 continue
-            re, im = _signed_contents(n, b, a)
+            re, im = map(_signed_content, table[a][b])
             if (b, a) == (n - b, n - a):
                 # self-conjugate entry: exactly one of Re/Im survives
                 parts = [(0, re)] if re else [(1, im)]

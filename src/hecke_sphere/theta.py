@@ -210,6 +210,17 @@ DEFAULT_Y = Quaternion(2, 0, 0, 0)  # 1
 TAIL_TOL = 1e-8
 
 
+def _log_geometric_tail(log_term, K: int) -> float:
+    """log of the geometric-ratio majorant of sum_{k>K} exp(log_term(k)):
+    the first term over 1 - r, r the ratio of the first two terms, or inf
+    when r >= 0.999.  Valid once the term ratio decreases in k."""
+    k0 = K + 1
+    r = math.exp(log_term(k0 + 1) - log_term(k0))
+    if r >= 0.999:
+        return math.inf
+    return log_term(k0) - math.log1p(-r)
+
+
 def _coeff_tail_bound(n: int, K: int, y: float) -> float:
     """Rigorous bound on sum_{k>K} (n+1) r4(k) k^(n/2) e^(-2 pi k y).
 
@@ -220,11 +231,7 @@ def _coeff_tail_bound(n: int, K: int, y: float) -> float:
         return (math.log(24 * (n + 1)) + math.log(k) + math.log1p(math.log(k))
                 + 0.5 * n * math.log(k) - 2 * math.pi * k * y)
 
-    k0 = K + 1
-    ratio = math.exp(log_term(k0 + 1) - log_term(k0))
-    if ratio >= 0.999:
-        return math.inf
-    return math.exp(log_term(k0)) / (1.0 - ratio)
+    return math.exp(_log_geometric_tail(log_term, K))
 
 
 @dataclass(frozen=True)
@@ -242,10 +249,13 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
                      x=DEFAULT_X, y=DEFAULT_Y) -> ModularityResult:
     """Relative residual |F(gamma z) - (cz+d)^(n+2) F(z)| / |F(z)|.
 
-    Both evaluations truncate the Fourier series at K terms; K grows
-    automatically until the certified truncation tail, relative to |F(z)|,
-    drops below ``TAIL_TOL``.
+    Both evaluations truncate the Fourier series at K terms, starting at
+    K (64 for K = 0); K grows automatically until the certified truncation
+    tail, relative to |F(z)|, drops below ``TAIL_TOL``.
     """
+    if K < 0:
+        raise ValueError(
+            f"needs cutoff K >= 0 (0 starts at K = 64), got K = {K}")
     (a, b), (c, d) = gamma
     if a * d - b * c != 1:
         raise ValueError("gamma must have determinant 1")
@@ -312,9 +322,8 @@ class PeterssonEstimate:
     tail_ratio: float  # certified bound on tail / (I1 + I2)
 
 
-def _log_upper_gamma(n_plus_1: int, x: np.ndarray, dtype) -> np.ndarray:
+def _log_upper_gamma(n_plus_1: int, x: np.ndarray) -> np.ndarray:
     """log Gamma(n+1, x) via the exact upward recurrence from Gamma(1, x)."""
-    x = np.asarray(x, dtype=dtype)
     g = -x
     lx = np.log(x)
     for s in range(1, n_plus_1):
@@ -353,22 +362,21 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
-def petersson_estimate(n: int, K: int,
-                       precision: str = "double") -> PeterssonEstimate:
+def petersson_estimate(n: int, K: int) -> PeterssonEstimate:
     """Truncated strip-integral estimate of the normalised kernel norm.
 
     rho(n) = (4 pi)^n / Gamma(n+2) * 2^(-n-1) * (I1 + I2), where I1 sums
     k^n S_k^2 Gamma(n+1, sqrt(3) pi k) / (2 pi k)^(n+1) over all k and I2
     is the analogous coset sum over odd k.  Both strips share the same
     exponential scale: the half-frequency expansions e(kz/2) still have
-    squared modulus e^(-2 pi k y).  All magnitudes are handled in log space.
-    The (frozen) result is cached per (n, K, precision), however passed.
+    squared modulus e^(-2 pi k y).  All magnitudes are handled in log space,
+    in float64.  The (frozen) result is cached per (n, K), however passed.
     """
-    return _petersson_estimate(n, K, precision)
+    return _petersson_estimate(n, K)
 
 
 @lru_cache(maxsize=None)
-def _petersson_estimate(n: int, K: int, precision: str) -> PeterssonEstimate:
+def _petersson_estimate(n: int, K: int) -> PeterssonEstimate:
     if n < 0 or n % 2:
         raise ValueError("n must be a nonnegative even integer")
     if n == 2:  # U_2 = 4x^2 - 1 and sum m1^2 = k r4(k) / 4 give S_k = 0
@@ -376,15 +384,14 @@ def _petersson_estimate(n: int, K: int, precision: str) -> PeterssonEstimate:
     if K < 10 * n:
         raise ValueError(
             f"K={K} < 10n={10 * n}: the tail certificate needs K >= 10n")
-    dtype = np.longdouble if precision == "extended" else np.float64
-    ks = np.arange(1, K + 1)
+    ks = np.arange(1.0, K + 1)
 
     def strip(parity):
         S = _strip_sums(n, K, parity)
         mask = S != 0.0
-        kk = ks[mask].astype(dtype)
-        logS2 = 2.0 * np.log(np.abs(S[mask]).astype(dtype))
-        lg = _log_upper_gamma(n + 1, math.sqrt(3) * math.pi * kk, dtype)
+        kk = ks[mask]
+        logS2 = 2.0 * np.log(np.abs(S[mask]))
+        lg = _log_upper_gamma(n + 1, math.sqrt(3) * math.pi * kk)
         terms = logS2 + n * np.log(kk) + lg - (n + 1) * np.log(2 * math.pi * kk)
         return _logsumexp(terms)
 
@@ -392,23 +399,17 @@ def _petersson_estimate(n: int, K: int, precision: str) -> PeterssonEstimate:
     log_I2 = strip("coset")
     log_sum = np.logaddexp(log_I1, log_I2)
 
-    def log_tail():
+    def log_term(k):
         # |S_k| <= 24 (n+1) k (1 + ln k); Gamma(s,x) <= 2 x^(s-1) e^(-x)
         # once x >= 2(s-1), which sqrt(3) pi k > 5 K >= 50 n guarantees.
-        def lt(k):
-            xk = math.sqrt(3) * math.pi * k
-            return (2 * (math.log(24 * (n + 1)) + math.log(k)
-                         + math.log1p(math.log(k)))
-                    + n * math.log(k) + math.log(2) + n * math.log(xk) - xk
-                    - (n + 1) * math.log(2 * math.pi * k))
-        k0 = K + 1
-        r = math.exp(lt(k0 + 1) - lt(k0))
-        if r >= 0.999:
-            return math.inf
-        return lt(k0) - math.log1p(-r)
+        xk = math.sqrt(3) * math.pi * k
+        return (2 * (math.log(24 * (n + 1)) + math.log(k)
+                     + math.log1p(math.log(k)))
+                + n * math.log(k) + math.log(2) + n * math.log(xk) - xk
+                - (n + 1) * math.log(2 * math.pi * k))
 
     # one tail majorant covers both strips; double it for the pair
-    tail = log_tail() + math.log(2)
+    tail = _log_geometric_tail(log_term, K) + math.log(2)
     tail_ratio = float(np.exp(tail - log_sum))
 
     log_rho = (n * math.log(4 * math.pi) - math.lgamma(n + 2)

@@ -141,12 +141,10 @@ def test_modularity_records_exact_coefficients(tmp_path):
 
 
 def test_precision_flag_only_on_petersson(tmp_path):
-    assert run(tmp_path, "petersson", "--n", "8", "--cutoff", "80",
-               "--precision", "extended") == 0
-    header = (tmp_path / "petersson.csv").read_text().splitlines()[0]
-    assert '"precision": "extended"' in header
-    with pytest.raises(SystemExit):
-        run(tmp_path, "moments", "--n", "4", "--precision", "extended")
+    # the Petersson sums run in float64 only: --precision is refused too
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "petersson", "--n", "8", "--precision", "extended")
+    assert exc.value.code == 2
     # every subcommand registers only the flags it reads
     for argv in (("shells", "--k", "1", "--seed", "1"),
                  ("basis", "--n", "2", "--primes", "3,5"),
@@ -365,7 +363,8 @@ def test_counting_failure_names_its_worst_record(tmp_path, monkeypatch,
     ("spectral", "--n-range", "4:2:1"),
     ("spectral", "--n-range", "a:b:c"),
     ("basis",),
-    ("hecke-check", "--n", "4", "--primes", "2,3")])
+    ("hecke-check", "--n", "4", "--primes", "2,3"),
+    ("modularity", "--n", "4", "--cutoff", "-5")])
 def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
     # a refused flag or library input is one stderr line naming the
     # command, not a traceback, and no artifact is written
@@ -382,7 +381,9 @@ def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
      "needs --cutoff >= 1, got 0"),
     (("moments", "--n", "4", "--grid", "0"), "needs --grid >= 1, got 0"),
     (("pretrace-check", "--n", "4", "--pairs", "0"),
-     "needs --pairs >= 1, got 0")])
+     "needs --pairs >= 1, got 0"),
+    (("modularity", "--n", "4", "--cutoff", "-5"),
+     "needs cutoff K >= 0 (0 starts at K = 64), got K = -5")])
 def test_flags_are_refused_before_any_eigensolve(tmp_path, capsys,
                                                  monkeypatch, argv, want):
     # the refusal depends only on the flags, so no degree is decomposed

@@ -56,7 +56,8 @@ def test_scaled_float_matches_exact():
     for n, N in [(2, 3), (4, 5), (6, 3)]:
         hm = hecke_matrix(n, N)
         exact = np.array([[float(v) for v in row] for row in hm.entries])
-        exact *= float(hm.scale())
+        # T_N = entries / (8 denom N^(n/2)), n even
+        exact /= 8 * hm.denom * N ** (n // 2)
         approx = hecke_matrix_float(n, N)
         assert np.allclose(exact, approx, atol=1e-12)
 

@@ -139,8 +139,8 @@ def test_primitive_normalization():
 
 @pytest.mark.parametrize("n", range(0, 19))
 def test_labels_name_matrix_coefficients(n):
-    # the contents come from the entry formula without a polynomial; the
-    # oracle builds each labelled entry and takes its signed content
+    # harmonic_basis reads the contents off the same table; the oracle's
+    # Poly4 takes each labelled entry's signed content on its own
     hb = harmonic_basis(n)
     table = _sym_power_entries(n)
     assert len(hb.labels) == hb.dim

@@ -403,11 +403,9 @@ def test_profile_table_is_bitwise_the_per_k_profiles(K, parity):
             g[0] = 1
 
 
-@pytest.mark.parametrize("precision", ["double", "extended"])
-def test_petersson_matches_per_shell_strips(precision, monkeypatch,
+def test_petersson_matches_per_shell_strips(monkeypatch,
                                             fresh_petersson_cache):
-    batched = {n: petersson_estimate(n, 10 * n, precision)
-               for n in (4, 8, 12, 32)}
+    batched = {n: petersson_estimate(n, 10 * n) for n in (4, 8, 12, 32)}
     calls = []
 
     def oracle(*args):
@@ -418,7 +416,7 @@ def test_petersson_matches_per_shell_strips(precision, monkeypatch,
     # the estimates above are cached; without this the oracle never runs
     theta._petersson_estimate.cache_clear()
     for n, est in batched.items():
-        ref = petersson_estimate(n, 10 * n, precision)
+        ref = petersson_estimate(n, 10 * n)
         assert calls[-2:] == [(n, 10 * n, "integral"), (n, 10 * n, "coset")]
         # bit-identical with numpy's own summation; another BLAS may sum
         # the per-shell dot products in another order
@@ -429,13 +427,11 @@ def test_petersson_matches_per_shell_strips(precision, monkeypatch,
 
 def test_petersson_cache_is_shared_by_call_forms(fresh_petersson_cache):
     est = petersson_estimate(8, 80)
-    for again in (petersson_estimate(8, 80, "double"),
-                  petersson_estimate(n=8, K=80, precision="double"),
+    for again in (petersson_estimate(n=8, K=80),
                   petersson_estimate(8, K=80)):
         assert again is est
     info = theta._petersson_estimate.cache_info()
-    assert (info.hits, info.misses) == (3, 1)
-    assert petersson_estimate(8, 80, "extended") is not est
+    assert (info.hits, info.misses) == (2, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):
         est.rho = 0.0
 
@@ -445,12 +441,6 @@ def test_petersson_basic():
     assert est.rho > 0
     assert est.tail_ratio < 1e-10
     assert est.log_I1 >= est.log_I2  # the integral strip dominates
-
-
-def test_petersson_precision_agreement():
-    a = petersson_estimate(12, 160, precision="double")
-    b = petersson_estimate(12, 160, precision="extended")
-    assert abs(a.rho - b.rho) / b.rho < 1e-6
 
 
 def test_petersson_cutoff_stability():
