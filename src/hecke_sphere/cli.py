@@ -318,7 +318,7 @@ def cmd_modularity(args) -> int:
 
     misses = []
     for n in _ns(args):
-        # z = i/2 is refused for n = 6: a forced zero of the kernel
+        # z = i/2 is refused for each n = 2 mod 4 from 6 on: a forced zero
         r = modularity_check(n, ((1, 0), (4, 1)), complex(0.0, args.im),
                              K=args.cutoff)
         _write_json(args, f"modularity-{n}", {

@@ -23,10 +23,10 @@ points m / sqrt N, each for a set of N from one join and through one
 block loop, ``_run_sums``.  The exact S_N are the oracle:
 ``hecke_relations_check`` (all products S_a S_b in one stacked product),
 ``selfadjoint_check`` and ``t1_vanishing`` read them.
-``joint_eigenspaces`` diagonalises T_1 and the primes alone, grouping
-classes within the constant ``GROUP_TOL``; ``hecke_eigenvalues`` reads
-lambda(N) of every class for any N on demand from the finished
-decomposition, through the same residual check.
+``joint_eigenspaces`` diagonalises the primes on each class of left u
+(``unit_classes``), grouping within the constant ``GROUP_TOL``;
+``hecke_eigenvalues`` reads lambda(N) of every class for any N on demand
+from the finished decomposition, through the same residual check.
 
 The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
 and v (x) e_a <-> f_{v,a}, each joint eigenspace is
@@ -38,6 +38,23 @@ the weights C(n, b).  The conjugation rule gives conj f_{v,a} =
 with the real T_N.  In a weighted orthonormal basis of its fixed vectors
 (``row_basis``) every T_N is a real symmetric (n+1) x (n+1) matrix, which
 ``joint_eigenspaces`` diagonalises.
+
+Which basis.  No basis-invariant pointwise statistic of a block varies
+with x, so the plain fourth moment sum_j phi_j^4 and the individual sup
+max_j |phi_j| of ``moments`` are only defined once a basis inside each
+V_lambda is fixed.  The paper text kept with this package (the abstract)
+does not say which.  In a V_lambda flagged by T_1 this package takes the
+joint eigenlines of three real operators that commute with every T_N:
+right rotation x -> x e^{i theta}, diagonal on the column label a with
+the column pairs {a, n - a} as isotypic pieces; right multiplication by
+j, which sends column a to (-1)^a times column n - a, so g_a(x j) =
+conj g_a(x) and its eigenlines are Re g_a and Im g_a
+(``moments.eigen_values``); and left multiplication by u = (1 + i)/sqrt 2,
+which normalises the Lipschitz order.  Left u is the sign 1 - c on the
+coordinates of class c of ``unit_classes``, and it breaks the tie where
+dim W_lambda > 1 (n = 4, 8, 10, ...), which more primes do not split.
+``joint_eigenspaces`` diagonalises each class on its own, so every flagged
+column lies in one class: the basis is fixed up to signs no statistic sees.
 """
 
 from __future__ import annotations
@@ -435,6 +452,27 @@ def row_basis(n: int) -> np.ndarray:
     return P
 
 
+@lru_cache(maxsize=None)
+def unit_classes(n: int) -> np.ndarray:
+    """Per ``row_basis(n)`` coordinate k: the sign class of left u, or -1.
+
+    S_1 / 8, the average over the eight units, is in these coordinates the
+    0/1 indicator of the k <= n/2 with k = n/2 mod 2, less k = n/2 when n/2
+    is odd: inv(n) = (n + 1 + 3 (-1)^(n/2)) / 4 of them.  There left u acts
+    as (-1)^((k - n/2)/2), and the class is (k - n/2) mod 4, 0 or 2; every
+    other k is -1.  Each T_N = S_1 R_N / (8 N^(n/2)) vanishes off the fixed
+    k and commutes with left u, so it couples no two classes.
+    """
+    if n % 2:
+        raise ValueError("the unit classes are built for even n")
+    h = n // 2
+    k = np.arange(n + 1)
+    fixed = (k <= h) & ((k - h) % 2 == 0) & ((k < h) | (h % 2 == 0))
+    cls = np.where(fixed, (k - h) % 4, -1)
+    cls.setflags(write=False)
+    return cls
+
+
 #: sum over the norm-N shell of T(m / sqrt N) and |shell| per (n, N), in
 #: floats, filled by ``_float_shell_sums``
 _FLOAT_SUMS: dict = {}
@@ -563,10 +601,13 @@ def joint_eigenspaces(n: int, primes=(3, 5),
                       seed: int = 0) -> SpectralDecomposition:
     """Simultaneous diagonalisation of the odd Hecke operators on W.
 
-    A fixed-seed random integer combination of the prime operators on the
-    row space is diagonalised; eigenvectors are validated by residual for
-    T_1 and each prime (``_rayleigh_quotients``) and grouped into W_lambda
-    by matching prime eigenvalue tables within ``GROUP_TOL``.
+    A fixed-seed random integer combination of the prime operators is
+    diagonalised on each u class of ``unit_classes``; the coordinates that
+    the units do not fix, where every T_N vanishes, are identity columns,
+    and a space is flagged when its columns come from a u class.  All
+    columns are validated by residual against T_1 and each prime
+    (``_rayleigh_quotients``) and grouped into W_lambda by matching prime
+    eigenvalue tables within ``GROUP_TOL``.
     """
     if n % 2:
         raise ValueError("joint decomposition is computed for even n")
@@ -579,7 +620,13 @@ def joint_eigenspaces(n: int, primes=(3, 5),
     rng = np.random.default_rng(seed)
     coeffs = rng.integers(1, 1000, size=len(primes))
     combo = sum(int(c) * ops[p] for c, p in zip(coeffs, primes))
-    _, vecs = np.linalg.eigh(combo)
+    cls = unit_classes(n)
+    # identity columns sorted by class; column j lives on class col_cls[j]
+    order = np.argsort(cls, kind="stable")
+    col_cls, vecs = cls[order], (np.arange(n + 1)[:, None] == order) * 1.0
+    for c in (0, 2):
+        rows = order[col_cls == c][:, None]
+        vecs[rows, col_cls == c] = np.linalg.eigh(combo[rows, rows.T])[1]
     tables = dict(zip(Ns, _rayleigh_quotients(n, Ns, ops.values(), vecs)))
 
     # group eigenvectors whose prime tables agree within tolerance
@@ -599,8 +646,8 @@ def joint_eigenspaces(n: int, primes=(3, 5),
     for g in groups:
         idxs = np.array(g)
         lams = {N: float(np.mean(tables[N][idxs])) for N in Ns}
-        t1 = 1 if lams[1] > 0.5 else 0
-        spaces.append(EigenSpace(lams=lams, basis=vecs[:, idxs], t1_flag=t1))
+        spaces.append(EigenSpace(lams=lams, basis=vecs[:, idxs],
+                                 t1_flag=int(col_cls[g[0]] >= 0)))
     return SpectralDecomposition(n=n, seed=seed, spaces=tuple(spaces),
                                  group_margin=_group_margin(spaces, primes))
 
@@ -611,9 +658,12 @@ def hecke_eigenvalues(dec: SpectralDecomposition, Ns) -> np.ndarray:
     Shape (len(Ns), len(dec.spaces)), from one ``_row_operators`` call: the
     mean of the space's column quotients, as ``EigenSpace.lams`` holds for
     1 and the primes.  A T_N that is not scalar on some space fails the
-    residual check of ``_rayleigh_quotients``, which names that N.
+    residual check of ``_rayleigh_quotients``, which names that N.  No N
+    gives a (0, len(dec.spaces)) array.
     """
-    # in C order, as eigh returns it: one BLAS kernel serves both callers
+    if not len(Ns):
+        return np.empty((0, len(dec.spaces)))
+    # in C order, as joint_eigenspaces builds it: one BLAS kernel for both
     vecs = np.ascontiguousarray(np.hstack([sp.basis for sp in dec.spaces]))
     lam = _rayleigh_quotients(dec.n, Ns, _row_operators(dec.n, Ns), vecs)
     cuts = np.cumsum([sp.basis.shape[1] for sp in dec.spaces])[:-1]

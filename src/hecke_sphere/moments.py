@@ -33,31 +33,9 @@ that is not orthonormal.
 Which statistics depend on a basis.  Since the multiplicity factor is the
 column label, sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda at every x,
 and ``sup_family`` is exactly the sum over flagged blocks of
-(dim V_lambda)^2 in any orthonormal basis.  For the same reason no
-basis-invariant pointwise statistic of a block varies with x, so the plain
-fourth moment sum_j phi_j^4 and the individual sup max_j |phi_j| are only
-defined once a basis inside each V_lambda is fixed.  The paper text kept
-with this package (the abstract) does not say which orthonormal
-eigenbasis its plain fourth moment is taken over; this module decides it.
-
-The pinned basis of a flagged V_lambda is made of the joint eigenlines of
-three real operators that commute with every T_N:
-
-- right rotation x -> x e^{i theta}, diagonal on the column label a; its
-  isotypic pieces are the column pairs {a, n - a};
-- right multiplication by j, which sends column a to (-1)^a times column
-  n - a, so g_a(x j) = conj g_a(x): Re g_a and Im g_a are its eigenlines;
-- left multiplication by u = (1 + i)/sqrt(2), which normalises the
-  Lipschitz order.  A flagged block is fixed by the units, so u^2 = i acts
-  trivially on it and u acts as the sign (-1)^((b - n/2)/2) on the row
-  label b.  It breaks the tie where dim W_lambda > 1 (n = 4, 8, 10, ...),
-  which more primes do not split.
-
-That is the construction above on a real basis of W_lambda with each
-vector in one sign class of u, fixed up to signs that no statistic sees,
-so ``sup_fourth`` and ``sup_individual`` do not depend on the basis LAPACK
-returns.  A block with more than one dimension of W_lambda in a sign
-class is left unsplit and raises ``DegeneracyError``.
+(dim V_lambda)^2 in any orthonormal basis.  The plain fourth moment and
+the individual sup are taken in the basis of ``hecke`` ("Which basis"),
+which a sweep checks and does not pin again.
 """
 
 from __future__ import annotations
@@ -68,7 +46,9 @@ from math import comb
 
 import numpy as np
 
-from .hecke import DegeneracyError, SpectralDecomposition, row_basis
+from .hecke import (
+    DegeneracyError, SpectralDecomposition, row_basis, unit_classes,
+)
 from .poly import sym_power_values
 
 #: points per evaluation chunk; every statistic is taken per point
@@ -97,8 +77,8 @@ class MomentReport:
 
     ``sup_family`` is the sum over flagged blocks of (dim V_lambda)^2, the
     value of the family statistic at every point; ``sup_fourth`` and
-    ``sup_individual`` are taken in the pinned basis described in the
-    module docstring.
+    ``sup_individual`` are taken in the basis of ``dec``, one column per
+    sign class of left u in each flagged block (module docstring).
     """
 
     n: int
@@ -150,48 +130,6 @@ def eigen_values(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
     F *= _weights(n)[:, None]
     F[(h + 1) % 2, :, h] = 0.0
     return F
-
-
-def pinned_blocks(dec: SpectralDecomposition):
-    """(basis, t1_flag) per eigenspace; flagged bases of W_lambda pinned."""
-    n = dec.n
-    k = np.arange(n + 1)
-    # vector k of the real row basis lives on the rows k and n - k, which
-    # share their class of b - n/2 mod 4 when it is even; even classes
-    # carry the sign of u, odd ones are moved by the units
-    cls = (np.minimum(k, n - k) - n // 2) % 4
-    blocks = []
-    for sp in dec.spaces:
-        basis = sp.basis
-        if sp.t1_flag:
-            basis = _pin_block(basis, cls)
-        blocks.append((basis, sp.t1_flag))
-    return blocks
-
-
-def _pin_block(R: np.ndarray, cls: np.ndarray) -> np.ndarray:
-    """Basis of the W_lambda spanned by R with each vector in one class."""
-    cols = []
-    for c in range(4):
-        rows = cls == c
-        # R[rows] R[rows]^T projects onto the block's part in class c, so
-        # the Gram matrix below has only the eigenvalues 0 and 1
-        s, V = np.linalg.eigh(R[rows].T @ R[rows])
-        if np.any((s > 1e-6) & (s < 1 - 1e-6)):
-            raise DegeneracyError("eigenspace does not split over the sign of u")
-        keep = s > 0.5
-        r = int(np.count_nonzero(keep))
-        if r == 0:
-            continue
-        if c % 2:
-            raise DegeneracyError("flagged eigenspace not fixed by the units")
-        if r > 1:
-            raise DegeneracyError(f"eigenspace left unsplit: {r} dimensions "
-                                  f"of W share the sign {1 - c} of left u")
-        E = np.zeros((R.shape[0], 1))
-        E[rows] = R[rows] @ V[:, keep]
-        cols.append(E)
-    return np.hstack(cols)
 
 
 def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
@@ -256,16 +194,26 @@ def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
     ``sup_family`` is exact, the sum over flagged blocks of their squared
     dimensions; ``sup_fourth`` is the grid sup refined by coordinate ascent
     from the best grid point; ``sup_individual`` is the grid sup.  Raises
+    ``DegeneracyError`` unless each flagged column lies in one class of
+    ``unit_classes`` (to 1e-10 of its norm), no two of a block in one, and
     ``ClosureError`` when ``closure_error`` is not below ``CLOSURE_TOL``.
     """
     if dec.n != n:
         raise ValueError("decomposition degree mismatch")
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    blocks = pinned_blocks(dec)
+    cls = unit_classes(n)
+    flagged = [sp.basis for sp in dec.spaces if sp.t1_flag]
+    for basis in flagged:
+        own = cls[np.abs(basis).argmax(axis=0)]
+        off = np.abs(basis) * (cls[:, None] != own)
+        if (np.any(own < 0) or len(set(own.tolist())) < len(own) or np.any(
+                off.max(axis=0) > 1e-10 * np.linalg.norm(basis, axis=0))):
+            raise DegeneracyError(
+                f"n={n}: a flagged block of dim W = {basis.shape[1]} is not "
+                f"one column per sign class of left u")
     # the fourth moment is a sum over the flagged blocks alone: put them first
-    flagged = [basis for basis, flag in blocks if flag]
-    R = np.hstack(flagged + [basis for basis, flag in blocks if not flag])
+    R = np.hstack(flagged + [sp.basis for sp in dec.spaces if not sp.t1_flag])
     k = sum(basis.shape[1] for basis in flagged)
     fourth, closure, sup_ind = _block_stats(n, R, k, grid)
     target = float((n + 1) ** 2)

@@ -10,6 +10,7 @@ from hecke_sphere import hecke
 from hecke_sphere.hecke import (
     decompose, hecke_matrix, hecke_matrix_float, hecke_relations_check,
     row_basis, selfadjoint_check, shell_monomial_matrix, t1_vanishing,
+    unit_classes,
 )
 from hecke_sphere.poly import harmonic_basis, sym_power_values
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
@@ -560,6 +561,73 @@ def test_unflagged_part_is_single_space():
     unflagged = [sp for sp in dec.spaces if sp.t1_flag == 0]
     assert len(unflagged) == 1
     assert all(abs(unflagged[0].lams[N]) < 1e-9 for N in (1, 3, 5))
+
+
+def _inv(n):
+    """dim of the unit invariants in Sym^n: (n + 1 + 3 (-1)^(n/2)) / 4."""
+    return (n + 1 + 3 * (-1) ** (n // 2)) // 4
+
+
+@pytest.mark.parametrize("n", range(2, 65, 2))
+def test_unit_classes_match_the_unit_average(n):
+    # T_1 is the 0/1 indicator of the fixed coordinates; exactly in
+    # integers, S_1 / 8 is a projector of rank inv(n)
+    cls = unit_classes(n)
+    assert set(cls.tolist()) <= {-1, 0, 2}
+    assert np.count_nonzero(cls >= 0) == _inv(n)
+    (T1,) = hecke._row_operators(n, [1])
+    assert np.abs(T1 - np.diag((cls >= 0).astype(float))).max() <= 1e-12
+    S = shell_monomial_matrix(n, 1)
+    assert np.array_equal(S @ S, 8 * S)
+    assert np.trace(S) == 8 * _inv(n)
+
+
+@pytest.mark.parametrize("n", range(2, 25, 2))
+def test_unit_classes_are_not_coupled(n):
+    cls = unit_classes(n)
+    cross = cls[:, None] != cls[None, :]
+    Ns = [1, 3, 5, 7, 9, 15]
+    for N, op in zip(Ns, hecke._row_operators(n, Ns)):
+        # T_3 = 0 exactly at n = 2: its float operator is roundoff alone
+        top = np.abs(op).max() if np.any(shell_monomial_matrix(n, N)) else 1.0
+        assert np.abs(op[cross]).max(initial=0.0) <= 1e-13 * top
+
+
+def _newform_dims(n):
+    """(d2, d4): dim S^new_{n+2}(Gamma0(2)) and dim S^new_{n+2}(Gamma0(4)).
+
+    From the genus-0 closed forms at even weight k >= 4: dim S_k(SL2(Z)) =
+    floor(k/12) - [k = 2 mod 12], dim S_k(Gamma0(2)) = floor(k/4) - 1 and
+    dim S_k(Gamma0(4)) = k/2 - 2, less the old forms.
+    """
+    k = n + 2
+    s1 = k // 12 - (k % 12 == 2)
+    d2 = k // 4 - 1 - 2 * s1
+    return d2, k // 2 - 2 - 2 * d2 - 3 * s1
+
+
+@pytest.mark.parametrize("n", list(range(2, 65, 2)) + [96, 128])
+def test_flagged_classes_count_newforms_of_level_2_and_4(n):
+    # the flagged classes with dim W = 1 are the level-2 newforms, those
+    # with dim W = 2 the level-4 newforms, one column in each u class
+    d2, d4 = _newform_dims(n)
+    assert d2 + 2 * d4 == _inv(n)
+    cls = unit_classes(n)
+    dims = {1: 0, 2: 0}
+    for sp in decompose(n, primes=(3, 5)).spaces:
+        if sp.t1_flag:
+            k = sp.basis.shape[1]
+            dims[k] += 1
+            if k == 2:
+                own = cls[np.abs(sp.basis).argmax(axis=0)]
+                assert sorted(own.tolist()) == [0, 2]
+    assert dims == {1: d2, 2: d4}
+
+
+def test_empty_readout():
+    dec = decompose(6, primes=(3, 5))
+    out = hecke.hecke_eigenvalues(dec, [])
+    assert out.shape == (0, len(dec.spaces))
 
 
 def _row_operator(n, N):

@@ -7,11 +7,11 @@ import dense_oracle
 from dense_oracle import _right_j
 from hecke_sphere import moments
 from hecke_sphere.hecke import (
-    DegeneracyError, EigenSpace, decompose, hecke_eigenvalues,
+    DegeneracyError, EigenSpace, decompose, hecke_eigenvalues, unit_classes,
 )
 from hecke_sphere.moments import (
-    ClosureError, eigen_values, growth_fit, moment_sweep, pinned_blocks,
-    pretrace_residual, sphere_grid,
+    ClosureError, eigen_values, growth_fit, moment_sweep, pretrace_residual,
+    sphere_grid,
 )
 from hecke_sphere.poly import harmonic_basis
 from hecke_sphere.quat import enumerate_shell
@@ -89,8 +89,8 @@ def _ascend_one_step(n, R, x, steps):
 @pytest.mark.parametrize("n", [4, 6, 8])
 def test_ascent_matches_one_step_per_call(n, monkeypatch):
     # scoring three step sizes per call takes the same path, in fewer calls
-    R = np.hstack([basis for basis, flag in pinned_blocks(
-        decompose(n, primes=(3, 5))) if flag])
+    R = np.hstack([sp.basis for sp in decompose(n, primes=(3, 5)).spaces
+                   if sp.t1_flag])
     calls = []
     stats = moments._block_stats
 
@@ -188,30 +188,37 @@ def test_pinned_statistics_basis_invariant(n):
     grid = sphere_grid(500, seed=7)
     dec = decompose(n, primes=(3, 5), seed=0)
     ref = moment_sweep(n, dec, grid, seed=7)
-    others = [decompose(n, primes=(3, 5), seed=1), _rotated(dec, 1),
-              _rotated(dec, 2)]
+    others = [decompose(n, primes=(3, 5), seed=1)]
+    if n == 6:
+        # every flagged block has dim W = 1: a rotation only flips signs
+        others += [_rotated(dec, 1), _rotated(dec, 2)]
     for other in others:
         rep = moment_sweep(n, other, grid, seed=7)
         for stat in ("sup_family", "sup_fourth", "sup_individual"):
             assert getattr(rep, stat) == pytest.approx(getattr(ref, stat),
                                                        rel=1e-9)
+    if n == 8:
+        # a rotation mixes the two u classes of the dim-2 block: refused
+        # rather than pinned again
+        for seed in (1, 2):
+            with pytest.raises(DegeneracyError, match="n=8: a flagged block"):
+                moment_sweep(n, _rotated(dec, seed), grid, seed=7)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
 def test_pinned_basis_spans_each_block(n):
     dec = decompose(n, primes=(3, 5))
-    k = np.arange(n + 1)
-    cls = (np.minimum(k, n - k) - n // 2) % 4
-    for sp, (basis, flag) in zip(dec.spaces, pinned_blocks(dec)):
-        assert flag == sp.t1_flag
+    cls = unit_classes(n)
+    for sp in dec.spaces:
         dim = sp.basis.shape[1]
-        assert np.allclose(basis.T @ basis, np.eye(dim), atol=1e-10)
-        assert np.allclose(basis @ basis.T, sp.basis @ sp.basis.T, atol=1e-10)
-        if flag:
-            # each pinned vector lies in one even class of the sign of u
-            for col in basis.T:
-                assert len({int(c) for c in cls[np.abs(col) > 1e-12]}) == 1
-                assert np.all(cls[np.abs(col) > 1e-12] % 2 == 0)
+        assert np.allclose(sp.basis.T @ sp.basis, np.eye(dim), atol=1e-10)
+        if sp.t1_flag:
+            # each vector lies in one even class of the sign of u, and no
+            # two vectors of a block share one
+            own = [{int(c) for c in cls[np.abs(col) > 1e-12]}
+                   for col in sp.basis.T]
+            assert all(len(c) == 1 and c <= {0, 2} for c in own)
+            assert len(set.union(*own)) == dim
 
 
 def test_family_sup_is_sum_of_squared_dimensions():
@@ -222,15 +229,15 @@ def test_family_sup_is_sum_of_squared_dimensions():
 
 
 def test_unsplit_block_raises():
-    # merging the two flagged blocks at n = 8 gives dim W = 3, which the
-    # pinning operators cannot split into lines
+    # merging the two flagged blocks at n = 8 gives dim W = 3, two columns
+    # of it in one sign class of left u
     dec = decompose(8, primes=(3, 5))
     flagged = [sp for sp in dec.spaces if sp.t1_flag]
     merged = EigenSpace(lams=flagged[0].lams, t1_flag=1,
                         basis=np.hstack([sp.basis for sp in flagged]))
     bad = dataclasses.replace(dec, spaces=(merged,))
-    with pytest.raises(DegeneracyError):
-        pinned_blocks(bad)
+    with pytest.raises(DegeneracyError, match="flagged block of dim W = 3"):
+        moment_sweep(8, bad, sphere_grid(20, seed=7))
 
 
 def test_dense_oracle_unsplit_block_raises():
@@ -277,7 +284,7 @@ def test_eigenfunctions_are_real_parts_fixed_by_right_j():
     dec = decompose(n, primes=(3, 5))
     xs = sphere_grid(20, seed=4)
     xj = np.stack([-xs[:, 2], -xs[:, 3], xs[:, 0], xs[:, 1]], axis=1)
-    R = np.hstack([basis for basis, _ in pinned_blocks(dec)])
+    R = np.hstack([sp.basis for sp in dec.spaces])
     F, Fj = eigen_values(n, R, xs), eigen_values(n, R, xj)
     assert np.allclose(Fj[0], F[0], atol=1e-12)
     assert np.allclose(Fj[1], -F[1], atol=1e-12)

@@ -323,6 +323,12 @@ def test_spectral_coefficient_batch_is_per_k():
     assert batch == [spectral_coefficient(n, x, y, [k], dec)[0] for k in ks]
 
 
+def test_spectral_coefficient_of_no_k():
+    # as theta_coefficients, an empty list of k gives an empty list
+    dec = decompose(4, primes=(3, 5))
+    assert spectral_coefficient(4, ONE, ONE, [], dec) == []
+
+
 def test_spectral_requires_matching_degree():
     dec = decompose(2, primes=(3, 5))
     with pytest.raises(ValueError):
