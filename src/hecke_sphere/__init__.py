@@ -18,10 +18,10 @@ from .hecke import (
     HeckeMatrix,
     SpectralDecomposition,
     decompose,
+    expected_classes,
     hecke_matrix,
     hecke_matrix_float,
     hecke_relations_check,
-    joint_eigenspaces,
     selfadjoint_check,
     t1_vanishing,
 )

@@ -47,6 +47,8 @@ def _conj_power(p: int, q: int) -> tuple:
                  for m in range(p + q + 1))
 
 
+# one degree at a time: ``harmonic_basis`` and ``basis_to_json`` share it
+@lru_cache(maxsize=1)
 def _sym_power_entries(n: int):
     """Entries t[b][a] of the n-th symmetric power of the 2x2 model of x.
 
@@ -54,7 +56,8 @@ def _sym_power_entries(n: int):
     [[z, w], [-conj(w), conj(z)]]; expanding
     (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a) = sum_b t[b][a] X^b Y^(n-b)
     gives harmonic degree-n polynomials with t[.][a](m x) = Sym^n(m) t[.][a](x).
-    Returns table[a][b] = (re, im), coefficient dicts of Re and Im t_{ba}.
+    Returns table[a][b] = (re, im), coefficient dicts of Re and Im t_{ba};
+    the table is cached, and no caller may change it.
 
     The X^b coefficient is the sum over i of C(a, i) C(n-a, b-i) (-1)^(a-i)
     z^i conj(z)^(n-a-b+i) w^(b-i) conj(w)^(a-i).  Terms of different i

@@ -69,25 +69,36 @@ def test_spectral_records_group_margin(tmp_path, n):
     assert doc["group_margin"] > doc["group_tol"] > 0
 
 
-def test_spectral_records_seed_used(tmp_path, monkeypatch):
-    from hecke_sphere import hecke
+def test_spectral_seed_is_accepted_and_unused(tmp_path):
+    # the solve draws nothing: --seed parses, and everything but the config
+    # line (which echoes the flags) is the same bits at every value
+    docs = []
+    for seed in ("0", "9"):
+        out = tmp_path / seed
+        assert run(out, "spectral", "--n-range", "4:12:4", "--seed", seed) == 0
+        docs.append([json.loads((out / f"spectral-{n}.json").read_text())
+                     for n in (4, 8, 12)])
+        for doc in docs[-1]:
+            assert doc.pop("config")["seed"] == int(seed)
+    assert docs[0] == docs[1]
+    assert set(docs[0][0]) == {"schema", "n", "group_tol", "group_margin",
+                               "spaces"}
 
-    assert run(tmp_path, "spectral", "--n", "4", "--seed", "3") == 0
-    doc = json.loads((tmp_path / "spectral-4.json").read_text())
-    assert doc["seed_used"] == hecke.decompose(4, seed=3).seed == 3
 
-    # a DegeneracyError on the requested seed makes decompose re-draw
-    solve = hecke.joint_eigenspaces
-
-    def degenerate_at_3(n, primes, seed):
-        if seed == 3:
-            raise hecke.DegeneracyError("forced")
-        return solve(n, primes, seed=seed)
-
-    monkeypatch.setattr(hecke, "joint_eigenspaces", degenerate_at_3)
-    assert run(tmp_path, "spectral", "--n", "4", "--seed", "3") == 0
-    doc = json.loads((tmp_path / "spectral-4.json").read_text())
-    assert doc["seed_used"] == hecke.decompose(4, seed=3).seed == 4
+def test_unflagged_eigenvalues_are_exact_zeros(tmp_path):
+    # S_N = S_1 R_N: every T_N vanishes off the unit-fixed coordinates, so
+    # the unflagged lambda are written as 0.0, not as roundoff
+    assert run(tmp_path, "spectral", "--n-range", "4:24:2") == 0
+    for n in range(4, 25, 2):
+        doc = json.loads((tmp_path / f"spectral-{n}.json").read_text())
+        lams = [lam for sp in doc["spaces"] if not sp["t1_flag"]
+                for lam in sp["lams"].values()]
+        assert lams and all(lam == 0.0 and math.copysign(1.0, lam) == 1.0
+                            for lam in lams)
+    dec = hecke.decompose(12)
+    read = hecke.hecke_eigenvalues(dec, (9, 15, 49))
+    for sp, col in zip(dec.spaces, read.T):
+        assert sp.t1_flag or col.tolist() == [0.0, 0.0, 0.0]
 
 
 def test_pretrace_check(tmp_path):
@@ -152,6 +163,7 @@ def test_precision_flag_only_on_petersson(tmp_path):
                  ("spectral", "--n", "4", "--grid", "100"),
                  ("pretrace-check", "--n", "4", "--cutoff", "10"),
                  ("theta-identity", "--n", "2", "--grid", "100"),
+                 ("theta-identity", "--n", "2", "--seed", "1"),
                  ("modularity", "--n", "4", "--primes", "3,5"),
                  ("petersson", "--n", "8", "--seed", "1"),
                  ("counting", "--n", "4"),

@@ -396,7 +396,7 @@ def test_eigenvalues_do_not_depend_on_earlier_calls(monkeypatch, points):
     monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
     if points:
         monkeypatch.setattr(hecke, "SHELL_BLOCK", points * 11 ** 2)
-    dec = decompose(10, (3, 5), 0)
+    dec = decompose(10, (3, 5))
     hecke.hecke_eigenvalues(dec, range(1, 17))
     after = hecke.hecke_eigenvalues(dec, range(1, 41))
     hecke._FLOAT_SUMS.clear()
@@ -518,25 +518,16 @@ def _perturb_row_operator(monkeypatch, N, E):
     monkeypatch.setattr(hecke, "_row_operators", perturbed)
 
 
-def test_residual_gate_rejects_a_prime_at_every_seed(monkeypatch):
-    # a small random symmetric perturbation of T_5 no longer commutes with
-    # T_3: no seed's combination diagonalises both, so every seed fails its
-    # residual check
+def test_residual_gate_rejects_a_perturbed_prime(monkeypatch):
+    # a small seeded symmetric perturbation of T_5 no longer commutes with
+    # T_3: the eigenvectors of T_3 miss T_5 v = lambda v, and the one solve
+    # raises
     n = 4
     E = np.random.default_rng(0).standard_normal((n + 1, n + 1))
     _perturb_row_operator(monkeypatch, 5, 1e-6 * (E + E.T))
-    seeds = []
-    solve = hecke.joint_eigenspaces
-
-    def spy(n, primes, seed):
-        seeds.append(seed)
-        return solve(n, primes, seed=seed)
-
-    monkeypatch.setattr(hecke, "joint_eigenspaces", spy)
     with pytest.raises(hecke.DegeneracyError,
-                       match=r"n=4 N=\d+: residual \S+ exceeds"):
-        decompose(n, primes=(3, 5), seed=2)
-    assert seeds == list(range(2, 2 + hecke.DECOMPOSE_SEEDS))
+                       match=r"n=4 N=5: residual \S+ exceeds"):
+        decompose(n, primes=(3, 5))
 
 
 @pytest.mark.parametrize("N", [9, 15])
@@ -680,18 +671,98 @@ def test_row_operators_reject_perturbed_sum(monkeypatch):
         decompose(4, primes=(3, 5))
 
 
-def test_decompose_tries_a_fixed_number_of_seeds(monkeypatch):
-    # every seed degenerate: DECOMPOSE_SEEDS consecutive seeds are tried and
-    # the last one's DegeneracyError propagates
-    seeds = []
-
-    def degenerate(n, primes, seed):
-        seeds.append(seed)
-        raise hecke.DegeneracyError(f"forced at seed {seed}")
-
-    monkeypatch.setattr(hecke, "joint_eigenspaces", degenerate)
-    with pytest.raises(hecke.DegeneracyError, match="forced at seed 11"):
-        decompose(4, seed=7)
-    assert seeds == list(range(7, 7 + hecke.DECOMPOSE_SEEDS)) == [7, 8, 9, 10, 11]
+def test_decompose_takes_no_seed():
     with pytest.raises(TypeError):
-        decompose(4, seed=7, retries=0)
+        decompose(4, seed=7)
+
+
+def test_decompose_is_deterministic(monkeypatch):
+    # no number is drawn: with the float shell sums summed again, a second
+    # solve gives the same bits
+    first = decompose(24, primes=(3, 5))
+    monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
+    second = decompose(24, primes=(3, 5))
+    assert first.group_margin == second.group_margin
+    assert len(first.spaces) == len(second.spaces)
+    for a, b in zip(first.spaces, second.spaces):
+        assert a.lams == b.lams and a.t1_flag == b.t1_flag
+        assert a.basis.tobytes() == b.basis.tobytes()
+
+
+def test_forced_tie_is_split_by_the_next_prime(monkeypatch):
+    # move the T_3 eigenvalue of one dim-1 flagged class onto that of
+    # another in the same u class: T_3 still commutes with T_1 and T_5 but
+    # no longer splits the two, and T_5 on the tied cluster must
+    n = 24
+    clusters = []
+    solve = hecke._eigh_in_turn
+
+    def spy(ops):
+        if len(ops) == 1:  # T_5 on a cluster of T_3
+            clusters.append(len(ops[0]))
+        return solve(ops)
+
+    monkeypatch.setattr(hecke, "_eigh_in_turn", spy)
+    ref = decompose(n, primes=(3, 5))
+    # unpatched, T_3 alone splits every block at this degree
+    assert clusters == []
+    cls = unit_classes(n)
+    a, b = [sp for sp in ref.spaces
+            if sp.t1_flag and sp.basis.shape[1] == 1
+            and cls[np.abs(sp.basis[:, 0]).argmax()] == 0][:2]
+    v = a.basis[:, 0]
+    _perturb_row_operator(monkeypatch, 3,
+                          (b.lams[3] - a.lams[3]) * np.outer(v, v))
+    dec = decompose(n, primes=(3, 5))
+    assert clusters == [2]
+    # the classes are the unpatched ones, in another order: same flags,
+    # multiplicities, lambda(1) and lambda(5), and bases up to sign
+    def key(sp):
+        return sp.t1_flag, sp.lams[5], sp.basis.shape[1]
+
+    assert len(dec.spaces) == len(ref.spaces)
+    for sp, rp in zip(sorted(dec.spaces, key=key), sorted(ref.spaces, key=key)):
+        assert (sp.multiplicity, sp.t1_flag) == (rp.multiplicity, rp.t1_flag)
+        for N in (1, 5):
+            assert sp.lams[N] == pytest.approx(rp.lams[N], abs=1e-12)
+        assert np.allclose(np.abs(sp.basis.T @ rp.basis),
+                           np.eye(sp.basis.shape[1]), atol=1e-10)
+    # the tied pair both read the lambda(3) that was moved onto
+    for w in (v, b.basis[:, 0]):
+        (sp,) = [sp for sp in dec.spaces
+                 if sp.basis.shape[1] == 1 and abs(sp.basis[:, 0] @ w) > 0.5]
+        assert sp.lams[3] == pytest.approx(b.lams[3], abs=1e-12)
+
+
+def test_class_counts_at_low_degree_and_at_256():
+    # n = 0: the constant function; n = 2: nothing is flagged
+    assert hecke.expected_classes(0) == (1, 0)
+    assert hecke.expected_classes(2) == (0, 0)
+    for n in (0, 2, 256):
+        dims = [sp.basis.shape[1] for sp in decompose(n, primes=(3, 5)).spaces
+                if sp.t1_flag]
+        d2, d4 = hecke.expected_classes(n)
+        assert (dims.count(1), dims.count(2), len(dims)) == (d2, d4, d2 + d4)
+        assert type(d2) is int and type(d4) is int
+    assert hecke.expected_classes(256) == _newform_dims(256) == (21, 22)
+    with pytest.raises(ValueError):
+        hecke.expected_classes(5)
+
+
+def test_merged_classes_are_refused(monkeypatch):
+    # a grouping that merges two flagged classes leaves a space that passes
+    # every residual but breaks the class counts
+    group = hecke._group
+
+    def merged(tables, primes):
+        groups = group(tables, primes)
+        i, j = [k for k, g in enumerate(groups) if tables[1][g[0]] > 0.5][:2]
+        return ([groups[i] + groups[j]]
+                + [g for k, g in enumerate(groups) if k not in (i, j)])
+
+    monkeypatch.setattr(hecke, "_group", merged)
+    d2, d4 = hecke.expected_classes(12)
+    with pytest.raises(hecke.DegeneracyError) as exc:
+        decompose(12, primes=(3, 5))
+    assert str(exc.value).startswith("n=12: ")
+    assert f"(d2, d4) = ({d2}, {d4})" in str(exc.value)

@@ -186,12 +186,10 @@ def _rotated(dec, seed):
 def test_pinned_statistics_basis_invariant(n):
     # n = 8 has a flagged block with dim W = 2, split only by left u
     grid = sphere_grid(500, seed=7)
-    dec = decompose(n, primes=(3, 5), seed=0)
+    dec = decompose(n, primes=(3, 5))
     ref = moment_sweep(n, dec, grid, seed=7)
-    others = [decompose(n, primes=(3, 5), seed=1)]
-    if n == 6:
-        # every flagged block has dim W = 1: a rotation only flips signs
-        others += [_rotated(dec, 1), _rotated(dec, 2)]
+    # every flagged block at n = 6 has dim W = 1: a rotation only flips signs
+    others = [_rotated(dec, 1), _rotated(dec, 2)] if n == 6 else []
     for other in others:
         rep = moment_sweep(n, other, grid, seed=7)
         for stat in ("sup_family", "sup_fourth", "sup_individual"):
