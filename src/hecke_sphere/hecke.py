@@ -15,30 +15,33 @@ harmonic basis (real and imaginary parts of the t_{ba}, made primitive)
 follow from S_N by the conjugation rule t_{n-b,n-a} = (-1)^(a+b) conj
 t_{ba} and the contents, since part(S_N t) = S_N part(t).
 
-Every shell is a disjoint union of eight-point left-unit orbits {u m},
-and T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per
-orbit and S_1 over the eight units.  ``shell_monomial_matrices`` forms the
-exact S_N, and ``_float_shell_sums`` the float S_N / N^(n/2) from the unit
-points m / sqrt N, each for a set of N from one join and through one
-block loop, ``_run_sums``.  The exact S_N are the oracle:
+Every shell is a disjoint union of eight-point left-unit orbits {u m}, and
+T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per orbit
+and S_1 over the eight units.  ``shell_monomial_matrices`` forms the exact
+S_N, and ``_float_shell_sums`` the float D_N (below) from the unit points
+m / sqrt N, each for a set of N from one join and through one block loop,
+``_run_sums``.  The exact layer is the one place where integers live, in
+the integer frame of T; the exact S_N are the oracle:
 ``hecke_relations_check`` (all products S_a S_b in one stacked product),
-``selfadjoint_check`` and ``t1_vanishing`` read them.
-``decompose`` diagonalises the primes in turn on each class of left u
-(``unit_classes``), clustering and grouping within ``GROUP_TOL``, and
-refuses class counts other than ``expected_classes``; ``hecke_eigenvalues``
-reads lambda(N) of every class for any N on demand from the finished
-decomposition, through the same residual check.
+``selfadjoint_check`` and ``t1_vanishing`` read them.  ``decompose``
+diagonalises the primes in turn on each class of left u (``unit_classes``),
+clustering and grouping within ``GROUP_TOL``, and refuses class counts
+other than ``expected_classes``; ``hecke_eigenvalues`` reads lambda(N) of
+every class for any N on demand from the finished decomposition, through
+the same residual check.
 
-The spectral layer forms no (n+1)^2 x (n+1)^2 matrix.  With W = C^(n+1)
-and v (x) e_a <-> f_{v,a}, each joint eigenspace is
-V_lambda = W_lambda (x) C^(n+1), W_lambda a joint eigenspace of the S_N^T.
-By Schur orthogonality int f_{v,a} conj f_{w,c} = delta_{ac} sum_b v_b
-conj(w_b) C(n, b) / (C(n, a) (n + 1)), so the S_N^T are self-adjoint for
-the weights C(n, b).  The conjugation rule gives conj f_{v,a} =
-(-1)^a f_{v*,n-a} with v* = ((-1)^b conj v_b)_{n-b}, and v -> v* commutes
-with the real T_N.  In a weighted orthonormal basis of its fixed vectors
-(``row_basis``) every T_N is a real symmetric (n+1) x (n+1) matrix, which
-``decompose`` diagonalises.
+The spectral layer forms no (n+1)^2 x (n+1)^2 matrix, and it works in the
+unitary frame D(x) = G^(-1/2) T(x) G^(1/2), G = diag C(n, b), of ``poly``.
+With W = C^(n+1) and v (x) e_a <-> g_{v,a} = sqrt(n + 1) sum_b v_b D_{ba},
+each joint eigenspace is V_lambda = W_lambda (x) C^(n+1), W_lambda a joint
+eigenspace of the D_N^T, where D_N = G^(-1/2) S_N G^(1/2) / N^(n/2) and T_N
+acts as D_N^T / 8.  By Schur orthogonality int g_{v,a} conj g_{w,c} =
+delta_{ac} sum_b v_b conj(w_b), so the D_N^T are self-adjoint; in the
+integer frame this is the exact ``selfadjoint_check``.  The conjugation
+rule gives conj g_{v,a} = (-1)^a g_{v*,n-a} with
+v* = ((-1)^b conj v_b)_{n-b}, and v -> v* commutes with the real T_N.  In
+an orthonormal basis of its fixed vectors (``row_basis``) every T_N is a
+real symmetric (n+1) x (n+1) matrix, which ``decompose`` diagonalises.
 
 Which basis.  No basis-invariant pointwise statistic of a block varies
 with x, so the plain fourth moment sum_j phi_j^4 and the individual sup
@@ -363,8 +366,9 @@ def t1_vanishing(n: int) -> bool:
 def selfadjoint_check(n: int, N: int) -> bool:
     """Exact self-adjointness: C(n, c) S_N[b, c] = S_N[c, b] C(n, b).
 
-    With the weights C(n, b) of the module docstring this is G T = T^T G;
-    S_N is real (``shell_monomial_matrices``), so no conjugate enters.
+    This is G S_N^T = S_N G in integers, G = diag C(n, b): D_N^T is
+    symmetric in the unitary frame of the module docstring.  S_N is real
+    (``shell_monomial_matrices``), so no conjugate enters.
     """
     S = shell_monomial_matrix(n, N)
     w = np.array([comb(n, b) for b in range(n + 1)], dtype=object)
@@ -434,11 +438,11 @@ def hecke_relations_check(n: int, primes=(3, 5)) -> dict:
 
 @lru_cache(maxsize=None)
 def row_basis(n: int) -> np.ndarray:
-    """Columns P of row vectors v with P^H diag(C(n, b)) P = I and v* = v.
+    """Columns P of row vectors v with P^H P = I and v* = v, unitary frame.
 
     Column k < n/2 is (e_k + (-1)^k e_{n-k}) / sqrt 2, column n - k is
     i (e_k - (-1)^k e_{n-k}) / sqrt 2 and column n/2 is e_{n/2} or
-    i e_{n/2} as n/2 is even or odd, each row b divided by sqrt C(n, b).
+    i e_{n/2} as n/2 is even or odd.
     """
     if n % 2:
         raise ValueError("the real row basis is built for even n")
@@ -449,7 +453,6 @@ def row_basis(n: int) -> np.ndarray:
         P[[k, n - k], k] = np.array([1, s]) / math.sqrt(2)
         P[[k, n - k], n - k] = np.array([1j, -1j * s]) / math.sqrt(2)
     P[h, h] = 1j ** (h % 2)
-    P /= np.sqrt([float(comb(n, b)) for b in range(n + 1)])[:, None]
     P.setflags(write=False)
     return P
 
@@ -481,16 +484,17 @@ _FLOAT_SUMS: dict = {}
 
 
 def _float_shell_sums(n: int, Ns):
-    """(sums, sizes): sum of T(m / sqrt N) over nr(m) = N, and |shell|.
+    """(sums, sizes): D_N = sum of D(m / sqrt N) over nr(m) = N, and |shell|.
 
     For every N in ``Ns``, in order: ``sums`` is complex of shape
-    (len(Ns), n+1, n+1), the float S_N / N^(n/2), and ``sizes`` the shell
-    sizes.  As in ``shell_monomial_matrices`` it is S_1 R_N, with R_N the
-    sum of T(m / sqrt N) over one point m per left-unit orbit of the shells
-    not yet cached (one ``_shell_join``), and S_1 the sum of T over the
-    eight units.  ``_run_sums`` takes the float ``sym_power_values`` of the
+    (len(Ns), n+1, n+1), D_N = G^(-1/2) S_N G^(1/2) / N^(n/2) in the
+    unitary frame of ``poly``, and ``sizes`` the shell sizes.  As in
+    ``shell_monomial_matrices`` it is D_1 R_N, with R_N the sum of
+    D(m / sqrt N) over one point m per left-unit orbit of the shells not
+    yet cached (one ``_shell_join``), and D_1 the sum of D over the eight
+    units.  ``_run_sums`` takes the float ``sym_power_values`` of the
     units and of the unit points m / sqrt N of the representatives on
-    blocks of at most ``SHELL_BLOCK`` entries of T that hold whole shells,
+    blocks of at most ``SHELL_BLOCK`` entries of D that hold whole shells,
     a longer shell cut where it would be cut alone, so a cached sum does
     not depend on which shells were summed with it.  Cached per (n, N).
     """
@@ -512,19 +516,18 @@ def _float_shell_sums(n: int, Ns):
 
 
 def _row_operators(n: int, Ns) -> np.ndarray:
-    """P^H diag(C(n, b)) S_N^T P / (8 N^(n/2)) for every N in ``Ns``.
+    """P^H D_N^T P / 8 for every N in ``Ns``, D_N of ``_float_shell_sums``.
 
-    T_N on W in ``row_basis(n)``, all N stacked in one product from the
-    float ``_float_shell_sums``; shape (len(Ns), n+1, n+1).  Raises
-    ``DegeneracyError`` at the first N whose operator is not real
-    symmetric.  Every T(m / sqrt N) is unitary for the weights C(n, b), so
+    T_N on W in ``row_basis(n)``, all N stacked in one product; shape
+    (len(Ns), n+1, n+1).  Raises ``DegeneracyError`` at the first N whose
+    operator is not real symmetric.  Every D(m / sqrt N) is unitary, so
     |T_N| <= |shell| / 8, and the defect is measured against that bound:
     T_N itself can vanish (T_3 at n = 2), leaving only roundoff.
     """
     sums, sizes = _float_shell_sums(n, Ns)
     P = row_basis(n)
-    w = np.array([float(comb(n, b)) for b in range(n + 1)])
-    M = P.conj().T @ (sums.transpose(0, 2, 1) * w[:, None]) @ P / 8.0
+    # (P^H D_N^T P)^T = P^T D_N conj(P): every operand stays contiguous
+    M = (P.T @ sums @ P.conj()).transpose(0, 2, 1) / 8.0
     off = np.maximum(np.abs(M.imag).max(axis=(1, 2)), np.abs(
         M.real - M.real.transpose(0, 2, 1)).max(axis=(1, 2))) / (sizes / 8.0)
     for N, o in zip(Ns, off):

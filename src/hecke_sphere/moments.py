@@ -7,28 +7,27 @@ best grid point of the fourth moment by local coordinate ascent.  The
 family fourth moment needs no grid: it is constant on S^3 (see below), so
 ``sup_family`` is set to that constant exactly.
 
-Evaluation.  Each joint eigenspace is V_lambda = W_lambda (x) C^(n+1)
-(see ``hecke``): the Hecke operators act on the row label b of the matrix
+Evaluation.  Each joint eigenspace is V_lambda = W_lambda (x) C^(n+1) (see
+``hecke``): the Hecke operators act on the row label b of the matrix
 coefficients t_{ba} of T(x) = Sym^n(x), the column label a spans the
 multiplicity factor.  For a real vector of W_lambda in ``row_basis``
-coordinates, with row vector v, the g_a = sqrt((n + 1) C(n, a)) sum_b v_b
-t_{ba} are orthonormal and conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and
-sqrt 2 Im g_a for a < n/2, with g_{n/2} (real for even n/2, imaginary for
-odd), are n + 1 real orthonormal eigenfunctions.  ``_products`` takes
-the complex values of ``sym_power_values`` in the columns a <= n/2 and
-contracts the complex row vectors against their row label in one complex
-matrix product, O(n^3) work per point for the whole eigenbasis.
-``eigen_values`` reads the real and imaginary parts of that product as a
-view, without a copy, and the sweep sums its statistics on the float view
-of the product itself.  The weights sqrt((n + 1) C(n, a)) are formed in
-floats and cached per n.  A sweep checks that the closure sums (below)
-stay within ``CLOSURE_TOL`` of (n + 1)^2.  The float values of
-``sym_power_values``, rescaled by sqrt(C(n, a) / C(n, b)), are unitary to
-roundoff (a deviation of about 1.5e-13 at n = 128 and 3e-13 at n = 256
-over 200 random unit points; the closure error of a 500-point sweep reads
-1.1e-13 and 2.3e-13), so the gate holds far past the degrees swept here;
-it still raises ``ClosureError`` rather than report statistics of a basis
-that is not orthonormal.
+coordinates, with row vector v in the unitary frame D(x) of ``poly``, the
+g_a = sqrt(n + 1) sum_b v_b D_{ba} are orthonormal and
+conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and sqrt 2 Im g_a for a < n/2,
+with g_{n/2} (real for even n/2, imaginary for odd), are n + 1 real
+orthonormal eigenfunctions.  ``_products`` takes the complex values of
+``sym_power_values`` in the columns a <= n/2 and contracts the complex row
+vectors against their row label in one complex matrix product, O(n^3) work
+per point for the whole eigenbasis.  ``eigen_values`` reads the real and
+imaginary parts of that product as a view, without a copy, and the sweep
+sums its statistics on the float view of the product itself.  A sweep
+checks that the closure sums (below) stay within ``CLOSURE_TOL`` of
+(n + 1)^2.  The float values D(x) of ``sym_power_values`` are unitary to
+roundoff (a deviation of about 1.5e-13 at n = 128 and 3e-13 at n = 256 over
+200 random unit points; the closure error of a 500-point sweep reads
+1.1e-13 and 2.3e-13), so the gate holds far past the degrees swept here; it
+still raises ``ClosureError`` rather than report statistics of a basis that
+is not orthonormal.
 
 Which statistics depend on a basis.  Since the multiplicity factor is the
 column label, sum_{j in V_lambda} phi_j(x)^2 = dim V_lambda at every x,
@@ -42,7 +41,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -92,19 +90,15 @@ class MomentReport:
 
 @lru_cache(maxsize=None)
 def _weights(n: int) -> np.ndarray:
-    """sqrt((n + 1) C(n, a)) for a <= n/2, times sqrt 2 below a = n/2.
-
-    Floats: (n + 1) C(n, a) outgrows int64 from n = 62 on.
-    """
-    h = n // 2
-    w = np.sqrt([(n + 1) * float(comb(n, a)) * (1 if a == h else 2)
-                 for a in range(h + 1)])
+    """sqrt(2 (n + 1)) for a < n/2 and sqrt(n + 1) at a = n/2."""
+    w = np.full(n // 2 + 1, np.sqrt(2.0 * (n + 1)))
+    w[-1] = np.sqrt(n + 1.0)
     w.setflags(write=False)
     return w
 
 
 def _products(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_b v_b t_{ba} for every column v of R, complex (k, n/2 + 1, #pts).
+    """sum_b v_b D_{ba} for every column v of R, complex (k, n/2 + 1, #pts).
 
     One product of the row vectors with the values of ``sym_power_values``
     in the columns a <= n/2; the result is contiguous.

@@ -12,27 +12,27 @@ is the one definition of the t_{ba} as polynomials: ``harmonic_basis``
 reads the contents off it and ``basis_to_json`` the coefficients, and no
 other code builds a polynomial.
 
-``sym_power_values`` evaluates T(x) = [t_{ba}(x)] in batches, exactly at
-integer points (products of binary forms) and in floats at float points
-through the factorisation T(x)[b, a] = |x|^n U^(a+b-n) V^(b-a) d_{ba}(theta)
-and the Fourier form of Wigner's d-matrix (T. Risbo, J. Geodesy 70, 1996;
-Feng, Wang, Yang and Jin, Phys. Rev. E 92, 2015): one real product of a
-constant matrix with the cosines and sines of the multiples of theta, and
-two phase products.  No transcendental function is called: the phases U,
-V and e^{i theta} are the coordinates divided by their moduli, and every
-multiple angle and phase power is a cumulative complex product.  The
-constant matrix comes from the exact factors T(1 + k) and
-T(1 - k) = conj T(1 + k), whose entries are Krawtchouk polynomial values
-read from an O(n^2) integer recurrence.  The coefficients of that matrix
-are bounded in the unitary frame, so the float values stay unitary, up to
-the rescaling by sqrt(C(n, a) / C(n, b)), to roundoff at every degree used.
+``sym_power_values`` evaluates the model in batches, in two frames: the
+integer frame T(x) = [t_{ba}(x)] exactly at integer points, by products of
+binary forms, which only the exact layer of ``hecke`` reads; and at float
+points the unitary frame D(x) = G^(-1/2) T(x) G^(1/2), G = diag C(n, b),
+unitary at unit x, in which every float layer works.  D(x)[b, a] =
+|x|^n U^(a+b-n) W^(b-a) d_{ba}(theta), and the Fourier form of Wigner's
+d-matrix (T. Risbo, J. Geodesy 70, 1996; Feng, Wang, Yang and Jin, Phys.
+Rev. E 92, 2015) is d(theta) = V diag(e^{i (2k - n) theta}) V^H with one
+unitary factor V = D((1 + k) / sqrt 2): one real product of a constant
+matrix with the cosines and sines of the multiples of theta, and two phase
+products.  No transcendental function is called: the phases U, W and
+e^{i theta} are the coordinates divided by their moduli, and every
+multiple angle and phase power is a cumulative complex product.  V is read
+from an O(n^2) Krawtchouk integer recurrence and rounded once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, sqrt
 
 import numpy as np
 
@@ -194,47 +194,52 @@ def _exact_values(pts, n: int, cols: int):
 
 
 def _model_integers(n: int):
-    """T(1 + k) exactly: (re, im), lists of Python integers indexed [b][a].
+    """c[a][m], the t^m coefficient of (1 - t)^a (1 + t)^(n-a), for a <= n/2.
 
     At 1 + k the columns (z X - conj(w) Y, w X + conj(z) Y) are (X + iY,
-    iX + Y), so T(1 + k)[b, a] = i^(b-a) c[a][n-b], where c[a][m] is the
-    coefficient of t^m in P_a = (1 - t)^a (1 + t)^(n-a), a Krawtchouk
-    polynomial value (Koornwinder, SIAM J. Math. Anal. 13, 1982).  The
-    rows c[a] come from (1 + t) P_{a+1} = (1 - t) P_a: O(n^2) additions
-    and no division.
+    iX + Y), so T(1 + k)[b, a] = i^(b-a) c[a][n-b], a Krawtchouk
+    polynomial value (Koornwinder, SIAM J. Math. Anal. 13, 1982), and
+    c[n-a][m] = (-1)^m c[a][m] gives the columns a > n/2.  Row 0 holds
+    the C(n, m), and the rows c[a] come from (1 + t) P_{a+1} = (1 - t) P_a:
+    O(n^2) additions and no division.
     """
-    row = [comb(n, m) for m in range(n + 1)]
-    re = [[0] * (n + 1) for _ in range(n + 1)]
-    im = [[0] * (n + 1) for _ in range(n + 1)]
-    for a in range(n + 1):
-        if a:
-            # c[a][m] = c[a-1][m] - c[a-1][m-1] - c[a][m-1]
-            prev, row = row, [row[0]]
-            for m in range(1, n + 1):
-                row.append(prev[m] - prev[m - 1] - row[m - 1])
-        for b in range(n + 1):
-            # i^(b-a) is real for even b - a and negative for (b - a) % 4 >= 2
-            part = im if (b - a) % 2 else re
-            part[b][a] = -row[n - b] if (b - a) % 4 >= 2 else row[n - b]
-    return re, im
+    rows = [[comb(n, m) for m in range(n + 1)]]
+    for _ in range(n // 2):
+        # c[a][m] = c[a-1][m] - c[a-1][m-1] - c[a][m-1]
+        prev, row = rows[-1], [rows[-1][0]]
+        for m in range(1, n + 1):
+            row.append(prev[m] - prev[m - 1] - row[m - 1])
+        rows.append(row)
+    return rows
 
 
 @lru_cache(maxsize=8)
 def _model_factors(n: int):
-    """(A, B) = (T(1 + k) / 2^n, T(1 - k)), exact integers rounded to floats.
+    """V = D((1 + k) / sqrt 2), read-only; V is symmetric and unitary.
 
-    1 - k = (1 + k)', so T(1 - k) = conj T(1 + k) (see ``hecke``): both
-    come from one ``_model_integers`` table, converted once.  Every zero
-    is +0.0, so A and B equal bit for bit the factors rounded from
-    ``_exact_values`` at (1, 0, 0, 1) and (1, 0, 0, -1).
+    V[b, a] = i^(b-a) c[a][n-b] sqrt(C(n, a) / (C(n, b) 2^n)) with c of
+    ``_model_integers``; each modulus is the square root of that exact
+    rational, rounded once by Python's int / int, with no overflow at any
+    n.  The moduli are taken for a <= b <= n/2: V = V^T, and c[n-a][m] =
+    (-1)^m c[a][m] and c[a][n-m] = (-1)^a c[a][m] fold the rest onto them.
     """
-    re, im = np.array(_model_integers(n), dtype=float)
-    A = (re + 1j * im) / 2.0 ** n
-    # conj T(1 + k), with +0.0 imaginary zeros where .conj() gives -0.0
-    B = re - 1j * im
-    A.setflags(write=False)
-    B.setflags(write=False)
-    return A, B
+    c = _model_integers(n)
+    h, binom = n // 2, c[0]
+    Q = np.empty((h + 1, h + 1))
+    for b in range(h + 1):
+        for a in range(b + 1):
+            t = c[a][n - b]
+            m = sqrt(t * t * binom[a] / (binom[b] << n))
+            Q[b, a] = -m if t < 0 else m
+            Q[a, b] = -Q[b, a] if (b - a) % 2 else Q[b, a]
+    k = np.arange(n + 1)
+    f, up = np.minimum(k, n - k), k > h
+    # the signs (-1)^a of folding row b and (-1)^(n-b) of folding column a
+    flips = np.outer(up, k) + np.outer(n - f, up)
+    V = Q[np.ix_(f, f)] * np.array([1, 1j, -1, -1j])[
+        (k[:, None] - k + 2 * flips) % 4]
+    V.setflags(write=False)
+    return V
 
 
 # M holds about (n + 1) cols n floats: 68 MiB at n = 256 and cols = 129
@@ -245,21 +250,21 @@ def _fourier_matrix(n: int, cols: int):
     ms are the m > 0 with m = n mod 2, ascending, and M, read-only and of
     shape ((n + 1) cols, 2 len(ms)), has rows indexed by (b, a), a < cols.
     Since cos theta + sin theta j = (1 + k)(cos theta + sin theta i)(1 - k) / 2
-    and T(e^{i theta}) = diag(e^{i (2k - n) theta}),
-    d_{ba}(theta) = sum_k C[b, a, k] e^{i (2k - n) theta} with
-    C[b, a, k] = T(1 + k)[b, k] T(1 - k)[k, a] / 2^n, where both factors
-    are exact Krawtchouk integers rounded once (``_model_factors``).  d is
-    real, so the terms k and n - k pair into a cosine and a sine of
-    m = 2k - n, and at theta = 0 the cosine coefficients sum to
-    d_{ba}(0) = delta_{ba}, which is therefore added back exactly.
+    and D(e^{i theta}) = diag(e^{i (2k - n) theta}),
+    d_{ba}(theta) = sum_k V[b, k] e^{i (2k - n) theta} V^H[k, a] with V of
+    ``_model_factors``.  d is real, so the terms k and n - k pair into a
+    cosine and a sine of m = 2k - n, and at theta = 0 the cosine
+    coefficients sum to d_{ba}(0) = delta_{ba}, which is therefore added
+    back exactly.
     """
-    A, B = _model_factors(n)
+    V = _model_factors(n)
+    VH = V.conj().T
     ms = np.arange(2 - n % 2, n + 1, 2)
     M = np.empty((2, len(ms), n + 1, cols))
     for j, m in enumerate(ms):
         hi, lo = (n + m) // 2, (n - m) // 2
-        C_hi = np.multiply.outer(A[:, hi], B[hi, :cols])
-        C_lo = np.multiply.outer(A[:, lo], B[lo, :cols])
+        C_hi = np.multiply.outer(V[:, hi], VH[hi, :cols])
+        C_lo = np.multiply.outer(V[:, lo], VH[lo, :cols])
         # Re(C_hi e^{i m theta} + C_lo e^{-i m theta})
         M[0, j] = (C_hi + C_lo).real
         M[1, j] = (C_lo - C_hi).imag
@@ -286,21 +291,21 @@ def _int_power(u, n: int):
 
 
 def _float_values(pts, n: int, cols: int):
-    """T(x) at float points from the Fourier form of d, by products; see below.
+    """D(x) at float points from the Fourier form of d, by products; see below.
 
-    The unit phases U = z / |z|, V = w / |w| and E = e^{i theta} =
+    The unit phases U = z / |z|, W = w / |w| and E = e^{i theta} =
     (|z| + i |w|) / |x| are read off the coordinates, each 1 where its
     modulus is 0, so no point lies on a branch cut: a signed zero
     coordinate gives the same values bit for bit.
     e^{i m theta} for the m of ``_fourier_matrix`` is the cumulative product
     E^(2 - n mod 2), E^2, E^2, ...; at x = 1 every factor is exactly 1, so
-    T(1) = I holds exactly.
+    D(1) = I holds exactly.
     """
     M, ms = _fourier_matrix(n, cols)
     x1, x2, x3, x4 = pts.T
     r, s = np.hypot(x1, x2), np.hypot(x3, x4)
     norm = np.hypot(r, s)
-    U, V = _unit(x1 + 1j * x2, r), _unit(x3 + 1j * x4, s)
+    U, W = _unit(x1 + 1j * x2, r), _unit(x3 + 1j * x4, s)
     E = _unit(r + 1j * s, norm)
     E2 = E * E
     powers = np.empty((len(ms), len(pts)), dtype=complex)
@@ -312,49 +317,42 @@ def _float_values(pts, n: int, cols: int):
     d = (M @ trig).reshape(n + 1, cols, len(pts))
     diag = np.arange(cols)
     d[diag, diag] += 1.0
-    # |x|^n U^(a+b-n) V^(b-a) = |x|^n conj(U)^n (U V)^b (U conj V)^a
+    # |x|^n U^(a+b-n) W^(b-a) = |x|^n conj(U)^n (U W)^b (U conj W)^a
     rows = np.empty((n + 1, len(pts)), dtype=complex)
     rows[0] = norm ** n * _int_power(U.conj(), n)
-    rows[1:] = U * V
+    rows[1:] = U * W
     np.cumprod(rows, axis=0, out=rows)
     colq = np.empty((cols, len(pts)), dtype=complex)
     colq[0] = 1.0
-    colq[1:] = U * V.conj()
+    colq[1:] = U * W.conj()
     np.cumprod(colq, axis=0, out=colq)
-    T = rows[:, None, :] * colq
-    T *= d
-    return T
+    D = rows[:, None, :] * colq
+    D *= d
+    return D
 
 
 def sym_power_values(pts, n: int, cols: int | None = None):
-    """The entries T(x) = [t_{ba}(x)] at each point.
+    """The model at each point: T(x) at integer points, D(x) at float points.
 
     ``pts`` has shape (#pts, 4) and holds floats, or integers for exact
     values: Python integers in an object array are always exact, int64 only
     under a bound the caller proves (the products wrap around silently;
-    ``hecke.shell_monomial_matrices`` states one).  The entries of
-    ``_sym_power_entries`` in the first ``cols`` columns (all n + 1 by
-    default) are returned as
+    ``hecke.shell_monomial_matrices`` states one).  The first ``cols``
+    columns (all n + 1 by default) are returned as
 
-    - for float points, one complex128 array of shape (n + 1, cols, #pts)
-      indexed [b, a, p];
-    - for integer points, one array of their dtype of shape
+    - for integer points, the integer frame t_{ba}(x) of
+      ``_sym_power_entries``, one array of their dtype of shape
       (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 the real and
-      1 the imaginary part.
+      1 the imaginary part, from the binary forms
+      (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a), O(n^3) work per point;
+    - for float points, the unitary frame D(x)[b, a] =
+      t_{ba}(x) sqrt(C(n, a) / C(n, b)), one complex128 array of shape
+      (n + 1, cols, #pts) indexed [b, a, p], by the factorisation of the
+      module docstring: r + i s = |x| e^{i theta}, z = r U, w = s W and
+      d(theta) = D(cos theta + sin theta j), real.
 
-    T is the n-th symmetric power of the 2x2 model, so T(1) = I and
-    T(m x) = T(m) T(x).  Integer points multiply the binary forms
-    (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a), O(n^3) work per point.
-    Float points use the factorisation T(x)[b, a] = |x|^n U^(a+b-n)
-    V^(b-a) d_{ba}(theta), where z = r U, w = s V, r + i s = |x| e^{i theta}
-    and d_{ba}(theta) = t_{ba}(cos theta, 0, sin theta, 0) is real: d is one
-    real product of the constant ``_fourier_matrix`` (built from the exact
-    Krawtchouk factors T(1 +- k) of ``_model_factors``) with the real and
-    imaginary parts of e^{i m theta}.  The phases are read off the
-    coordinates and their powers are cumulative complex products, with no
-    trigonometric call.  Every coefficient there is bounded in the unitary
-    frame, so the values stay unitary (rescaled by sqrt(C(n, a) / C(n, b)))
-    to roundoff at high n, and T(1) = I holds exactly.
+    T(1) = I and T(m x) = T(m) T(x), and D alike; D(x) is unitary at unit
+    x to roundoff at high n, and D(1) = I holds exactly.
     """
     cols = n + 1 if cols is None else cols
     pts = np.asarray(pts)
@@ -364,13 +362,18 @@ def sym_power_values(pts, n: int, cols: int | None = None):
 
 
 def basis_values(hb: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
-    """Values of each basis polynomial at each point; shape (dim, #pts)."""
-    T = sym_power_values(np.asarray(pts, dtype=float), hb.n)
+    """Values of each basis polynomial at each point; shape (dim, #pts).
+
+    The float ``sym_power_values`` are D(x); t_{ba} = D_{ba}
+    sqrt(C(n, b) / C(n, a)) takes them back to the integer frame.
+    """
+    D = sym_power_values(np.asarray(pts, dtype=float), hb.n)
     b, a, part = np.array(hb.labels, dtype=np.intp).T
-    # the real and imaginary parts of T as a trailing axis, without a copy
-    parts = T.view(float).reshape(T.shape + (2,))
+    # the real and imaginary parts of D as a trailing axis, without a copy
+    parts = D.view(float).reshape(D.shape + (2,))
     vals = parts[b, a, :, part]
-    vals /= np.array(hb.contents, dtype=float)[:, None]
+    g = np.sqrt([float(comb(hb.n, k)) for k in range(hb.n + 1)])
+    vals *= (g[b] / g[a] / np.array(hb.contents, dtype=float))[:, None]
     return vals
 
 

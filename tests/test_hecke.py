@@ -186,6 +186,12 @@ def test_int64_bound_at_odd_degree():
     assert not hecke._int64_exact(16, 49, r4_count(49))
 
 
+def _unitary_shell_sum(n, N):
+    """The exact S_N in floats and in the unitary frame: G^(-1/2) S_N G^(1/2)."""
+    g = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
+    return shell_monomial_matrix(n, N).astype(float) * g / g[:, None]
+
+
 #: unsorted, with repeats; at n = 16 and 24 it mixes int64 and object shells
 BATCH_NS = [49, 1, 3, 25, 105, 3, 2, 4, 9, 15]
 
@@ -374,17 +380,15 @@ def test_trace_identity_ties_eigensolve_to_shell_sums(n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 12, 16, 24])
 def test_float_shell_sums_match_exact(n, monkeypatch):
-    # S_1 R_N in floats against the exact S_N / N^(n/2), in the frame where
-    # each T(m / sqrt N) is unitary (T[b, a] sqrt(C(n, a) / C(n, b))), to
-    # 1e-13 of |shell|, the bound on the sum there
+    # D_1 R_N in floats against the exact S_N / N^(n/2) taken to the
+    # unitary frame, where each D(m / sqrt N) is unitary, to 1e-13 of
+    # |shell|, the bound on the sum there
     monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
     sums, sizes = hecke._float_shell_sums(n, BATCH_NS)
     assert np.array_equal(sizes, [r4_count(N) for N in BATCH_NS])
-    g = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
     for N, S, size in zip(BATCH_NS, sums, sizes):
-        exact = shell_monomial_matrix(n, N).astype(float) / N ** (n / 2)
-        err = np.abs(S - exact) * g[None, :] / g[:, None]
-        assert err.max() <= 1e-13 * size
+        exact = _unitary_shell_sum(n, N) / N ** (n / 2)
+        assert np.abs(S - exact).max() <= 1e-13 * size
 
 
 @pytest.mark.parametrize("points", [None, 7])
@@ -424,9 +428,8 @@ def test_shell_sums_joined_once(monkeypatch):
 
 
 def _shell_operator(n, N):
-    """Float S_N^T / (8 N^(n/2)), the action of T_N on row vectors."""
-    S = shell_monomial_matrix(n, N).astype(float)
-    return S.T / (8.0 * N ** (n / 2))
+    """Float D_N^T / 8, the action of T_N on row vectors."""
+    return _unitary_shell_sum(n, N).T / (8.0 * N ** (n / 2))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
@@ -436,12 +439,11 @@ def test_decomposition_invariants(n):
     extras = hecke.hecke_eigenvalues(dec, (9, 15))
 
     # the bases of the W_lambda are orthonormal across the decomposition,
-    # and the row vectors are orthonormal for the weights C(n, b)
+    # and so are the row vectors
     R = np.hstack([sp.basis for sp in dec.spaces])
     assert np.allclose(R.T @ R, np.eye(n + 1), atol=1e-12)
     P = row_basis(n)
-    w = np.array([comb(n, b) for b in range(n + 1)], dtype=float)
-    assert np.allclose(P.conj().T @ (w[:, None] * P), np.eye(n + 1), atol=1e-12)
+    assert np.allclose(P.conj().T @ P, np.eye(n + 1), atol=1e-12)
 
     for sp, (lam9, lam15) in zip(dec.spaces, extras.T):
         lams = {**sp.lams, 9: lam9, 15: lam15}
@@ -615,6 +617,30 @@ def test_flagged_classes_count_newforms_of_level_2_and_4(n):
     assert dims == {1: d2, 2: d4}
 
 
+def _molien_tetrahedral(n):
+    """The t^n coefficient of (1 + t^12) / ((1 - t^6)(1 - t^8))."""
+    return sum(1 for m in (n, n - 12) for b in range(0, m + 1, 8)
+               if (m - b) % 6 == 0)
+
+
+@pytest.mark.parametrize("n", range(0, 65, 2))
+def test_level_2_classes_are_fixed_by_the_hurwitz_unit(n):
+    # left multiplication by xi = (1 + i + j + k) / 2 acts on W as
+    # D(xi)^T; it fixes exactly the columns of the flagged classes with
+    # dim W = 1, d2 of them, which the Molien series of the binary
+    # tetrahedral group counts
+    P = row_basis(n)
+    D = sym_power_values(np.full((1, 4), 0.5), n)[..., 0]
+    op = P.conj().T @ D.T @ P
+    fixed = {1: 0, 2: 0}
+    for sp in decompose(n, primes=(3, 5)).spaces:
+        if sp.t1_flag:
+            moved = np.linalg.norm(op @ sp.basis - sp.basis, axis=0)
+            fixed[sp.basis.shape[1]] += int(np.count_nonzero(moved <= 1e-9))
+    d2, _ = hecke.expected_classes(n)
+    assert fixed == {1: d2, 2: 0} and _molien_tetrahedral(n) == d2
+
+
 def test_empty_readout():
     dec = decompose(6, primes=(3, 5))
     out = hecke.hecke_eigenvalues(dec, [])
@@ -623,11 +649,8 @@ def test_empty_readout():
 
 def _row_operator(n, N):
     """T_N on W in ``row_basis(n)``, formed for one N."""
-    S = shell_monomial_matrix(n, N)
     P = row_basis(n)
-    w = np.array([float(comb(n, b)) for b in range(n + 1)])
-    S_T = S.T.astype(float) * w[:, None]
-    M = P.conj().T @ S_T @ P / (8.0 * float(N) ** (n / 2))
+    M = P.conj().T @ _shell_operator(n, N) @ P
     return 0.5 * (M.real + M.real.T)
 
 

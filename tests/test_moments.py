@@ -5,9 +5,10 @@ import pytest
 
 import dense_oracle
 from dense_oracle import _right_j
-from hecke_sphere import moments
+from hecke_sphere import moments, poly
 from hecke_sphere.hecke import (
-    DegeneracyError, EigenSpace, decompose, hecke_eigenvalues, unit_classes,
+    DegeneracyError, EigenSpace, decompose, hecke_eigenvalues, row_basis,
+    unit_classes,
 )
 from hecke_sphere.moments import (
     ClosureError, eigen_values, growth_fit, moment_sweep, pretrace_residual,
@@ -142,12 +143,25 @@ def test_closure_loss_raises(dec6):
         moment_sweep(6, scaled, sphere_grid(64, seed=5), seed=5)
 
 
-def test_eigen_values_past_int64_weights():
-    # (n + 1) C(n, a) 2 outgrows int64 at n = 62; R = I spans all of W, so
-    # the closure sums need no decomposition
+def test_eigen_values_close_on_the_whole_row_space():
+    # R = I spans all of W, so the closure sums at n = 64 need no
+    # decomposition
     F = eigen_values(64, np.eye(65), sphere_grid(200, seed=3))
     closure = np.einsum("jkap,jkap->p", F, F)
     assert np.abs(closure - 65 ** 2).max() <= 1e-8 * 65 ** 2
+
+
+def test_float_frame_finite_past_the_float_binomials():
+    # C(1030, 515) exceeds the largest float; the float layer forms no
+    # binomial, so the factor V, the row basis and the weights stay finite
+    n = 1030
+    V = poly._model_factors(n)
+    assert np.all(np.isfinite(V))
+    assert np.abs(V @ V.conj().T - np.eye(n + 1)).max() <= 1e-12
+    P = row_basis(n)
+    assert np.all(np.isfinite(P))
+    assert np.abs(P.conj().T @ P - np.eye(n + 1)).max() <= 1e-15
+    assert np.all(np.isfinite(moments._weights(n)))
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))

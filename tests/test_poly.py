@@ -212,17 +212,25 @@ def _unit_points(size, seed):
     return pts / np.linalg.norm(pts, axis=1, keepdims=True)
 
 
+def _unitary(exact, n):
+    """Exact values [part, b, a, p] in floats and in the unitary frame,
+    D[b, a] = t_{ba} sqrt(C(n, a) / C(n, b)), indexed [b, a, p]."""
+    g = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
+    T = exact[0].astype(float) + 1j * exact[1].astype(float)
+    return T * (g[:T.shape[1]] / g[:, None])[..., None]
+
+
 @pytest.mark.parametrize("n", range(0, 25))
 def test_complex_path_matches_exact_path(n):
     # float points with integer coordinates against the same points as
-    # Python integers; each point's error is measured against its largest
-    # entry, since single entries cancel down from binomial size
+    # Python integers, taken to the unitary frame; each point's error is
+    # measured against its largest entry, since single entries cancel
     pts = np.random.default_rng(n).integers(-100, 101, size=(12, 4))
     cols = n // 2 + 1
     exact = sym_power_values(pts.astype(object), n, cols=cols)
     T = sym_power_values(pts.astype(float), n, cols=cols)
     assert T.dtype == np.complex128 and T.shape == (n + 1, cols, 12)
-    ref = exact[0].astype(float) + 1j * exact[1].astype(float)
+    ref = _unitary(exact, n)
     err = np.abs(T - ref).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
 
@@ -240,7 +248,7 @@ def test_complex_path_matches_exact_path_on_axes(n):
                  [0, 0, 0, 0]]
     exact = sym_power_values(pts.astype(object), n)
     T = sym_power_values(pts.astype(float), n)
-    ref = exact[0].astype(float) + 1j * exact[1].astype(float)
+    ref = _unitary(exact, n)
     err = np.abs(T - ref).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
 
@@ -267,7 +275,7 @@ def test_complex_path_at_branch_cuts_and_degenerate_points(n):
         T = sym_power_values(CUT_POINTS, n)
     assert T[..., 0::2].tobytes() == T[..., 1::2].tobytes()
     exact = sym_power_values(CUT_POINTS.astype(int).astype(object), n)
-    ref = exact[0].astype(float) + 1j * exact[1].astype(float)
+    ref = _unitary(exact, n)
     err = np.abs(T - ref).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
 
@@ -294,45 +302,63 @@ def fresh_fourier_cache():
 
 @pytest.mark.parametrize("n", [128, 256])
 def test_complex_path_unitary_at_high_degree(n, fresh_fourier_cache):
-    # D = T rescaled by sqrt(C(n, a) / C(n, b)) is unitary at unit points;
-    # the monomial-basis products reached |D D^H - I| = 4e4 at n = 128
-    w = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
-    T = sym_power_values(_unit_points(3, n), n)
-    D = np.moveaxis(T, -1, 0) * np.outer(1 / w, w)
+    # the float values D are unitary at unit points; the monomial-basis
+    # products reached |D D^H - I| = 4e4 at n = 128
+    D = np.moveaxis(sym_power_values(_unit_points(3, n), n), -1, 0)
     err = np.abs(D @ D.conj().transpose(0, 2, 1) - np.eye(n + 1)).max()
     assert err < 1e-12
 
 
+def _model_t1k(n):
+    """T(1 + k)[b, a] = i^(b-a) c[a][n-b] from ``_model_integers`` as object
+    arrays (re, im), the columns a > n/2 from c[n-a][m] = (-1)^m c[a][m]."""
+    c = poly._model_integers(n)
+    assert len(c) == n // 2 + 1
+    re, im = (np.zeros((n + 1, n + 1), dtype=object) for _ in range(2))
+    for b in range(n + 1):
+        for a in range(n + 1):
+            v = c[a][n - b] if 2 * a <= n else (-1) ** (n - b) * c[n - a][n - b]
+            # i^(b-a) is real for even b - a and negative for (b - a) % 4 >= 2
+            (im if (b - a) % 2 else re)[b, a] = -v if (b - a) % 4 >= 2 else v
+    return re, im
+
+
 @pytest.mark.parametrize("n", range(0, 65))
 def test_model_factors_match_exact_path(n):
-    # the recurrence table is T(1 + k) exactly, T(1 - k) is its conjugate,
-    # and the float factors equal those rounded from the binary-form
-    # products, in value and in the sign of every zero
+    # the recurrence table is T(1 + k) exactly and T(1 - k) its conjugate.
+    # V = D((1 + k) / sqrt 2) is read-only and symmetric, each entry has
+    # the signs of the exact entry t = T(1 + k)[b, a], of which one part is
+    # 0, and its modulus is within 1 ulp of sqrt(|t|^2 C(n, a) / (C(n, b) 2^n))
     E = poly._exact_values(np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object),
                            n, n + 1)
-    re, im = poly._model_integers(n)
-    assert E[0, ..., 0].tolist() == re and E[1, ..., 0].tolist() == im
-    assert E[0, ..., 1].tolist() == re
-    assert E[1, ..., 1].tolist() == [[-v for v in row] for row in im]
-    F = E.astype(float)
-    T = F[0] + 1j * F[1]
-    for got, ref in zip(poly._model_factors(n), (T[..., 0] / 2.0 ** n, T[..., 1])):
-        assert np.array_equal(got, ref)
-        for part in ("real", "imag"):
-            assert np.array_equal(np.signbit(getattr(got, part)),
-                                  np.signbit(getattr(ref, part)))
+    re, im = _model_t1k(n)
+    assert np.array_equal(E[0, ..., 0], re) and np.array_equal(E[1, ..., 0], im)
+    assert np.array_equal(E[0, ..., 1], re) and np.array_equal(E[1, ..., 1], -im)
+    V = poly._model_factors(n)
+    assert V.shape == (n + 1, n + 1) and not V.flags.writeable
+    assert np.array_equal(V, V.T)
+    for b in range(n + 1):
+        for a in range(n + 1):
+            z, t = complex(V[b, a]), (E[0, b, a, 0], E[1, b, a, 0])
+            assert [(x > 0) - (x < 0) for x in (z.real, z.imag)] == [
+                (x > 0) - (x < 0) for x in t]
+            v = abs(z.real + z.imag)
+            q = Fraction((t[0] ** 2 + t[1] ** 2) * comb(n, a), comb(n, b) << n)
+            lo, hi = (Fraction(np.nextafter(v, x)) for x in (0.0, 2.0))
+            assert lo * lo < q < hi * hi or q == v == 0
 
 
 @pytest.mark.parametrize("n", [4, 12, 24])
 def test_fourier_matrix_matches_exact_path(n):
     # d(theta) = delta + M @ [cos ms theta - 1, sin ms theta] against the
-    # exact d(theta) = T(p) / |p|^n at p = (x1, 0, x3, 0) with |p| an integer
+    # exact T(p) / |p|^n, in the unitary frame, at p = (x1, 0, x3, 0) with
+    # |p| an integer
     pts = np.array([[5, 0, 0, 0], [3, 0, 4, 0], [5, 0, 12, 0], [8, 0, -15, 0],
                     [0, 0, 1, 0]])
     radii = np.array([5, 5, 13, 17, 1])
     exact = sym_power_values(pts.astype(object), n)
     assert not np.any(exact[1])
-    ref = exact[0].astype(float) / radii.astype(float) ** n
+    ref = _unitary(exact, n).real / radii.astype(float) ** n
     theta = np.arctan2(pts[:, 2], pts[:, 0])
     full, ms = poly._fourier_matrix(n, n + 1)
     assert np.array_equal(ms, np.arange(2 - n % 2, n + 1, 2))
@@ -354,7 +380,7 @@ def test_model_integers_unitary_at_degree_96():
     # (1 + k)(1 - k) = 2, so T(1 + k) conj T(1 + k) = T(2) = 2^n I exactly;
     # the exact path is too slow to serve as the oracle at this degree
     n = 96
-    re, im = (np.array(part, dtype=object) for part in poly._model_integers(n))
+    re, im = _model_t1k(n)
     # (re + i im)(re - i im) = re re + im im + i (im re - re im)
     scalar = [[2 ** n if b == a else 0 for a in range(n + 1)] for b in range(n + 1)]
     assert (re @ re + im @ im).tolist() == scalar
@@ -362,29 +388,28 @@ def test_model_integers_unitary_at_degree_96():
 
 
 def test_model_integers_match_krawtchouk_sums_at_degree_512():
-    # T(1 + k)[b, a] = i^(b-a) sum_j (-1)^j C(a, j) C(n-a, n-b-j) on 50
-    # seeded entries
+    # c[a][m] = sum_j (-1)^j C(a, j) C(n-a, m-j), the coefficient of t^m in
+    # (1 - t)^a (1 + t)^(n-a), on 50 seeded entries with a <= n/2
     n = 512
-    re, im = poly._model_integers(n)
+    c = poly._model_integers(n)
     rng = np.random.default_rng(512)
-    for b, a in rng.integers(0, n + 1, size=(50, 2)).tolist():
-        c = sum((-1) ** j * comb(a, j) * comb(n - a, n - b - j)
-                for j in range(max(0, a - b), min(a, n - b) + 1))
-        want = [(c, 0), (0, c), (-c, 0), (0, -c)][(b - a) % 4]
-        assert (re[b][a], im[b][a]) == want
+    for a, m in zip(rng.integers(0, n // 2 + 1, size=50).tolist(),
+                    rng.integers(0, n + 1, size=50).tolist()):
+        want = sum((-1) ** j * comb(a, j) * comb(n - a, m - j)
+                   for j in range(max(0, a + m - n), min(a, m) + 1))
+        assert c[a][m] == want
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 24])
 def test_complex_path_identity_and_multiplicative(n):
-    T = sym_power_values(np.array([[1.0, 0.0, 0.0, 0.0]]), n)
-    assert np.array_equal(T[..., 0], np.eye(n + 1))
-    # T(xy) = T(x) T(y) at unit points, where every T is unitary up to the
-    # diagonal rescaling by sqrt C(n, b): entries stay near 1 in that frame
+    D = sym_power_values(np.array([[1.0, 0.0, 0.0, 0.0]]), n)
+    assert np.array_equal(D[..., 0], np.eye(n + 1))
+    # D(xy) = D(x) D(y) at unit points, where every D is unitary: entries
+    # stay at most 1
     x, y = _unit_points(6, n), _unit_points(6, n + 100)
-    Tx, Ty, Txy = (np.moveaxis(sym_power_values(p, n), -1, 0)
+    Dx, Dy, Dxy = (np.moveaxis(sym_power_values(p, n), -1, 0)
                    for p in (x, y, _hamilton(x, y)))
-    w = np.sqrt([float(comb(n, b)) for b in range(n + 1)])
-    err = np.abs(Tx @ Ty - Txy) / np.outer(w, 1 / w)
+    err = np.abs(Dx @ Dy - Dxy)
     assert err.max() < 1e-12 * (n + 1)
 
 
