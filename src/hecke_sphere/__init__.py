@@ -15,12 +15,9 @@ from .gon import (
 from .hecke import (
     DegeneracyError,
     EigenSpace,
-    HeckeMatrix,
     SpectralDecomposition,
     decompose,
     expected_classes,
-    hecke_matrix,
-    hecke_matrix_float,
     hecke_relations_check,
     selfadjoint_check,
     t1_vanishing,

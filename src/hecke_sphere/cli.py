@@ -290,7 +290,7 @@ def cmd_theta_identity(args) -> int:
     n_col, k_col, sides, values = [], [], [], []
     for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args))
-        for k, sv, tc in zip(ks, spectral_coefficient(n, x, y, ks, dec),
+        for k, sv, tc in zip(ks, spectral_coefficient(x, y, ks, dec),
                              theta_coefficients(n, x, y, ks)):
             # the exact value where it exists: the float theta side
             # cancels badly at higher degree
@@ -389,7 +389,7 @@ def cmd_moments(args) -> int:
     for n in _even_ns(args):
         dec = decompose(n, primes=_primes(args))
         try:
-            reps.append(moment_sweep(n, dec, grid, seed=args.seed))
+            reps.append(moment_sweep(dec, grid, seed=args.seed))
         except ClosureError as exc:
             return _failed(args, str(exc))
         _write_json(args, f"moments-{n}", asdict(reps[-1]))

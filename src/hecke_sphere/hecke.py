@@ -20,8 +20,12 @@ T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per orbit
 and S_1 over the eight units.  ``shell_monomial_matrices`` forms the exact
 S_N, and ``_float_shell_sums`` the float D_N (below) from the unit points
 m / sqrt N, each for a set of N from one join and through one block loop,
-``_run_sums``.  The exact layer is the one place where integers live, in
-the integer frame of T; the exact S_N are the oracle:
+``_run_sums``.  Both sum the columns a <= n/2 that ``sym_power_values``
+returns: the conjugation rule holds point by point, so for every sum, and
+``complete_columns`` fills in the rest of S_1 and S_N (of D_1 and D_N),
+S_1 before the product, which reads every column of S_1.  The exact layer
+is the one place where integers live, in the integer frame of T; the
+exact S_N are the oracle:
 ``hecke_relations_check`` (all products S_a S_b in one stacked product),
 ``selfadjoint_check`` and ``t1_vanishing`` read them.  ``decompose``
 diagonalises the primes in turn on each class of left u (``unit_classes``),
@@ -70,7 +74,9 @@ from math import comb, isqrt
 
 import numpy as np
 
-from .poly import HarmonicBasis, harmonic_basis, sym_power_values
+from .poly import (
+    HarmonicBasis, complete_columns, harmonic_basis, sym_power_values,
+)
 from .quat import _shell_join
 
 
@@ -89,9 +95,9 @@ def _int64_exact(n: int, N: int, size: int) -> bool:
     return size * size * 4 ** n * N ** n < 2 ** 126
 
 
-#: most entries of T (points x (n+1)^2) that one block of ``_run_sums``
-#: holds, in int64 (``shell_monomial_matrices``) or in floats
-#: (``_float_shell_sums``)
+#: most entries of T (points x (n+1)(n/2+1), the columns a <= n/2) that
+#: one block of ``_run_sums`` holds, in int64 (``shell_monomial_matrices``)
+#: or in floats (``_float_shell_sums``)
 SHELL_BLOCK = 2 ** 14
 
 #: the left units 1, i, j, k, -1, -i, -j, -k in integral coordinates, as
@@ -203,14 +209,16 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
     T(u m) = T(u) T(m), so S_N = S_1 R_N with R_N the sum of T over one
     point per orbit (``_orbit_representatives``) and S_1 = sum_u T(u).
     ``_run_sums`` takes the eight units and the representatives of every
-    shell within the int64 bound below in int64, on blocks of
-    ``SHELL_BLOCK`` entries of T, the loop of ``_float_shell_sums``.  A
-    shell above the bound is one object-array pass of its own.  S_1 is
-    real, since the units are closed under the conjugation x -> x' of the
-    module docstring, and S_1 = 0 at odd n, where T(-u) = -T(u).  So
-    S_1 Im R_N is zero; it is formed, and a sum where it is not raises
+    shell within the int64 bound below in int64, in the columns a <= n/2,
+    on blocks of ``SHELL_BLOCK`` entries of T, the loop of
+    ``_float_shell_sums``.  A shell above the bound is one object-array
+    pass of its own.  S_1 is real, since the units are closed under the
+    conjugation x -> x' of the module docstring, and S_1 = 0 at odd n,
+    where T(-u) = -T(u); ``complete_columns`` gives all of its columns.
+    So S_1 Im R_N is zero; it is formed on the columns a <= n/2, whose
+    conjugates are the rest, and a sum where it is not raises
     ``ArithmeticError`` and caches nothing.  S_N = S_1 Re R_N is formed
-    in the dtype of R_N.
+    in the dtype of R_N and completed.
 
     Each T(u) has one entry of modulus 1 per row and column, since the 2x2
     model of a unit is diagonal or antidiagonal with unit entries; so the
@@ -244,8 +252,8 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
         R = iter(_run_sums(
             np.concatenate([np.array(UNITS, dtype=np.int64)] + small), n,
             [len(UNITS)] + [len(s) for s in small],
-            max(1, SHELL_BLOCK // (n + 1) ** 2)))
-        S1 = next(R)[0]
+            max(1, SHELL_BLOCK // ((n + 1) * (n // 2 + 1)))))
+        S1 = complete_columns(next(R)[0], n)
         totals = [S1 @ (next(R) if e else
                         _run_sums(s.astype(object), n, [len(s)], len(s))[0])
                   for s, e in zip(shells, exact)]
@@ -255,7 +263,7 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
                     f"S_{N} at n={n} has a nonzero imaginary part: "
                     f"the norm-{N} shell is not closed under conjugation")
         for N, total in zip(todo, totals):
-            total = total[0].astype(object)
+            total = complete_columns(total[0], n).astype(object)
             total.setflags(write=False)
             _SHELL_SUMS[n, N] = total
     return tuple(_SHELL_SUMS[n, N] for N in Ns)
@@ -492,7 +500,8 @@ def _float_shell_sums(n: int, Ns):
     ``shell_monomial_matrices`` it is D_1 R_N, with R_N the sum of
     D(m / sqrt N) over one point m per left-unit orbit of the shells not
     yet cached (one ``_shell_join``), and D_1 the sum of D over the eight
-    units.  ``_run_sums`` takes the float ``sym_power_values`` of the
+    units, each completed by ``complete_columns`` from its columns
+    a <= n/2.  ``_run_sums`` takes the float ``sym_power_values`` of the
     units and of the unit points m / sqrt N of the representatives on
     blocks of at most ``SHELL_BLOCK`` entries of D that hold whole shells,
     a longer shell cut where it would be cut alone, so a cached sum does
@@ -506,8 +515,8 @@ def _float_shell_sums(n: int, Ns):
         pts = np.concatenate(
             [UNITS, reps / np.repeat(2.0 * np.sqrt(todo), counts)[:, None]])
         R = _run_sums(pts, n, [len(UNITS)] + counts.tolist(),
-                      max(1, SHELL_BLOCK // (n + 1) ** 2))
-        sums = R[0] @ R[1:]
+                      max(1, SHELL_BLOCK // ((n + 1) * (n // 2 + 1))))
+        sums = complete_columns(complete_columns(R[0], n) @ R[1:], n)
         sums.setflags(write=False)
         for N, S, count in zip(todo, sums, counts.tolist()):
             _FLOAT_SUMS[n, N] = (S, 8 * count)

@@ -16,7 +16,8 @@ g_a = sqrt(n + 1) sum_b v_b D_{ba} are orthonormal and
 conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and sqrt 2 Im g_a for a < n/2,
 with g_{n/2} (real for even n/2, imaginary for odd), are n + 1 real
 orthonormal eigenfunctions.  ``_products`` takes the complex values of
-``sym_power_values`` in the columns a <= n/2 and contracts the complex row
+``sym_power_values``, which are those of the columns a <= n/2, with no
+completion, and contracts the complex row
 vectors against their row label in one complex matrix product, O(n^3) work
 per point for the whole eigenbasis.  ``eigen_values`` reads the real and
 imaginary parts of that product as a view, without a copy, and the sweep
@@ -100,11 +101,11 @@ def _weights(n: int) -> np.ndarray:
 def _products(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """sum_b v_b D_{ba} for every column v of R, complex (k, n/2 + 1, #pts).
 
-    One product of the row vectors with the values of ``sym_power_values``
-    in the columns a <= n/2; the result is contiguous.
+    One product of the row vectors with the values of ``sym_power_values``,
+    the columns a <= n/2; the result is contiguous.
     """
     h = n // 2
-    T = sym_power_values(np.asarray(pts, dtype=float), n, cols=h + 1)
+    T = sym_power_values(np.asarray(pts, dtype=float), n)
     G = (row_basis(n) @ R).T @ T.reshape(n + 1, -1)
     return G.reshape(R.shape[1], h + 1, len(pts))
 
@@ -181,9 +182,9 @@ def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int = 20):
     return val
 
 
-def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
+def moment_sweep(dec: SpectralDecomposition, grid: np.ndarray,
                  seed: int = 0, refine_steps: int = 20) -> MomentReport:
-    """Moment statistics at degree n on a grid.
+    """Moment statistics at the degree n = ``dec.n`` on a grid.
 
     ``sup_family`` is exact, the sum over flagged blocks of their squared
     dimensions; ``sup_fourth`` is the grid sup refined by coordinate ascent
@@ -192,8 +193,7 @@ def moment_sweep(n: int, dec: SpectralDecomposition, grid: np.ndarray,
     ``unit_classes`` (to 1e-10 of its norm), no two of a block in one, and
     ``ClosureError`` when ``closure_error`` is not below ``CLOSURE_TOL``.
     """
-    if dec.n != n:
-        raise ValueError("decomposition degree mismatch")
+    n = dec.n
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
     cls = unit_classes(n)

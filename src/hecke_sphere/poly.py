@@ -16,7 +16,11 @@ other code builds a polynomial.
 integer frame T(x) = [t_{ba}(x)] exactly at integer points, by products of
 binary forms, which only the exact layer of ``hecke`` reads; and at float
 points the unitary frame D(x) = G^(-1/2) T(x) G^(1/2), G = diag C(n, b),
-unitary at unit x, in which every float layer works.  D(x)[b, a] =
+unitary at unit x, in which every float layer works.  Both return only
+the columns a <= n/2: the conjugation rule t_{n-b,n-a} = (-1)^(a+b)
+conj t_{ba}, which D obeys too, gives the others, and holds for any sum
+over points, so ``complete_columns`` fills them in on a sum (``hecke``),
+and the eigenfunctions need none (``moments``).  D(x)[b, a] =
 |x|^n U^(a+b-n) W^(b-a) d_{ba}(theta), and the Fourier form of Wigner's
 d-matrix (T. Risbo, J. Geodesy 70, 1996; Feng, Wang, Yang and Jin, Phys.
 Rev. E 92, 2015) is d(theta) = V diag(e^{i (2k - n) theta}) V^H with one
@@ -166,8 +170,9 @@ def _form_mul(F, G):
     return re, im
 
 
-def _exact_values(pts, n: int, cols: int):
-    """T(x) at integer points by products of binary forms; see below."""
+def _exact_values(pts, n: int):
+    """T(x), a <= n/2, at integer points from binary forms; see below."""
+    cols = n // 2 + 1
     x1, x2, x3, x4 = pts.T
     # the columns (z, -conj w) and (w, conj z) as linear forms in X, Y
     col_a = (np.stack([x1, -x3]), np.stack([x2, x4]))
@@ -242,13 +247,14 @@ def _model_factors(n: int):
     return V
 
 
-# M holds about (n + 1) cols n floats: 68 MiB at n = 256 and cols = 129
+# M holds about (n + 1) (n/2 + 1) n floats: 65 MiB at n = 256
 @lru_cache(maxsize=8)
-def _fourier_matrix(n: int, cols: int):
+def _fourier_matrix(n: int):
     """(M, ms): d_{ba}(theta) - delta_{ba} = M @ [cos ms theta - 1, sin ms theta].
 
     ms are the m > 0 with m = n mod 2, ascending, and M, read-only and of
-    shape ((n + 1) cols, 2 len(ms)), has rows indexed by (b, a), a < cols.
+    shape ((n + 1) (n/2 + 1), 2 len(ms)), has rows indexed by (b, a),
+    a <= n/2.
     Since cos theta + sin theta j = (1 + k)(cos theta + sin theta i)(1 - k) / 2
     and D(e^{i theta}) = diag(e^{i (2k - n) theta}),
     d_{ba}(theta) = sum_k V[b, k] e^{i (2k - n) theta} V^H[k, a] with V of
@@ -258,6 +264,7 @@ def _fourier_matrix(n: int, cols: int):
     back exactly.
     """
     V = _model_factors(n)
+    cols = n // 2 + 1
     VH = V.conj().T
     ms = np.arange(2 - n % 2, n + 1, 2)
     M = np.empty((2, len(ms), n + 1, cols))
@@ -290,8 +297,8 @@ def _int_power(u, n: int):
     return out
 
 
-def _float_values(pts, n: int, cols: int):
-    """D(x) at float points from the Fourier form of d, by products; see below.
+def _float_values(pts, n: int):
+    """D(x), a <= n/2, from the Fourier form of d, by products; see below.
 
     The unit phases U = z / |z|, W = w / |w| and E = e^{i theta} =
     (|z| + i |w|) / |x| are read off the coordinates, each 1 where its
@@ -301,7 +308,8 @@ def _float_values(pts, n: int, cols: int):
     E^(2 - n mod 2), E^2, E^2, ...; at x = 1 every factor is exactly 1, so
     D(1) = I holds exactly.
     """
-    M, ms = _fourier_matrix(n, cols)
+    M, ms = _fourier_matrix(n)
+    cols = n // 2 + 1
     x1, x2, x3, x4 = pts.T
     r, s = np.hypot(x1, x2), np.hypot(x3, x4)
     norm = np.hypot(r, s)
@@ -331,47 +339,71 @@ def _float_values(pts, n: int, cols: int):
     return D
 
 
-def sym_power_values(pts, n: int, cols: int | None = None):
-    """The model at each point: T(x) at integer points, D(x) at float points.
+def sym_power_values(pts, n: int):
+    """The model at each point, in the columns a <= n/2: T(x) at integer
+    points, D(x) at float points.
 
     ``pts`` has shape (#pts, 4) and holds floats, or integers for exact
     values: Python integers in an object array are always exact, int64 only
     under a bound the caller proves (the products wrap around silently;
-    ``hecke.shell_monomial_matrices`` states one).  The first ``cols``
-    columns (all n + 1 by default) are returned as
+    ``hecke.shell_monomial_matrices`` states one).  With h = n // 2 the
+    columns a <= h are returned as
 
     - for integer points, the integer frame t_{ba}(x) of
       ``_sym_power_entries``, one array of their dtype of shape
-      (2, n + 1, cols, #pts) indexed [part, b, a, p], part 0 the real and
+      (2, n + 1, h + 1, #pts) indexed [part, b, a, p], part 0 the real and
       1 the imaginary part, from the binary forms
       (z X - conj(w) Y)^a (w X + conj(z) Y)^(n-a), O(n^3) work per point;
     - for float points, the unitary frame D(x)[b, a] =
       t_{ba}(x) sqrt(C(n, a) / C(n, b)), one complex128 array of shape
-      (n + 1, cols, #pts) indexed [b, a, p], by the factorisation of the
+      (n + 1, h + 1, #pts) indexed [b, a, p], by the factorisation of the
       module docstring: r + i s = |x| e^{i theta}, z = r U, w = s W and
       d(theta) = D(cos theta + sin theta j), real.
 
-    T(1) = I and T(m x) = T(m) T(x), and D alike; D(x) is unitary at unit
-    x to roundoff at high n, and D(1) = I holds exactly.
+    The columns a > h follow by t_{n-b,n-a} = (-1)^(a+b) conj t_{ba}, and
+    D alike (``complete_columns``).  T(1) = I and T(m x) = T(m) T(x), and D
+    alike; D(x) is unitary at unit x to roundoff at high n, and D(1) = I
+    holds exactly.
     """
-    cols = n + 1 if cols is None else cols
     pts = np.asarray(pts)
     if pts.dtype.kind == "f":
-        return _float_values(pts, n, cols)
-    return _exact_values(pts, n, cols)
+        return _float_values(pts, n)
+    return _exact_values(pts, n)
+
+
+def complete_columns(X, n: int):
+    """X on all n + 1 columns from its columns a <= n/2, on its last two
+    axes [b, a]: X[b, a] = (-1)^(a+b) conj X[n-b, n-a] for a > n/2.
+
+    The rule of t_{ba} and D_{ba}, and so of every sum of them over points.
+    A real X is taken as a real part; an imaginary part takes the opposite
+    sign in the columns a > n/2.
+    """
+    h = n // 2
+    out = np.empty(X.shape[:-1] + (n + 1,), dtype=X.dtype)
+    out[..., :h + 1] = X
+    # explicit indices: at n = 0 the slice start n - h - 1 would be -1
+    a = np.arange(h + 1, n + 1)
+    sign = (1 - 2 * ((a + np.arange(n + 1)[:, None]) % 2)).astype(X.dtype)
+    # a product by (-1)^(a+b) + 0i, not a negation: a zero keeps sign +0,
+    # so D(1) = I holds bit for bit
+    np.multiply(X[..., ::-1, n - a].conj(), sign, out=out[..., h + 1:])
+    return out
 
 
 def basis_values(hb: HarmonicBasis, pts: np.ndarray) -> np.ndarray:
     """Values of each basis polynomial at each point; shape (dim, #pts).
 
-    The float ``sym_power_values`` are D(x); t_{ba} = D_{ba}
-    sqrt(C(n, b) / C(n, a)) takes them back to the integer frame.
+    The float ``sym_power_values`` are D(x) in the columns a <= n/2, which
+    ``complete_columns`` completes; t_{ba} = D_{ba} sqrt(C(n, b) / C(n, a))
+    takes them back to the integer frame.
     """
-    D = sym_power_values(np.asarray(pts, dtype=float), hb.n)
+    D = complete_columns(np.moveaxis(
+        sym_power_values(np.asarray(pts, dtype=float), hb.n), -1, 0), hb.n)
     b, a, part = np.array(hb.labels, dtype=np.intp).T
     # the real and imaginary parts of D as a trailing axis, without a copy
     parts = D.view(float).reshape(D.shape + (2,))
-    vals = parts[b, a, :, part]
+    vals = parts[:, b, a, part].T
     g = np.sqrt([float(comb(hb.n, k)) for k in range(hb.n + 1)])
     vals *= (g[b] / g[a] / np.array(hb.contents, dtype=float))[:, None]
     return vals

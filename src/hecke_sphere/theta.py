@@ -181,15 +181,14 @@ def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
     return out
 
 
-def spectral_coefficient(n: int, x, y, ks,
-                         dec: SpectralDecomposition) -> list:
+def spectral_coefficient(x, y, ks, dec: SpectralDecomposition) -> list:
     """Spectral side of the central identity: the k-th coefficient of
-    (8/(n+1)) sum_j phi_j(x) phi_j(y) Phi_j for each k in ``ks``.
+    (8/(n+1)) sum_j phi_j(x) phi_j(y) Phi_j for each k in ``ks``, at the
+    degree n = ``dec.n``.
 
     The eigenbasis is evaluated at x and y once, and every lambda(k) is
     read from ``dec`` in one ``hecke_eigenvalues`` call."""
-    if dec.n != n:
-        raise ValueError("decomposition was computed for a different degree")
+    n = dec.n
     qx, qy = _as_quat(x), _as_quat(y)
     R = np.hstack([sp.basis for sp in dec.spaces])
     F = eigen_values(n, R, np.stack([qx.unit_vector(), qy.unit_vector()]))

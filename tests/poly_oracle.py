@@ -6,8 +6,9 @@ polynomials in x1..x4 that the tests check it against: ``Poly4`` with its
 content and Laplacian, exact sphere integrals, the Fischer (apolar)
 pairing, substitution under left multiplication, ``basis_polys``, the
 basis polynomials themselves, built from the symmetric-power entries and
-the package's labels, and ``gram_diagonal``, their Gram diagonal in
-closed form.
+the package's labels, ``gram_diagonal``, their Gram diagonal in closed
+form, and ``full_columns``, the conjugation rule entry by entry, which
+gives the tests the columns a > n/2 that ``sym_power_values`` leaves out.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd
+
+import numpy as np
 
 from hecke_sphere.poly import _sym_power_entries, harmonic_basis
 from hecke_sphere.quat import Quaternion
@@ -284,3 +287,27 @@ def gram_diagonal(n: int) -> tuple:
         Fraction(comb(n, b), comb(n, a) * (n + 1) * c * c
                  * (1 if (b, a) == (n - b, n - a) else 2))
         for (b, a, _), c in zip(hb.labels, hb.contents))
+
+
+def full_columns(T, n: int):
+    """Model values on all n + 1 columns from the columns a <= n/2.
+
+    ``T`` is indexed [part, b, a, ...] with an integer real and imaginary
+    part, or [b, a, ...] with complex entries, as ``sym_power_values``
+    returns it or any sum of it over points; each entry a > n/2 is set by
+    t_{ba} = (-1)^(a+b) conj t_{n-b,n-a}, one at a time.
+    """
+    parts = T if T.dtype.kind != "c" else T[None]
+    out = np.zeros(parts.shape[:2] + (n + 1,) + parts.shape[3:], dtype=T.dtype)
+    h = n // 2
+    out[:, :, :h + 1] = parts
+    for b in range(n + 1):
+        for a in range(h + 1, n + 1):
+            s = (-1) ** (a + b)
+            src = parts[:, n - b, n - a]
+            if T.dtype.kind == "c":
+                out[0, b, a] = s * np.conj(src[0])
+            else:
+                out[0, b, a] = s * src[0]
+                out[1, b, a] = -s * src[1]
+    return out if T.dtype.kind != "c" else out[0]

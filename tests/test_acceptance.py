@@ -98,7 +98,7 @@ def test_criterion_05_central_identity():
     for n in (2, 4, 6, 8):
         dec = decompose(n, primes=(3, 5))
         for x, y in pairs:
-            for k, sv in zip(ks, spectral_coefficient(n, x, y, ks, dec)):
+            for k, sv in zip(ks, spectral_coefficient(x, y, ks, dec)):
                 tv = theta_coefficient(n, x, y, k).float_value
                 err = abs(sv - tv) / (1 + abs(tv))
                 worst = max(worst, err)
@@ -179,7 +179,7 @@ def test_criterion_10_moment_growth():
     closure_ok = True
     for n in ns:
         dec = decompose(n, primes=(3, 5))
-        rep = moment_sweep(n, dec, grid, seed=7)
+        rep = moment_sweep(dec, grid, seed=7)
         closure_ok = closure_ok and rep.closure_error < 1e-7
         fam[n] = rep.sup_family
         fourth[n] = rep.sup_fourth

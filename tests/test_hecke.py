@@ -16,7 +16,8 @@ from hecke_sphere.poly import harmonic_basis, sym_power_values
 from hecke_sphere.quat import Quaternion, enumerate_shell, r4_count
 from hecke_sphere.zonal import chebyshev_U_vec
 from poly_oracle import (
-    basis_polys, gram_diagonal, sphere_integral, substitute_left_mul,
+    basis_polys, full_columns, gram_diagonal, sphere_integral,
+    substitute_left_mul,
 )
 
 
@@ -143,10 +144,12 @@ def test_primes_must_be_distinct_odd_primes(primes):
 
 @lru_cache(maxsize=None)
 def _object_shell_sum(n, N):
-    """S_N summed over the shell on Python integers, the unbounded path;
-    its imaginary part is zero, and the real part is returned."""
+    """S_N summed over the shell on Python integers, the unbounded path,
+    on every column by the oracle's entrywise conjugation rule; its
+    imaginary part is zero, and the real part is returned."""
     coords = enumerate_shell(N, "integral").coords // 2
-    re, im = sym_power_values(coords.astype(object), n).sum(axis=-1)
+    half = sym_power_values(coords.astype(object), n).sum(axis=-1)
+    re, im = full_columns(half, n)
     assert not np.any(im)
     return re
 
@@ -168,7 +171,8 @@ def test_shell_sum_falls_back_above_bound(n, N, top):
     assert not hecke._int64_exact(n, N, len(coords))
     assert np.array_equal(shell_monomial_matrix(n, N), ref)
     # negative control: the same sum taken in int64 wraps around
-    assert not np.array_equal(sym_power_values(coords, n).sum(axis=-1), ref)
+    wrapped = sym_power_values(coords, n).sum(axis=-1)[0]
+    assert not np.array_equal(wrapped, ref[:, :n // 2 + 1])
 
 
 def test_int64_bound_at_odd_degree():
@@ -217,15 +221,15 @@ UNITS = [Quaternion.from_int_coords(*u) for u in
 
 
 def test_shell_sums_blocks_fill_the_cap(monkeypatch):
-    # at n = 2 a point holds 9 entries of T; the eight units come first, and
-    # the shells of norm 1, 2, 3, 5, 13 have 1, 3, 4, 6, 14 orbit
-    # representatives: with a cap of 108 entries a block holds 12 points,
-    # so the units and norms 1 and 2 fill the first block exactly, and
-    # norms 3 and 5 hold 10 points of the next, where the 14 points of
-    # norm 13 do not fit.  Norm 13 is longer than a block: it is cut 12
-    # points from its own start, so it straddles the last two blocks
+    # at n = 2 a point holds 6 entries of T, the columns a <= 1; the eight
+    # units come first, and the shells of norm 1, 2, 3, 5, 13 have 1, 3, 4,
+    # 6, 14 orbit representatives: with a cap of 72 entries a block holds
+    # 12 points, so the units and norms 1 and 2 fill the first block
+    # exactly, and norms 3 and 5 hold 10 points of the next, where the 14
+    # points of norm 13 do not fit.  Norm 13 is longer than a block: it is
+    # cut 12 points from its own start, so it straddles the last two blocks
     monkeypatch.setattr(hecke, "_SHELL_SUMS", {})
-    monkeypatch.setattr(hecke, "SHELL_BLOCK", 108)
+    monkeypatch.setattr(hecke, "SHELL_BLOCK", 72)
     passes = []
     values = hecke.sym_power_values
 
@@ -399,7 +403,7 @@ def test_eigenvalues_do_not_depend_on_earlier_calls(monkeypatch, points):
     # eight units and every shell with more than 7 orbit representatives
     monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
     if points:
-        monkeypatch.setattr(hecke, "SHELL_BLOCK", points * 11 ** 2)
+        monkeypatch.setattr(hecke, "SHELL_BLOCK", points * 11 * 6)
     dec = decompose(10, (3, 5))
     hecke.hecke_eigenvalues(dec, range(1, 17))
     after = hecke.hecke_eigenvalues(dec, range(1, 41))
@@ -630,7 +634,7 @@ def test_level_2_classes_are_fixed_by_the_hurwitz_unit(n):
     # dim W = 1, d2 of them, which the Molien series of the binary
     # tetrahedral group counts
     P = row_basis(n)
-    D = sym_power_values(np.full((1, 4), 0.5), n)[..., 0]
+    D = full_columns(sym_power_values(np.full((1, 4), 0.5), n), n)[..., 0]
     op = P.conj().T @ D.T @ P
     fixed = {1: 0, 2: 0}
     for sp in decompose(n, primes=(3, 5)).spaces:

@@ -5,7 +5,7 @@ import pytest
 
 import dense_oracle
 from dense_oracle import _right_j
-from hecke_sphere import moments, poly
+from hecke_sphere import hecke, moments, poly
 from hecke_sphere.hecke import (
     DegeneracyError, EigenSpace, decompose, hecke_eigenvalues, row_basis,
     unit_classes,
@@ -53,7 +53,7 @@ def dec6():
 
 def test_sweep_invariants(dec6):
     grid = sphere_grid(500, seed=7)
-    rep = moment_sweep(6, dec6, grid, seed=7)
+    rep = moment_sweep(dec6, grid, seed=7)
     assert rep.closure_error < 1e-10
     # Cauchy-Schwarz inside each family block: fourth <= family sup
     assert rep.sup_fourth <= rep.sup_family + 1e-9
@@ -63,8 +63,8 @@ def test_sweep_invariants(dec6):
 
 def test_sweep_refinement_monotone(dec6):
     grid = sphere_grid(200, seed=3)
-    raw = moment_sweep(6, dec6, grid, seed=3, refine_steps=0)
-    refined = moment_sweep(6, dec6, grid, seed=3, refine_steps=20)
+    raw = moment_sweep(dec6, grid, seed=3, refine_steps=0)
+    refined = moment_sweep(dec6, grid, seed=3, refine_steps=20)
     assert refined.sup_family >= raw.sup_family - 1e-12
     assert refined.sup_fourth >= raw.sup_fourth - 1e-12
 
@@ -113,11 +113,20 @@ def test_ascent_matches_one_step_per_call(n, monkeypatch):
     assert long_calls < 3 * 21
 
 
-def test_sweep_rejects_mismatched_degree(dec6):
+def test_one_fourier_matrix_per_degree(monkeypatch):
+    # the shell sums of decompose and the sweep's eigenfunctions evaluate
+    # the same columns a <= n/2: one Fourier matrix serves the degree
+    n = 10
+    monkeypatch.setattr(hecke, "_FLOAT_SUMS", {})
+    poly._fourier_matrix.cache_clear()
+    moment_sweep(decompose(n, primes=(3, 5)), sphere_grid(50, seed=7), seed=7)
+    info = poly._fourier_matrix.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_sweep_rejects_an_empty_grid(dec6):
     with pytest.raises(ValueError):
-        moment_sweep(4, dec6, sphere_grid(10))
-    with pytest.raises(ValueError):
-        moment_sweep(6, dec6, np.empty((0, 4)))
+        moment_sweep(dec6, np.empty((0, 4)))
 
 
 def test_pretrace_residual_small(dec6):
@@ -130,7 +139,7 @@ def test_pretrace_residual_small(dec6):
 def test_closure_target(dec6):
     # sum over ALL eigenfunctions of phi^2 is the constant (n+1)^2
     grid = sphere_grid(64, seed=5)
-    rep = moment_sweep(6, dec6, grid, seed=5)
+    rep = moment_sweep(dec6, grid, seed=5)
     assert rep.closure_error < 1e-10
 
 
@@ -140,7 +149,7 @@ def test_closure_loss_raises(dec6):
                    for sp in dec6.spaces)
     scaled = dataclasses.replace(dec6, spaces=spaces)
     with pytest.raises(ClosureError, match="closure error 2.01e-02 at n=6"):
-        moment_sweep(6, scaled, sphere_grid(64, seed=5), seed=5)
+        moment_sweep(scaled, sphere_grid(64, seed=5), seed=5)
 
 
 def test_eigen_values_close_on_the_whole_row_space():
@@ -201,11 +210,11 @@ def test_pinned_statistics_basis_invariant(n):
     # n = 8 has a flagged block with dim W = 2, split only by left u
     grid = sphere_grid(500, seed=7)
     dec = decompose(n, primes=(3, 5))
-    ref = moment_sweep(n, dec, grid, seed=7)
+    ref = moment_sweep(dec, grid, seed=7)
     # every flagged block at n = 6 has dim W = 1: a rotation only flips signs
     others = [_rotated(dec, 1), _rotated(dec, 2)] if n == 6 else []
     for other in others:
-        rep = moment_sweep(n, other, grid, seed=7)
+        rep = moment_sweep(other, grid, seed=7)
         for stat in ("sup_family", "sup_fourth", "sup_individual"):
             assert getattr(rep, stat) == pytest.approx(getattr(ref, stat),
                                                        rel=1e-9)
@@ -214,7 +223,7 @@ def test_pinned_statistics_basis_invariant(n):
         # rather than pinned again
         for seed in (1, 2):
             with pytest.raises(DegeneracyError, match="n=8: a flagged block"):
-                moment_sweep(n, _rotated(dec, seed), grid, seed=7)
+                moment_sweep(_rotated(dec, seed), grid, seed=7)
 
 
 @pytest.mark.parametrize("n", (4, 6, 8))
@@ -235,7 +244,7 @@ def test_pinned_basis_spans_each_block(n):
 
 def test_family_sup_is_sum_of_squared_dimensions():
     dec = decompose(8, primes=(3, 5))
-    rep = moment_sweep(8, dec, sphere_grid(200, seed=7), seed=7)
+    rep = moment_sweep(dec, sphere_grid(200, seed=7), seed=7)
     dims = [sp.multiplicity for sp in dec.spaces if sp.t1_flag]
     assert rep.sup_family == sum(d * d for d in dims)
 
@@ -249,7 +258,7 @@ def test_unsplit_block_raises():
                         basis=np.hstack([sp.basis for sp in flagged]))
     bad = dataclasses.replace(dec, spaces=(merged,))
     with pytest.raises(DegeneracyError, match="flagged block of dim W = 3"):
-        moment_sweep(8, bad, sphere_grid(20, seed=7))
+        moment_sweep(bad, sphere_grid(20, seed=7))
 
 
 def test_dense_oracle_unsplit_block_raises():
@@ -309,7 +318,7 @@ def grid7():
 
 @pytest.mark.parametrize("n", (2, 6, 10, 16, 24))
 def test_moments_match_dense_oracle(n, grid7):
-    rep = moment_sweep(n, decompose(n, primes=(3, 5)), grid7, seed=7)
+    rep = moment_sweep(decompose(n, primes=(3, 5)), grid7, seed=7)
     ref = dense_oracle.moment_sweep(
         n, dense_oracle.decompose(n, primes=(3, 5)), grid7, seed=7)
     assert rep.sup_family == ref.sup_family

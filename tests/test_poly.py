@@ -7,13 +7,14 @@ import pytest
 
 from hecke_sphere import poly
 from hecke_sphere.poly import (
-    _sym_power_entries, basis_to_json, basis_values, harmonic_basis,
-    sym_power_values,
+    _sym_power_entries, basis_to_json, basis_values, complete_columns,
+    harmonic_basis, sym_power_values,
 )
 from hecke_sphere.quat import Quaternion
 from poly_oracle import (
-    Poly4, basis_polys, fischer_dot, gram_diagonal, monomial_sphere_integral,
-    sphere_integral, sphere_to_fischer_ratio, substitute_left_mul,
+    Poly4, basis_polys, fischer_dot, full_columns, gram_diagonal,
+    monomial_sphere_integral, sphere_integral, sphere_to_fischer_ratio,
+    substitute_left_mul,
 )
 
 
@@ -156,23 +157,30 @@ def test_basis_json_matches_oracle_polynomials(n):
     assert doc == {"n": n, "dim": (n + 1) ** 2, "polys": polys}
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8])
+@pytest.mark.parametrize("n", range(0, 13))
 def test_sym_power_entries_match_batched_values(n):
     # the symbolic entries against the batched evaluator, exactly, at
     # integer points; a nonzero difference of degree n vanishes at a random
-    # point with probability at most n / 201 (Schwartz-Zippel)
+    # point with probability at most n / 201 (Schwartz-Zippel).  The
+    # evaluator returns the columns a <= n/2, and both the package's
+    # ``complete_columns`` and the oracle's entrywise ``full_columns`` give
+    # every other column, real and imaginary part
     table = _sym_power_entries(n)
     rng = np.random.default_rng(n)
     pts = rng.integers(-100, 101, size=(12, 4)).tolist()
-    T = sym_power_values(np.array(pts, dtype=object), n)
-    for a in range(n + 1):
-        for b in range(n + 1):
-            for part in (0, 1):
-                f = Poly4(n, table[a][b][part])
-                assert [f.evaluate(x) for x in pts] == T[part, b, a].tolist()
-    # the leading columns alone, as the eigenfunction evaluator takes them
-    half = sym_power_values(np.array(pts, dtype=object), n, cols=n // 2 + 1)
-    assert np.array_equal(half, T[:, :, :n // 2 + 1])
+    half = sym_power_values(np.array(pts, dtype=object), n)
+    assert half.shape == (2, n + 1, n // 2 + 1, 12)
+    # the [b, a] axes last; an imaginary part takes the opposite sign in
+    # the completed columns
+    done = complete_columns(np.moveaxis(half, -1, 1), n)
+    done[1, ..., n // 2 + 1:] *= -1
+    for T in (np.moveaxis(done, 1, -1), full_columns(half, n)):
+        assert T.shape == (2, n + 1, n + 1, 12)
+        for a in range(n + 1):
+            for b in range(n + 1):
+                for part in (0, 1):
+                    f = Poly4(n, table[a][b][part])
+                    assert [f.evaluate(x) for x in pts] == T[part, b, a].tolist()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6])
@@ -185,14 +193,14 @@ def test_sym_power_multiplicative(n):
                  for _ in range(2))
         pts = np.array([m.int_coords, mp.int_coords, (m * mp).int_coords],
                        dtype=object)
-        T = sym_power_values(pts, n)
+        T = full_columns(sym_power_values(pts, n), n)
         assert T.shape == (2, n + 1, n + 1, 3)
         (re, im) = (np.moveaxis(T[part], -1, 0) for part in (0, 1))
         prod_re = re[0] @ re[1] - im[0] @ im[1]
         prod_im = re[0] @ im[1] + im[0] @ re[1]
         assert np.all(prod_re == re[2]) and np.all(prod_im == im[2])
     one = np.array([[1, 0, 0, 0]], dtype=object)
-    T = sym_power_values(one, n)
+    T = full_columns(sym_power_values(one, n), n)
     assert np.all(T[0, :, :, 0] == np.eye(n + 1, dtype=int))
     assert not np.any(T[1, :, :, 0])
 
@@ -223,15 +231,18 @@ def _unitary(exact, n):
 @pytest.mark.parametrize("n", range(0, 25))
 def test_complex_path_matches_exact_path(n):
     # float points with integer coordinates against the same points as
-    # Python integers, taken to the unitary frame; each point's error is
-    # measured against its largest entry, since single entries cancel
+    # Python integers, taken to the unitary frame, on every column: the
+    # float columns a > n/2 from ``complete_columns``, the exact ones from
+    # the oracle's entrywise rule.  Each point's error is measured against
+    # its largest entry, since single entries cancel
     pts = np.random.default_rng(n).integers(-100, 101, size=(12, 4))
-    cols = n // 2 + 1
-    exact = sym_power_values(pts.astype(object), n, cols=cols)
-    T = sym_power_values(pts.astype(float), n, cols=cols)
-    assert T.dtype == np.complex128 and T.shape == (n + 1, cols, 12)
-    ref = _unitary(exact, n)
-    err = np.abs(T - ref).max(axis=(0, 1))
+    exact = sym_power_values(pts.astype(object), n)
+    T = sym_power_values(pts.astype(float), n)
+    assert T.dtype == np.complex128 and T.shape == (n + 1, n // 2 + 1, 12)
+    D = np.moveaxis(complete_columns(np.moveaxis(T, -1, 0), n), 0, -1)
+    ref = _unitary(full_columns(exact, n), n)
+    assert D.shape == ref.shape == (n + 1, n + 1, 12)
+    err = np.abs(D - ref).max(axis=(0, 1))
     assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
 
 
@@ -239,7 +250,7 @@ def test_complex_path_matches_exact_path(n):
 def test_complex_path_matches_exact_path_on_axes(n):
     # points with z = 0 or w = 0, where the factorisation sets U = 1 or
     # V = 1, the coordinate axes, the origin and generic integer points,
-    # all columns; the error is measured as in the test above
+    # the columns a <= n/2; the error is measured as in the test above
     rng = np.random.default_rng(1000 + n)
     pts = rng.integers(-100, 101, size=(16, 4))
     pts[:4, :2] = 0
@@ -289,7 +300,7 @@ def test_complex_path_calls_no_transcendental_function(monkeypatch):
     for name in ("arctan2", "cos", "sin", "exp", "log"):
         monkeypatch.setattr(np, name, forbidden)
     for n in (0, 1, 12, 25):
-        sym_power_values(_unit_points(4, n), n, cols=n // 2 + 1)
+        sym_power_values(_unit_points(4, n), n)
 
 
 @pytest.fixture
@@ -300,11 +311,17 @@ def fresh_fourier_cache():
     poly._fourier_matrix.cache_clear()
 
 
+def _complete(T, n):
+    """Float values [b, a, p] of the columns a <= n/2 completed by
+    ``complete_columns``, indexed [p, b, a]."""
+    return complete_columns(np.moveaxis(T, -1, 0), n)
+
+
 @pytest.mark.parametrize("n", [128, 256])
 def test_complex_path_unitary_at_high_degree(n, fresh_fourier_cache):
-    # the float values D are unitary at unit points; the monomial-basis
-    # products reached |D D^H - I| = 4e4 at n = 128
-    D = np.moveaxis(sym_power_values(_unit_points(3, n), n), -1, 0)
+    # the float values D, completed, are unitary at unit points; the
+    # monomial-basis products reached |D D^H - I| = 4e4 at n = 128
+    D = _complete(sym_power_values(_unit_points(3, n), n), n)
     err = np.abs(D @ D.conj().transpose(0, 2, 1) - np.eye(n + 1)).max()
     assert err < 1e-12
 
@@ -329,8 +346,8 @@ def test_model_factors_match_exact_path(n):
     # V = D((1 + k) / sqrt 2) is read-only and symmetric, each entry has
     # the signs of the exact entry t = T(1 + k)[b, a], of which one part is
     # 0, and its modulus is within 1 ulp of sqrt(|t|^2 C(n, a) / (C(n, b) 2^n))
-    E = poly._exact_values(np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object),
-                           n, n + 1)
+    E = full_columns(poly._exact_values(
+        np.array([[1, 0, 0, 1], [1, 0, 0, -1]], dtype=object), n), n)
     re, im = _model_t1k(n)
     assert np.array_equal(E[0, ..., 0], re) and np.array_equal(E[1, ..., 0], im)
     assert np.array_equal(E[0, ..., 1], re) and np.array_equal(E[1, ..., 1], -im)
@@ -352,7 +369,7 @@ def test_model_factors_match_exact_path(n):
 def test_fourier_matrix_matches_exact_path(n):
     # d(theta) = delta + M @ [cos ms theta - 1, sin ms theta] against the
     # exact T(p) / |p|^n, in the unitary frame, at p = (x1, 0, x3, 0) with
-    # |p| an integer
+    # |p| an integer, in the columns a <= n/2 that M holds
     pts = np.array([[5, 0, 0, 0], [3, 0, 4, 0], [5, 0, 12, 0], [8, 0, -15, 0],
                     [0, 0, 1, 0]])
     radii = np.array([5, 5, 13, 17, 1])
@@ -360,20 +377,16 @@ def test_fourier_matrix_matches_exact_path(n):
     assert not np.any(exact[1])
     ref = _unitary(exact, n).real / radii.astype(float) ** n
     theta = np.arctan2(pts[:, 2], pts[:, 0])
-    full, ms = poly._fourier_matrix(n, n + 1)
+    cols = n // 2 + 1
+    M, ms = poly._fourier_matrix(n)
     assert np.array_equal(ms, np.arange(2 - n % 2, n + 1, 2))
-    for cols in (n // 2 + 1, n + 1):
-        M, _ = poly._fourier_matrix(n, cols)
-        assert M.shape == ((n + 1) * cols, 2 * len(ms)) and not M.flags.writeable
-        # the rows of the first cols columns of the full matrix, bit for bit
-        lead = full.reshape(n + 1, n + 1, -1)[:, :cols]
-        assert np.array_equal(M, lead.reshape(M.shape))
-        trig = np.concatenate([np.cos(np.outer(ms, theta)) - 1.0,
-                               np.sin(np.outer(ms, theta))])
-        d = (M @ trig).reshape(n + 1, cols, len(pts))
-        d[np.arange(cols), np.arange(cols)] += 1.0
-        err = np.abs(d - ref[:, :cols]).max(axis=(0, 1))
-        assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
+    assert M.shape == ((n + 1) * cols, 2 * len(ms)) and not M.flags.writeable
+    trig = np.concatenate([np.cos(np.outer(ms, theta)) - 1.0,
+                           np.sin(np.outer(ms, theta))])
+    d = (M @ trig).reshape(n + 1, cols, len(pts))
+    d[np.arange(cols), np.arange(cols)] += 1.0
+    err = np.abs(d - ref).max(axis=(0, 1))
+    assert np.all(err <= 1e-12 * np.abs(ref).max(axis=(0, 1)))
 
 
 def test_model_integers_unitary_at_degree_96():
@@ -402,12 +415,13 @@ def test_model_integers_match_krawtchouk_sums_at_degree_512():
 
 @pytest.mark.parametrize("n", [0, 1, 2, 7, 12, 24])
 def test_complex_path_identity_and_multiplicative(n):
-    D = sym_power_values(np.array([[1.0, 0.0, 0.0, 0.0]]), n)
-    assert np.array_equal(D[..., 0], np.eye(n + 1))
+    # D(1) = I after completion, bit for bit
+    D = _complete(sym_power_values(np.array([[1.0, 0.0, 0.0, 0.0]]), n), n)[0]
+    assert D.tobytes() == np.eye(n + 1, dtype=complex).tobytes()
     # D(xy) = D(x) D(y) at unit points, where every D is unitary: entries
     # stay at most 1
     x, y = _unit_points(6, n), _unit_points(6, n + 100)
-    Dx, Dy, Dxy = (np.moveaxis(sym_power_values(p, n), -1, 0)
+    Dx, Dy, Dxy = (_complete(sym_power_values(p, n), n)
                    for p in (x, y, _hamilton(x, y)))
     err = np.abs(Dx @ Dy - Dxy)
     assert err.max() < 1e-12 * (n + 1)
@@ -419,7 +433,7 @@ def test_basis_values_match_exact_entries(n):
     # values are the exact entries over the contents
     hb = harmonic_basis(n)
     pts = np.random.default_rng(n).integers(-9, 10, size=(8, 4))
-    exact = sym_power_values(pts.astype(object), n)
+    exact = full_columns(sym_power_values(pts.astype(object), n), n)
     b, a, part = np.array(hb.labels, dtype=np.intp).T
     contents = np.array(hb.contents, dtype=object)[:, None]
     assert not np.any(exact[part, b, a] % contents)
