@@ -19,13 +19,13 @@ Every shell is a disjoint union of eight-point left-unit orbits {u m}, and
 T(u m) = T(u) T(m), so S_N = S_1 R_N: R_N sums T over one point per orbit
 and S_1 over the eight units.  ``shell_monomial_matrices`` forms the exact
 S_N, and ``_float_shell_sums`` the float D_N (below) from the unit points
-m / sqrt N, each for a set of N from one join and through one block loop,
-``_run_sums``.  Both sum the columns a <= n/2 that ``sym_power_values``
-returns: the conjugation rule holds point by point, so for every sum, and
-``complete_columns`` fills in the rest of S_1 and S_N (of D_1 and D_N),
-S_1 before the product, which reads every column of S_1.  The exact layer
-is the one place where integers live, in the integer frame of T; the
-exact S_N are the oracle:
+m / sqrt N, each for a set of N from one join (m in Z^4) and through one
+block loop, ``_run_sums``, sized by ``SHELL_BLOCK``.  Both sum the columns
+a <= n/2 that ``sym_power_values`` returns: the conjugation rule holds
+point by point, so for every sum, and ``complete_columns`` fills in the
+rest of S_1 and S_N (of D_1 and D_N), S_1 before the product, which reads
+every column of S_1.  The exact layer is the one place where integers
+live, in the integer frame of T; the exact S_N are the oracle:
 ``hecke_relations_check`` (all products S_a S_b in one stacked product),
 ``selfadjoint_check`` and ``t1_vanishing`` read them.  ``decompose``
 diagonalises the primes in turn on each class of left u (``unit_classes``),
@@ -106,7 +106,7 @@ UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
          (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1))
 
 #: ``_orbit_mask`` is exact in int64 for coordinates of modulus below
-#: this, so on the doubled coordinates of every shell of norm N < 2^28
+#: this, so on the Z^4 coordinates of every shell of norm N < 2^30
 ORBIT_KEY_COORD = 2 ** 15
 
 
@@ -141,14 +141,14 @@ def _orbit_mask(coords, r: int) -> np.ndarray:
 def _orbit_representatives(n: int, Ns):
     """(reps, counts): one point per left-unit orbit of each norm-N shell.
 
-    ``reps`` holds the doubled coordinates of the orbit representatives
+    ``reps`` holds the Z^4 coordinates of the orbit representatives
     (``_orbit_mask``) of the shells of ``Ns`` from one ``_shell_join``,
     concatenated in the order of ``Ns``, and ``counts`` their number per
     shell.  A shell that is not a union of whole orbits, |shell| != 8
     #reps, raises ``ArithmeticError`` naming n and N.
     """
     coords, sizes = _shell_join(Ns, "integral")
-    keep = _orbit_mask(coords, 2 * isqrt(max(Ns)))
+    keep = _orbit_mask(coords, isqrt(max(Ns)))
     shell = np.repeat(np.arange(len(Ns)), sizes)
     counts = np.bincount(shell[keep], minlength=len(Ns))
     for N, size, count in zip(Ns, sizes.tolist(), counts.tolist()):
@@ -163,19 +163,21 @@ def _orbit_representatives(n: int, Ns):
 _SHELL_SUMS: dict = {}
 
 
-def _run_sums(pts, n: int, sizes, step: int) -> np.ndarray:
+def _run_sums(pts, n: int, sizes) -> np.ndarray:
     """Sum of ``sym_power_values(pts, n)`` over each run of ``pts``.
 
     ``pts`` is cut into consecutive runs of ``sizes`` points; the result
     has one entry per run, of the shape and dtype of the values of a point.
-    The values are taken on blocks of at most ``step`` points that hold
-    whole runs, in order.  A run longer than ``step`` starts a block and is
+    The values are taken in order on blocks of whole runs, of at most
+    ``step`` points: the most whose (n+1)(n/2+1) entries each fit in
+    ``SHELL_BLOCK``, and at least one.  A longer run starts a block and is
     cut at multiples of ``step`` from its own start; its last piece starts
     the block that the next runs join.  So a run is cut where it would be
     alone, and its float sum does not depend on the runs summed with it.
     One ``np.add.reduceat`` sums the pieces of the runs inside a block, and
     each piece is added to its run's total in order.
     """
+    step = max(1, SHELL_BLOCK // ((n + 1) * (n // 2 + 1)))
     starts, end = [0], 0
     for size in sizes:
         end += size
@@ -208,13 +210,13 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
     Each shell is a disjoint union of left-unit orbits {u m}, and
     T(u m) = T(u) T(m), so S_N = S_1 R_N with R_N the sum of T over one
     point per orbit (``_orbit_representatives``) and S_1 = sum_u T(u).
-    ``_run_sums`` takes the eight units and the representatives of every
-    shell within the int64 bound below in int64, in the columns a <= n/2,
-    on blocks of ``SHELL_BLOCK`` entries of T, the loop of
-    ``_float_shell_sums``.  A shell above the bound is one object-array
-    pass of its own.  S_1 is real, since the units are closed under the
-    conjugation x -> x' of the module docstring, and S_1 = 0 at odd n,
-    where T(-u) = -T(u); ``complete_columns`` gives all of its columns.
+    ``_run_sums``, the loop of ``_float_shell_sums``, takes the eight units
+    and the representatives of every shell within the int64 bound below in
+    int64, in the columns a <= n/2; a shell above the bound is one
+    ``sym_power_values`` pass on Python integers, summed at once.  S_1 is
+    real, since the units are closed under the conjugation x -> x' of the
+    module docstring, and S_1 = 0 at odd n, where T(-u) = -T(u);
+    ``complete_columns`` gives all of its columns.
     So S_1 Im R_N is zero; it is formed on the columns a <= n/2, whose
     conjugates are the rest, and a sum where it is not raises
     ``ArithmeticError`` and caches nothing.  S_N = S_1 Re R_N is formed
@@ -245,17 +247,16 @@ def shell_monomial_matrices(n: int, Ns) -> tuple:
     todo = sorted({N for N in Ns if (n, N) not in _SHELL_SUMS})
     if todo:
         reps, counts = _orbit_representatives(n, todo)
-        shells = np.split(reps // 2, np.cumsum(counts)[:-1])
+        shells = np.split(reps, np.cumsum(counts)[:-1])
         exact = [_int64_exact(n, N, 8 * len(s)) for N, s in zip(todo, shells)]
         small = [s for s, e in zip(shells, exact) if e]
         # run 0 is the units, exact in int64 at any n (below)
         R = iter(_run_sums(
             np.concatenate([np.array(UNITS, dtype=np.int64)] + small), n,
-            [len(UNITS)] + [len(s) for s in small],
-            max(1, SHELL_BLOCK // ((n + 1) * (n // 2 + 1)))))
+            [len(UNITS)] + [len(s) for s in small]))
         S1 = complete_columns(next(R)[0], n)
         totals = [S1 @ (next(R) if e else
-                        _run_sums(s.astype(object), n, [len(s)], len(s))[0])
+                        sym_power_values(s.astype(object), n).sum(axis=-1))
                   for s, e in zip(shells, exact)]
         for N, total in zip(todo, totals):
             if np.any(total[1]):
@@ -501,21 +502,18 @@ def _float_shell_sums(n: int, Ns):
     D(m / sqrt N) over one point m per left-unit orbit of the shells not
     yet cached (one ``_shell_join``), and D_1 the sum of D over the eight
     units, each completed by ``complete_columns`` from its columns
-    a <= n/2.  ``_run_sums`` takes the float ``sym_power_values`` of the
-    units and of the unit points m / sqrt N of the representatives on
-    blocks of at most ``SHELL_BLOCK`` entries of D that hold whole shells,
-    a longer shell cut where it would be cut alone, so a cached sum does
-    not depend on which shells were summed with it.  Cached per (n, N).
+    a <= n/2.  ``_run_sums`` sums the units and the unit points m / sqrt N
+    of the representatives, a shell cut where it would be cut alone, so a
+    cached sum does not depend on the shells summed with it.  Cached per
+    (n, N).
     """
     Ns = [int(N) for N in Ns]
     todo = sorted({N for N in Ns if (n, N) not in _FLOAT_SUMS})
     if todo:
         reps, counts = _orbit_representatives(n, todo)
-        # the doubled coordinates 2 m of norm 4 N, divided by 2 sqrt N
         pts = np.concatenate(
-            [UNITS, reps / np.repeat(2.0 * np.sqrt(todo), counts)[:, None]])
-        R = _run_sums(pts, n, [len(UNITS)] + counts.tolist(),
-                      max(1, SHELL_BLOCK // ((n + 1) * (n // 2 + 1))))
+            [UNITS, reps / np.repeat(np.sqrt(todo), counts)[:, None]])
+        R = _run_sums(pts, n, [len(UNITS)] + counts.tolist())
         sums = complete_columns(complete_columns(R[0], n) @ R[1:], n)
         sums.setflags(write=False)
         for N, S, count in zip(todo, sums, counts.tolist()):

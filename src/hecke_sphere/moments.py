@@ -15,13 +15,12 @@ coordinates, with row vector v in the unitary frame D(x) of ``poly``, the
 g_a = sqrt(n + 1) sum_b v_b D_{ba} are orthonormal and
 conj g_a = (-1)^a g_{n-a}, so sqrt 2 Re g_a and sqrt 2 Im g_a for a < n/2,
 with g_{n/2} (real for even n/2, imaginary for odd), are n + 1 real
-orthonormal eigenfunctions.  ``_products`` takes the complex values of
-``sym_power_values``, which are those of the columns a <= n/2, with no
-completion, and contracts the complex row
-vectors against their row label in one complex matrix product, O(n^3) work
-per point for the whole eigenbasis.  ``eigen_values`` reads the real and
-imaginary parts of that product as a view, without a copy, and the sweep
-sums its statistics on the float view of the product itself.  A sweep
+orthonormal eigenfunctions.  ``_products`` contracts the row vectors with
+``sym_power_values`` (the columns a <= n/2) in one complex matrix product,
+O(n^3) work per point for the whole eigenbasis, and applies the weights
+sqrt(2 (n + 1)), sqrt(n + 1) at a = n/2, and the zero there in place.
+``eigen_values`` reads its real and imaginary parts as a view, and the
+sweep sums its statistics on the float view of the product.  A sweep
 checks that the closure sums (below) stay within ``CLOSURE_TOL`` of
 (n + 1)^2.  The float values D(x) of ``sym_power_values`` are unitary to
 roundoff (a deviation of about 1.5e-13 at n = 128 and 3e-13 at n = 256 over
@@ -55,6 +54,9 @@ CHUNK = 256
 
 #: the largest relative deviation of the closure sums that a sweep accepts
 CLOSURE_TOL = 1e-7
+
+#: rounds of the coordinate ascent that refines the best grid point
+REFINE_STEPS = 20
 
 
 class ClosureError(ArithmeticError):
@@ -99,14 +101,16 @@ def _weights(n: int) -> np.ndarray:
 
 
 def _products(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """sum_b v_b D_{ba} for every column v of R, complex (k, n/2 + 1, #pts).
-
-    One product of the row vectors with the values of ``sym_power_values``,
-    the columns a <= n/2; the result is contiguous.
+    """w_a sum_b v_b D_{ba} (``_weights``) for every column v of R, complex
+    (k, n/2 + 1, #pts), contiguous, its vanishing part at a = n/2 set to 0.
     """
     h = n // 2
     T = sym_power_values(np.asarray(pts, dtype=float), n)
     G = (row_basis(n) @ R).T @ T.reshape(n + 1, -1)
+    # the float view interleaves the real and imaginary part of each point
+    F = G.view(float).reshape(R.shape[1], h + 1, 2 * len(pts))
+    F[:, h, (h + 1) % 2::2] = 0.0
+    F *= _weights(n)[:, None]
     return G.reshape(R.shape[1], h + 1, len(pts))
 
 
@@ -119,12 +123,8 @@ def eigen_values(n: int, R: np.ndarray, pts: np.ndarray) -> np.ndarray:
     The result is a view of the complex ``_products`` with its real and
     imaginary parts as the leading axis.
     """
-    h = n // 2
     G = _products(n, R, pts)
-    F = np.moveaxis(G.view(float).reshape(G.shape + (2,)), -1, 0)
-    F *= _weights(n)[:, None]
-    F[(h + 1) % 2, :, h] = 0.0
-    return F
+    return np.moveaxis(G.view(float).reshape(G.shape + (2,)), -1, 0)
 
 
 def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
@@ -135,14 +135,11 @@ def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
     values of ``eigen_values`` without its copy-free transpose.
     """
     h = n // 2
-    w = _weights(n)[:, None]
     fourth = np.empty(len(pts))
     closure = np.empty(len(pts))
     sup_ind = 0.0
     for i in range(0, len(pts), CHUNK):
         G = _products(n, R, pts[i:i + CHUNK]).view(float)
-        G[:, h, (h + 1) % 2::2] = 0.0
-        G *= w
         sq = np.square(G, out=G).reshape(-1, G.shape[-1])
         s = sq.sum(axis=0)
         closure[i:i + CHUNK] = s[0::2] + s[1::2]
@@ -153,7 +150,7 @@ def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
     return fourth, closure, sup_ind
 
 
-def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int = 20):
+def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int):
     """Coordinate ascent of the plain fourth moment of R's functions from x.
 
     Each of the ``steps`` rounds tries the eight moves of the current step
@@ -183,12 +180,13 @@ def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int = 20):
 
 
 def moment_sweep(dec: SpectralDecomposition, grid: np.ndarray,
-                 seed: int = 0, refine_steps: int = 20) -> MomentReport:
+                 seed: int = 0) -> MomentReport:
     """Moment statistics at the degree n = ``dec.n`` on a grid.
 
     ``sup_family`` is exact, the sum over flagged blocks of their squared
-    dimensions; ``sup_fourth`` is the grid sup refined by coordinate ascent
-    from the best grid point; ``sup_individual`` is the grid sup.  Raises
+    dimensions; ``sup_fourth`` is the grid sup refined by ``REFINE_STEPS``
+    rounds of coordinate ascent from the best grid point; ``sup_individual``
+    is the grid sup.  Raises
     ``DegeneracyError`` unless each flagged column lies in one class of
     ``unit_classes`` (to 1e-10 of its norm), no two of a block in one, and
     ``ClosureError`` when ``closure_error`` is not below ``CLOSURE_TOL``.
@@ -216,7 +214,7 @@ def moment_sweep(dec: SpectralDecomposition, grid: np.ndarray,
         raise ClosureError(f"closure error {closure_err:.2e} at n={n} is "
                            f"not below {CLOSURE_TOL:g}")
     j = int(np.argmax(fourth))
-    fourth_val = _ascend(n, R[:, :k], grid[j], refine_steps)
+    fourth_val = _ascend(n, R[:, :k], grid[j], REFINE_STEPS)
     return MomentReport(
         n=n, grid_size=grid.shape[0], seed=seed,
         sup_family=float(sum(((n + 1) * basis.shape[1]) ** 2

@@ -7,11 +7,12 @@ B(Z) (all coordinates integral) and the shifted coset B(Z) + (1+i+j+k)/2
 Norm shells are joined from one cached table of two-square pairs per
 parity: a first pair (c1, c2) and a completing pair (c3, c4) from the
 bucket of the remaining norm, both walked in lexicographic order, so every
-shell comes out sorted without a sort.  One index step serves two
-gathers with equal results: the coordinates of every member, and their
-projection c . v onto one vector, which never forms the coordinates.  The
-m1 profiles of many shells come from one pass over the (k, c1) pairs
-against the r3 count tables.
+shell comes out sorted without a sort, in its own coordinates (integral
+shells in Z^4, coset shells doubled; ``enumerate_shell`` doubles the
+integral ones).  One index step serves two gathers with equal results: the
+coordinates of every member, and their projection c . v onto one vector,
+which never forms the coordinates.  The m1 profiles of many shells come
+from one pass over the (k, c1) pairs against the r3 count tables.
 """
 
 from __future__ import annotations
@@ -210,8 +211,7 @@ def _join_index(ks, parity: str):
     ``first`` (indices into ``lex``, in the order of ``ks`` and then of
     ``lex``) with ``cnt``, the size of each one's completing bucket, the
     completions ``right`` (indices into ``by_norm``, one per shell
-    member), the size of each shell, and whether the members are read on
-    true integral coordinates, to be doubled.
+    member) and the size of each shell.
 
     A member is a first pair (c1, c2) of norm v <= S followed by a pair
     (c3, c4) from the two-square bucket of norm S - v, with S = k on true
@@ -232,34 +232,29 @@ def _join_index(ks, parity: str):
     right = np.repeat(lo - ends + cnt, cnt) + np.arange(int(cnt.sum()))
     bounds = np.searchsorted(shell, np.arange(len(S) + 1))
     sizes = np.diff(np.concatenate(([0], ends))[bounds])
-    return lex, by_norm, first, cnt, right, sizes, not start
+    return lex, by_norm, first, cnt, right, sizes
 
 
 def _shell_join(ks, parity: str):
-    """Doubled coordinates of the norm-k shells of one parity for every k in
-    ``ks``, concatenated in the order of ``ks``, and the size of each shell:
-    the coordinate gather over ``_join_index``."""
-    lex, by_norm, first, cnt, right, sizes, double = _join_index(ks, parity)
+    """Own coordinates (module docstring) of the norm-k shells of one parity
+    for every k in ``ks``, concatenated in the order of ``ks``, and the size
+    of each shell: the coordinate gather over ``_join_index``."""
+    lex, by_norm, first, cnt, right, sizes = _join_index(ks, parity)
     coords = np.empty((len(right), 4), dtype=np.int64)
     coords[:, :2] = lex[np.repeat(first, cnt)]
     coords[:, 2:] = by_norm[right]
-    if double:
-        coords *= 2
     return coords, sizes
 
 
 def _shell_projection(ks, parity: str, v):
-    """c . v over the doubled coordinates c of the same shells, in the same
-    order, and the size of each shell: the projection gather over
+    """c . v over the coordinates c of ``_shell_join(ks, parity)``, in the
+    same order, and the size of each shell: the projection gather over
     ``_join_index``.  It equals ``_shell_join(ks, parity)[0] @ v`` entry
     for entry (int64 arithmetic is a ring, wrapped or not), but projects
     each pair table once and never forms the N x 4 coordinates."""
-    lex, by_norm, first, cnt, right, sizes, double = _join_index(ks, parity)
+    lex, by_norm, first, cnt, right, sizes = _join_index(ks, parity)
     v = np.asarray(v, dtype=np.int64)
-    proj = np.repeat((lex @ v[:2])[first], cnt) + (by_norm @ v[2:])[right]
-    if double:
-        proj *= 2
-    return proj, sizes
+    return np.repeat((lex @ v[:2])[first], cnt) + (by_norm @ v[2:])[right], sizes
 
 
 @dataclass(frozen=True)
@@ -286,6 +281,8 @@ class NormShell:
 def enumerate_shell(k: int, parity: str = INTEGRAL) -> NormShell:
     """Complete, duplicate-free, lexicographically sorted norm-k shell."""
     coords, _ = _shell_join([k], parity)
+    if parity == INTEGRAL:
+        coords *= 2
     coords.setflags(write=False)
     return NormShell(k, parity, coords)
 

@@ -18,8 +18,9 @@ back per trace and summed per k over its own slice, and one recurrence
 over the same distinct pairs.  The recurrence runs on int64 while every
 term fits, 2n (4 N_x N_y k)^(n/2) < 2^63, and on Python integers above;
 the per-k sums of counts times W_n move to Python integers on their own
-when the number of traces times that bound does not fit.
-The Petersson strips are batched per degree over one cached profile table.
+when the number of traces times that bound does not fit; a coefficient
+outside the float range is refused, naming n and k.  The Petersson strips
+(K = 10n by default) are batched per degree over one cached profile table.
 """
 
 from __future__ import annotations
@@ -50,11 +51,8 @@ def _block_traces(ks: list, qx: Quaternion, qy: Quaternion):
     ``ks``, concatenated in the order of ``ks`` and of each shell, as exact
     integers, and the size of each shell."""
     w = qx * qy.conjugate()
-    # tr(m w) = (c(m) . (w1, -w2, -w3, -w4)) / 2 in doubled coordinates
-    prod, sizes = _shell_projection(ks, "integral",
-                                    (w.c1, -w.c2, -w.c3, -w.c4))
-    assert not np.any(prod & 1)
-    return prod // 2, sizes
+    # tr(m w) = m . (w1, -w2, -w3, -w4) for m in Z^4, w in doubled coordinates
+    return _shell_projection(ks, "integral", (w.c1, -w.c2, -w.c3, -w.c4))
 
 
 #: ``_group_keys`` counts with ``np.bincount`` while a block's bins number
@@ -104,6 +102,19 @@ class ThetaCoefficient:
 THETA_BLOCK = 16
 
 
+def _as_float(n: int, k: int, value) -> float:
+    """``value()``, the degree-n coefficient at k, as a float; outside the
+    float range (inf or ``OverflowError``) ``ValueError`` names n and k."""
+    try:
+        f = float(value())
+    except OverflowError:
+        f = math.inf
+    if math.isinf(f):
+        raise ValueError(f"n = {n}: the coefficient at k = {k} lies outside "
+                         f"the float range")
+    return f
+
+
 def theta_coefficient(n: int, x, y, k: int) -> ThetaCoefficient:
     """k-th Fourier coefficient of the degree-n theta kernel at (x, y)."""
     return theta_coefficients(n, x, y, [k])[0]
@@ -141,8 +152,8 @@ def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
     denoms = np.array([2.0 * math.sqrt(float(k) * Nx * Ny) for k in ks])
     vals = chebyshev_U_vec(n, Tu / denoms[idx])[inverse]
     ends = np.cumsum(sizes).tolist()
-    fvs = [float(k) ** (n / 2) * float(np.sum(vals[e - m: e]))
-           for k, m, e in zip(ks, sizes, ends)]
+    fvs = [_as_float(n, k, lambda: float(k) ** (n / 2) * float(
+        np.sum(vals[e - m: e]))) for k, m, e in zip(ks, sizes, ends)]
 
     P = Nx * Ny
     S = isqrt(P)
@@ -173,7 +184,8 @@ def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
     for k, fv, num in zip(ks, fvs, sums):
         total = Fraction(int(num), denom)
         if total != 0:
-            rel = abs(fv - float(total)) / abs(float(total))
+            tv = _as_float(n, k, lambda: total)
+            rel = abs(fv - tv) / abs(tv)
             if rel > 1e-9:
                 raise ArithmeticError(
                     f"exact/float disagreement {rel:.2e} at n={n}, k={k}")
@@ -195,8 +207,8 @@ def spectral_coefficient(x, y, ks, dec: SpectralDecomposition) -> list:
     pair = np.einsum("jka,jka->k", F[..., 0], F[..., 1])
     lams = np.repeat(hecke_eigenvalues(dec, ks),
                      [sp.basis.shape[1] for sp in dec.spaces], axis=1)
-    return [(8.0 / (n + 1)) * float(lam @ pair) * float(k) ** (n / 2)
-            for k, lam in zip(ks, lams)]
+    return [_as_float(n, k, lambda: (8.0 / (n + 1)) * float(lam @ pair)
+                      * float(k) ** (n / 2)) for k, lam in zip(ks, lams)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +217,7 @@ def spectral_coefficient(x, y, ks, dec: SpectralDecomposition) -> list:
 
 DEFAULT_X = Quaternion(2, 4, 4, 0)  # (1+2i+2j)/3, norm 9
 DEFAULT_Y = Quaternion(2, 0, 0, 0)  # 1
-#: certified tail of ``modularity_check`` relative to |F(z)|; cli gates on it
+#: ``modularity_check`` returns once its certified relative tail is below
 TAIL_TOL = 1e-8
 
 
@@ -250,7 +262,7 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
 
     Both evaluations truncate the Fourier series at K terms, starting at
     K (64 for K = 0); K grows automatically until the certified truncation
-    tail, relative to |F(z)|, drops below ``TAIL_TOL``.
+    tail, relative to |F(z)|, drops below ``TAIL_TOL``, and returns only then.
     """
     if K < 0:
         raise ValueError(
@@ -281,14 +293,10 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
         tail = _coeff_tail_bound(n, K, ymin)
         stats = dict(exact_coefficients=len(gaps),
                      max_exact_gap=max(gaps.values(), default=0.0))
-        scale = abs(c * z + d) ** (n + 2)
-        if all(v == 0.0 for v in coeffs.values()):
-            # kernel vanishes identically up to K; residual is the tail alone
-            if tail * (1 + scale) < TAIL_TOL:
-                return ModularityResult(n=n, K=K, residual=0.0,
-                                        tail_bound=tail * (1 + scale),
-                                        value=0j, **stats)
-        else:
+        # relative to |F(z)| unless the kernel vanishes identically up to K
+        Fz, residual = 0j, 0.0
+        tail_bound = tail * (1 + abs(c * z + d) ** (n + 2))
+        if any(v != 0.0 for v in coeffs.values()):
             Fz = sum(coeffs[k] * cmath.exp(2j * math.pi * k * z)
                      for k in range(1, K + 1))
             Fgz = sum(coeffs[k] * cmath.exp(2j * math.pi * k * gz)
@@ -297,11 +305,11 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
                        for k, v in coeffs.items())
             if abs(Fz) < 1e-3 * cmax:
                 raise ValueError("test point is ill-conditioned: |F(z)| too small")
-            rel_tail = tail * (1 + scale) / abs(Fz)
-            if rel_tail < TAIL_TOL:
-                residual = abs(Fgz - (c * z + d) ** (n + 2) * Fz) / abs(Fz)
-                return ModularityResult(n=n, K=K, residual=residual,
-                                        tail_bound=rel_tail, value=Fz, **stats)
+            tail_bound /= abs(Fz)
+            residual = abs(Fgz - (c * z + d) ** (n + 2) * Fz) / abs(Fz)
+        if tail_bound < TAIL_TOL:
+            return ModularityResult(n=n, K=K, residual=residual,
+                                    tail_bound=tail_bound, value=Fz, **stats)
         if K >= 4096:
             raise ValueError(f"tail bound not certified by K=4096")
         K *= 2
@@ -361,7 +369,7 @@ def _logsumexp(v: np.ndarray) -> float:
     return float(m + np.log(np.sum(np.exp(v - m))))
 
 
-def petersson_estimate(n: int, K: int) -> PeterssonEstimate:
+def petersson_estimate(n: int, K: int = 0) -> PeterssonEstimate:
     """Truncated strip-integral estimate of the normalised kernel norm.
 
     rho(n) = (4 pi)^n / Gamma(n+2) * 2^(-n-1) * (I1 + I2), where I1 sums
@@ -369,9 +377,10 @@ def petersson_estimate(n: int, K: int) -> PeterssonEstimate:
     is the analogous coset sum over odd k.  Both strips share the same
     exponential scale: the half-frequency expansions e(kz/2) still have
     squared modulus e^(-2 pi k y).  All magnitudes are handled in log space,
-    in float64.  The (frozen) result is cached per (n, K), however passed.
+    in float64.  K = 0 is the default cutoff K = 10n.  The (frozen) result
+    is cached per (n, K), however passed, with K = 0 resolved first.
     """
-    return _petersson_estimate(n, K)
+    return _petersson_estimate(n, K or 10 * n)
 
 
 @lru_cache(maxsize=None)

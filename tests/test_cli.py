@@ -208,6 +208,17 @@ def test_petersson_rerun_byte_identical(tmp_path, fresh_petersson_cache):
     assert (tmp_path / "petersson.csv").read_bytes() == first
 
 
+def test_report_reads_the_estimates_petersson_cached(tmp_path,
+                                                     fresh_petersson_cache):
+    # both leave the cutoff to petersson_estimate, which resolves K = 10n
+    # before its cache: report computes no estimate of its own
+    assert run(tmp_path, "petersson", "--n-range", "8:32:8") == 0
+    before = theta._petersson_estimate.cache_info()
+    assert run(tmp_path, "report", "--n-range", "8:32:8") == 0
+    after = theta._petersson_estimate.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (4, 0)
+
+
 def test_moments_rerun_byte_identical(tmp_path):
     args = ("moments", "--n", "4", "--grid", "200", "--seed", "7")
     assert run(tmp_path, *args) == 0
@@ -405,6 +416,26 @@ def test_flags_are_refused_before_any_eigensolve(tmp_path, capsys,
     monkeypatch.setattr(hecke, "decompose", unreachable)
     assert run(tmp_path, *argv) == 1
     assert capsys.readouterr().err == f"hecke-sphere {argv[0]}: {want}\n"
+
+
+@pytest.mark.parametrize("argv,k", [
+    (("modularity", "--n", "256"), 243),
+    (("theta-identity", "--n", "512", "--cutoff", "40"), 16)])
+def test_float_overflow_is_refused_with_one_line(tmp_path, capsys,
+                                                 monkeypatch, argv, k):
+    # k^(n/2) times the shell sum leaves the float range at k = 243 for
+    # n = 256, which modularity reaches as K doubles past 128, and k^(n/2)
+    # itself at k = 16 for n = 512; theta-identity builds the theta side
+    # first, so it refuses before any eigensolve
+    def unreachable(*args, **kwargs):
+        raise AssertionError("decompose ran before the refusal")
+
+    monkeypatch.setattr(hecke, "decompose", unreachable)
+    assert run(tmp_path, *argv) == 1
+    assert capsys.readouterr().err == (
+        f"hecke-sphere {argv[0]}: n = {argv[2]}: the coefficient at k = {k} "
+        f"lies outside the float range\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_reuses_one_parser_with_fresh_namespaces(tmp_path):

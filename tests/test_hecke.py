@@ -270,8 +270,8 @@ def test_shell_sums_refuse_an_imaginary_part(monkeypatch):
 
     def drop_an_orbit(ks, parity):
         coords, sizes = join(ks, parity)
-        m = Quaternion(*map(int, coords[0]))
-        orbit = {(q.c1, q.c2, q.c3, q.c4) for q in (u * m for u in UNITS)}
+        m = Quaternion.from_int_coords(*map(int, coords[0]))
+        orbit = {(u * m).int_coords for u in UNITS}
         keep = [tuple(c) not in orbit for c in coords.tolist()]
         sizes = sizes.copy()
         sizes[0] -= 8
@@ -306,8 +306,9 @@ def test_shells_are_unions_of_orbits():
     # every shell with N <= 200 is a disjoint union of eight-point left-unit
     # orbits, and the mask keeps exactly one point of each
     Ns = list(range(1, 201))
+    # the join reads the integral shells in Z^4
     coords, sizes = hecke._shell_join(Ns, "integral")
-    r = 2 * isqrt(200)
+    r = isqrt(200)
     assert np.abs(coords).max() == r
     keep = hecke._orbit_mask(coords, r)
     shell = np.repeat(Ns, sizes)
@@ -331,8 +332,8 @@ def test_shells_are_unions_of_orbits():
 
 def test_orbit_key_bound():
     # the key of _orbit_mask is at most (B^4 - 1) / 2 with B = 2r + 1, below
-    # 2^63 exactly when r < ORBIT_KEY_COORD = 2^15; the shells reach r = 2^15
-    # (doubled coordinates) at N = 2^28
+    # 2^63 exactly when r < ORBIT_KEY_COORD = 2^15; the shells, read in Z^4
+    # by the join, reach r = 2^15 at N = 2^30
     top = hecke.ORBIT_KEY_COORD
     assert ((2 * top - 1) ** 4 - 1) // 2 < 2 ** 63 <= ((2 * top + 1) ** 4 - 1) // 2
     # the orbit of a point at the bound keeps its lexicographically largest
@@ -343,7 +344,7 @@ def test_orbit_key_bound():
     assert tuple(orbit[keep][0]) == max(map(tuple, orbit.tolist()))
     with pytest.raises(ValueError, match="orbit key"):
         hecke._orbit_mask(orbit, top)
-    assert 2 * isqrt(2 ** 28 - 1) < top <= 2 * isqrt(2 ** 28)
+    assert isqrt(2 ** 30 - 1) < top <= isqrt(2 ** 30)
 
 
 @pytest.mark.parametrize("n", range(0, 25))

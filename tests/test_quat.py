@@ -150,9 +150,13 @@ def test_m1_profile_matches_shell(parity, k):
 def test_shell_join_is_the_per_k_shells(parity):
     # gaps, repeats, even k (an empty coset shell) and shells of several
     # sizes read from one pair table
+    # the join reads integral shells in Z^4, the doubled coordinates of
+    # enumerate_shell halved, and coset shells in odd doubled coordinates
     ks = [5, 2, 5, 9, 1, 40, 17]
     coords, sizes = _shell_join(ks, parity)
     want = [enumerate_shell(k, parity).coords for k in ks]
+    if parity == "integral":
+        want = [c // 2 for c in want]
     assert sizes.tolist() == [len(c) for c in want]
     assert coords.dtype == np.int64
     assert np.array_equal(coords, np.concatenate(want))

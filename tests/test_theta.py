@@ -436,6 +436,22 @@ def test_petersson_cache_is_shared_by_call_forms(fresh_petersson_cache):
         est.rho = 0.0
 
 
+def test_petersson_default_cutoff_is_ten_n(fresh_petersson_cache):
+    est = petersson_estimate(8)
+    assert est.K == 80 and petersson_estimate(8, 80) is est
+
+
+def test_float_range_refusal_names_n_and_k():
+    # a power, a product or an exact value outside the float range is
+    # refused alike; a value inside passes as its float
+    for value in (lambda: float(16) ** 256, lambda: 1e308 * 10.0,
+                  lambda: Fraction(10 ** 309)):
+        with pytest.raises(ValueError, match=r"^n = 512: the coefficient at "
+                           r"k = 16 lies outside the float range$"):
+            theta._as_float(512, 16, value)
+    assert theta._as_float(512, 16, lambda: Fraction(1, 3)) == 1 / 3
+
+
 def test_petersson_basic():
     est = petersson_estimate(8, 120)
     assert est.rho > 0
