@@ -30,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .theta import DEFAULT_X, DEFAULT_Y
+
 SCHEMA = "hecke-sphere/1"
 
 
@@ -265,7 +267,7 @@ def cmd_pretrace_check(args) -> int:
     pairs = _at_least_one(args, "pairs")
     ns, residuals, tols = _even_ns(args), [], []
     for n in ns:
-        dec = decompose(n, primes=_primes(args))
+        dec = decompose(n)
         xs = sphere_grid(pairs, seed=args.seed)
         ys = sphere_grid(pairs, seed=args.seed + 1)
         residuals.append(pretrace_residual(dec, xs, ys))
@@ -291,11 +293,10 @@ def cmd_theta_identity(args) -> int:
     for n in _even_ns(args):
         # theta first: its float-range refusal comes before the eigensolve
         thetas = theta_coefficients(n, x, y, ks)
-        dec = decompose(n, primes=_primes(args))
+        dec = decompose(n)
         for k, sv, tc in zip(ks, spectral_coefficient(x, y, ks, dec), thetas):
-            # the exact value where it exists: the float theta side
-            # cancels badly at higher degree
-            tv = tc.float_value if tc.value is None else float(tc.value)
+            # exact at even n; the float theta side cancels at high degree
+            tv = float(tc.value)
             gate = 1e-8 * (1 + abs(tv))
             if not abs(sv - tv) <= gate:
                 misses.append((abs(sv - tv) / gate, n, k, sv, tv, gate))
@@ -384,7 +385,7 @@ def cmd_moments(args) -> int:
     stats = ("sup_family", "sup_fourth", "sup_individual")
     reps = []
     for n in _even_ns(args):
-        dec = decompose(n, primes=_primes(args))
+        dec = decompose(n)
         try:
             reps.append(moment_sweep(dec, grid, seed=args.seed))
         except ClosureError as exc:
@@ -428,8 +429,8 @@ FLAGS = {
              "help": "grid seed (spectral accepts it and uses nothing of it)"},
     "grid": {"type": int, "default": 5000},
     "pairs": {"type": int, "default": 100},
-    "x": {"default": "1,2,2,0"},
-    "y": {"default": "1,0,0,0"},
+    "x": {"default": ",".join(map(str, DEFAULT_X.int_coords))},
+    "y": {"default": ",".join(map(str, DEFAULT_Y.int_coords))},
     "im": {"type": float, "default": 0.5},
     "k": {"type": int, "required": True},
     "parity": {"choices": ("integral", "coset"), "default": "integral"},
@@ -438,18 +439,19 @@ FLAGS = {
 _NS = ("n", "n-range")
 
 # subcommand, handler, the flags it reads (besides --out; spectral reads no
-# --seed, kept so that the benchmark's argvs parse), its --cutoff default
+# --seed, kept so that the benchmark's argvs parse), its --cutoff default;
+# --primes only where the artifact records what it selects
 COMMANDS = (
     ("shells", cmd_shells, ("k", "parity"), None),
     ("basis", cmd_basis, _NS, None),
     ("hecke-check", cmd_hecke_check, _NS + ("primes",), None),
     ("spectral", cmd_spectral, _NS + ("primes", "seed"), None),
-    ("pretrace-check", cmd_pretrace_check, _NS + ("primes", "seed", "pairs"), None),
-    ("theta-identity", cmd_theta_identity, _NS + ("primes", "x", "y"), 40),
+    ("pretrace-check", cmd_pretrace_check, _NS + ("seed", "pairs"), None),
+    ("theta-identity", cmd_theta_identity, _NS + ("x", "y"), 40),
     ("modularity", cmd_modularity, _NS + ("im",), 0),
     ("petersson", cmd_petersson, _NS, 0),
     ("counting", cmd_counting, (), 4096),
-    ("moments", cmd_moments, _NS + ("primes", "grid", "seed"), None),
+    ("moments", cmd_moments, _NS + ("grid", "seed"), None),
     ("report", cmd_report, _NS, None),
 )
 NAMES = tuple(c[0] for c in COMMANDS)

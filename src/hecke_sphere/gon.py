@@ -97,7 +97,7 @@ def shell_class_count(k: int, R: int) -> CountRecord:
     """|{nr(m) = k, m in C(R)}| with the single-shell bound alongside."""
     if k < 1 or R < 1:
         raise ValueError("need k >= 1 and R >= 1")
-    count = int(_class_table(_round_up_pow2(max(k, 16)), R)[k])
+    count = int(_class_table(_round_up_pow2(k), R)[k])
     bound = float(_single_bound(k, R, k ** EPSILON))
     return CountRecord("singlebound", (k, R), count, bound)
 
@@ -115,7 +115,7 @@ def shell_class_table(cutoff: int, Rs):
     if any(R < 1 for R in Rs):
         raise ValueError("need R >= 1")
     cutoff = max(cutoff, 0)
-    K = _round_up_pow2(max(cutoff, 16))
+    K = _round_up_pow2(cutoff)
     k = np.arange(1, cutoff + 1, dtype=float)
     k_eps = np.array([j ** EPSILON for j in range(1, cutoff + 1)])
     counts = np.empty((cutoff, len(Rs)), dtype=np.int64)

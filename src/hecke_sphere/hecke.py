@@ -582,10 +582,6 @@ class SpectralDecomposition:
     group_margin: float | None
     seed = 0
 
-    @property
-    def dim(self):
-        return sum(s.multiplicity for s in self.spaces)
-
 
 def _group_margin(spaces, primes):
     L = np.array([[sp.lams[p] for p in primes] for sp in spaces])

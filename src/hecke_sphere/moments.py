@@ -150,18 +150,18 @@ def _block_stats(n: int, R: np.ndarray, flagged: int, pts: np.ndarray):
     return fourth, closure, sup_ind
 
 
-def _ascend(n: int, R: np.ndarray, x: np.ndarray, steps: int):
+def _ascend(n: int, R: np.ndarray, x: np.ndarray):
     """Coordinate ascent of the plain fourth moment of R's functions from x.
 
-    Each of the ``steps`` rounds tries the eight moves of the current step
-    and halves the step when none of them gains.  One ``_block_stats`` call
-    scores the moves of the step and of its next two halvings from the same
-    point, so up to three rounds that gain nothing share one call.
+    Each of the ``REFINE_STEPS`` rounds tries the eight moves of the current
+    step and halves the step when none of them gains.  One ``_block_stats``
+    call scores the moves of the step and of its next two halvings from the
+    same point, so up to three rounds that gain nothing share one call.
     """
     best = x / np.linalg.norm(x)
     val = float(_block_stats(n, R, R.shape[1], best[None, :])[0][0])
     step = 0.05
-    left = steps
+    left = REFINE_STEPS
     # the moves +-e_1, ..., +-e_4 in that order, scaled per step size below
     moves = (np.eye(4)[:, None, :] * np.array([1.0, -1.0])[:, None]).reshape(8, 4)
     while left:
@@ -184,12 +184,12 @@ def moment_sweep(dec: SpectralDecomposition, grid: np.ndarray,
     """Moment statistics at the degree n = ``dec.n`` on a grid.
 
     ``sup_family`` is exact, the sum over flagged blocks of their squared
-    dimensions; ``sup_fourth`` is the grid sup refined by ``REFINE_STEPS``
-    rounds of coordinate ascent from the best grid point; ``sup_individual``
-    is the grid sup.  Raises
-    ``DegeneracyError`` unless each flagged column lies in one class of
-    ``unit_classes`` (to 1e-10 of its norm), no two of a block in one, and
-    ``ClosureError`` when ``closure_error`` is not below ``CLOSURE_TOL``.
+    dimensions; ``sup_fourth`` is the grid sup refined by the fixed
+    ``REFINE_STEPS`` rounds of coordinate ascent from the best grid point;
+    ``sup_individual`` is the grid sup.  Raises ``DegeneracyError`` unless
+    each flagged column lies in one class of ``unit_classes`` (to 1e-10 of
+    its norm), no two of a block in one, and ``ClosureError`` when
+    ``closure_error`` is not below ``CLOSURE_TOL``.
     """
     n = dec.n
     if grid.size == 0:
@@ -214,7 +214,7 @@ def moment_sweep(dec: SpectralDecomposition, grid: np.ndarray,
         raise ClosureError(f"closure error {closure_err:.2e} at n={n} is "
                            f"not below {CLOSURE_TOL:g}")
     j = int(np.argmax(fourth))
-    fourth_val = _ascend(n, R[:, :k], grid[j], REFINE_STEPS)
+    fourth_val = _ascend(n, R[:, :k], grid[j])
     return MomentReport(
         n=n, grid_size=grid.shape[0], seed=seed,
         sup_family=float(sum(((n + 1) * basis.shape[1]) ** 2

@@ -59,10 +59,6 @@ class Quaternion:
         return cls(2 * a, 2 * b, 2 * c, 2 * d)
 
     @property
-    def parity(self):
-        return COSET if self.c1 & 1 else INTEGRAL
-
-    @property
     def int_coords(self):
         """True coordinates; only valid for integral elements."""
         if self.c1 & 1:
@@ -125,7 +121,8 @@ UNITS = (ONE, -ONE, I, -I, J, -J, K, -K)
 
 
 def _round_up_pow2(x):
-    n = 1
+    """The least power of two >= x and >= 16: every cached table's size."""
+    n = 16
     while n < x:
         n *= 2
     return n
@@ -157,7 +154,7 @@ def _r3_counts(limit: int) -> np.ndarray:
 
 
 def r3_counts(limit: int) -> np.ndarray:
-    return _r3_counts(_round_up_pow2(max(limit, 16)))
+    return _r3_counts(_round_up_pow2(limit))
 
 
 @lru_cache(maxsize=None)
@@ -167,7 +164,7 @@ def _r3_odd_counts(limit: int) -> np.ndarray:
 
 
 def r3_odd_counts(limit: int) -> np.ndarray:
-    return _r3_odd_counts(_round_up_pow2(max(limit, 16)))
+    return _r3_odd_counts(_round_up_pow2(limit))
 
 
 @lru_cache(maxsize=None)
@@ -221,8 +218,7 @@ def _join_index(ks, parity: str):
     each shell comes out sorted on (c1, c2, c3, c4) with no sort.
     """
     start, S = _shell_norms(ks, parity)
-    lex, norms, by_norm, starts = _pairs_by_s(
-        _round_up_pow2(max(int(S.max()), 16)), start)
+    lex, norms, by_norm, starts = _pairs_by_s(_round_up_pow2(int(S.max())), start)
     shell, first = np.nonzero(norms <= S[:, None])
     rest = S[shell] - norms[first]
     lo, cnt = starts[rest], starts[rest + 1] - starts[rest]

@@ -10,7 +10,8 @@ q_x and S = sqrt(N_x N_y), W_n(T) = (2S sqrt k)^n U_n(T / (2S sqrt k)) obeys
 the integer recurrence W_m = 2T W_(m-1) - 4 N_x N_y k W_(m-2) (W_0 = 1,
 W_1 = 2T), so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is
 exact whenever (2S)^n is an integer: for every even n, where it is
-2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square.
+2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square, as
+at the one kernel point of ``modularity_check``, (1+2i+2j)/3 and 1.
 Coefficients are computed per block of ``THETA_BLOCK`` values of k: the
 block's traces come from one two-square join over all its shells, projected
 without forming coordinates, then U_n once per distinct (k, T) pair, read
@@ -251,18 +252,19 @@ class ModularityResult:
     K: int
     residual: float
     tail_bound: float
-    value: complex
     exact_coefficients: int  # how many of the K coefficients were exact
     max_exact_gap: float  # largest relative float/exact gap among them
 
 
-def modularity_check(n: int, gamma, z: complex, K: int = 0,
-                     x=DEFAULT_X, y=DEFAULT_Y) -> ModularityResult:
-    """Relative residual |F(gamma z) - (cz+d)^(n+2) F(z)| / |F(z)|.
+def modularity_check(n: int, gamma, z: complex, K: int = 0) -> ModularityResult:
+    """Relative residual |F(gamma z) - (cz+d)^(n+2) F(z)| / |F(z)| of the
+    degree-n kernel at x = ``DEFAULT_X``, y = ``DEFAULT_Y``, where every
+    coefficient is exact (N_x N_y = 9 is a perfect square).
 
-    Both evaluations truncate the Fourier series at K terms, starting at
-    K (64 for K = 0); K grows automatically until the certified truncation
-    tail, relative to |F(z)|, drops below ``TAIL_TOL``, and returns only then.
+    Both evaluations truncate the Fourier series at K terms, starting at K
+    (64 for K = 0); K grows until the certified truncation tail, relative to
+    |F(z)|, drops below ``TAIL_TOL``, and returns only then.  A z that is not
+    finite, or a (cz+d)^(n+2) outside the float range, is refused first.
     """
     if K < 0:
         raise ValueError(
@@ -272,46 +274,49 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0,
         raise ValueError("gamma must have determinant 1")
     if c % 4 != 0:
         raise ValueError("lower-left entry must be divisible by 4")
+    if not cmath.isfinite(z):
+        raise ValueError(f"z must be finite, got z = {z}")
     gz = (a * z + b) / (c * z + d)
     ymin = min(z.imag, gz.imag)
     if ymin <= 0:
         raise ValueError("both points must lie in the upper half-plane")
+    try:
+        factor, factor_abs = (c * z + d) ** (n + 2), abs(c * z + d) ** (n + 2)
+    except OverflowError:  # a float power overflows; a complex one may be nan
+        factor = math.inf
+    if not cmath.isfinite(factor):
+        raise ValueError(f"n = {n}: (cz + d)^(n+2) lies outside the float range")
 
     K = K or 64
-    coeffs, gaps = {}, {}
+    coeffs, gaps = [], []
     while True:
-        new = [k for k in range(1, K + 1) if k not in coeffs]
-        for tc in theta_coefficients(n, x, y, new):
-            k = tc.k
-            # exact rationals kill roundoff; identically-zero kernels
-            # (possible when the cusp space is trivial) stay exact zeros
-            coeffs[k] = tc.float_value
-            if tc.value is not None:
-                coeffs[k] = v = float(tc.value)
-                # relative float/exact gap; exact zeros count as 0
-                gaps[k] = abs(tc.float_value - v) / (abs(v) or math.inf)
-        tail = _coeff_tail_bound(n, K, ymin)
-        stats = dict(exact_coefficients=len(gaps),
-                     max_exact_gap=max(gaps.values(), default=0.0))
+        for tc in theta_coefficients(n, DEFAULT_X, DEFAULT_Y,
+                                     range(len(coeffs) + 1, K + 1)):
+            # exact rationals kill roundoff: a vanishing kernel stays exactly 0
+            coeffs.append(float(tc.value))
+            # relative float/exact gap; exact zeros count as 0
+            gaps.append(abs(tc.float_value - coeffs[-1])
+                        / (abs(coeffs[-1]) or math.inf))
         # relative to |F(z)| unless the kernel vanishes identically up to K
-        Fz, residual = 0j, 0.0
-        tail_bound = tail * (1 + abs(c * z + d) ** (n + 2))
-        if any(v != 0.0 for v in coeffs.values()):
-            Fz = sum(coeffs[k] * cmath.exp(2j * math.pi * k * z)
-                     for k in range(1, K + 1))
-            Fgz = sum(coeffs[k] * cmath.exp(2j * math.pi * k * gz)
-                      for k in range(1, K + 1))
+        residual = 0.0
+        tail_bound = _coeff_tail_bound(n, K, ymin) * (1 + factor_abs)
+        if any(coeffs):
+            Fz = sum(v * cmath.exp(2j * math.pi * k * z)
+                     for k, v in enumerate(coeffs, 1))
+            Fgz = sum(v * cmath.exp(2j * math.pi * k * gz)
+                      for k, v in enumerate(coeffs, 1))
             cmax = max(abs(v) * math.exp(-2 * math.pi * k * z.imag)
-                       for k, v in coeffs.items())
+                       for k, v in enumerate(coeffs, 1))
             if abs(Fz) < 1e-3 * cmax:
                 raise ValueError("test point is ill-conditioned: |F(z)| too small")
             tail_bound /= abs(Fz)
-            residual = abs(Fgz - (c * z + d) ** (n + 2) * Fz) / abs(Fz)
+            residual = abs(Fgz - factor * Fz) / abs(Fz)
         if tail_bound < TAIL_TOL:
             return ModularityResult(n=n, K=K, residual=residual,
-                                    tail_bound=tail_bound, value=Fz, **stats)
+                                    tail_bound=tail_bound, exact_coefficients=K,
+                                    max_exact_gap=max(gaps))
         if K >= 4096:
-            raise ValueError(f"tail bound not certified by K=4096")
+            raise ValueError(f"n = {n}: tail bound not certified by K=4096")
         K *= 2
 
 

@@ -151,6 +151,16 @@ def test_modularity_records_exact_coefficients(tmp_path):
     assert 0.0 <= doc["max_exact_gap"] < 1e-9
 
 
+def test_modularity_odd_degrees_vanish(tmp_path):
+    # the shell is closed under m -> -m and U_n is odd, so every odd kernel
+    # vanishes: each coefficient is an exact 0 and the residual is 0.0
+    assert run(tmp_path, "modularity", "--n-range", "1:7:2") == 0
+    for n in (1, 3, 5, 7):
+        doc = json.loads((tmp_path / f"modularity-{n}.json").read_text())
+        assert doc["residual"] == 0.0
+        assert doc["exact_coefficients"] == doc["K"]
+
+
 def test_precision_flag_only_on_petersson(tmp_path):
     # the Petersson sums run in float64 only: --precision is refused too
     with pytest.raises(SystemExit) as exc:
@@ -162,15 +172,19 @@ def test_precision_flag_only_on_petersson(tmp_path):
                  ("hecke-check", "--n", "2", "--seed", "1"),
                  ("spectral", "--n", "4", "--grid", "100"),
                  ("pretrace-check", "--n", "4", "--cutoff", "10"),
+                 ("pretrace-check", "--n", "4", "--primes", "3,5"),
                  ("theta-identity", "--n", "2", "--grid", "100"),
+                 ("theta-identity", "--n", "2", "--primes", "3,5"),
                  ("theta-identity", "--n", "2", "--seed", "1"),
                  ("modularity", "--n", "4", "--primes", "3,5"),
                  ("petersson", "--n", "8", "--seed", "1"),
                  ("counting", "--n", "4"),
                  ("moments", "--n", "4", "--cutoff", "10"),
+                 ("moments", "--n", "4", "--primes", "3,5"),
                  ("report", "--n", "8", "--cutoff", "80")):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             run(tmp_path, *argv)
+        assert exc.value.code == 2
 
 
 def test_counting_small(tmp_path):
@@ -387,7 +401,13 @@ def test_counting_failure_names_its_worst_record(tmp_path, monkeypatch,
     ("spectral", "--n-range", "a:b:c"),
     ("basis",),
     ("hecke-check", "--n", "4", "--primes", "2,3"),
-    ("modularity", "--n", "4", "--cutoff", "-5")])
+    ("modularity", "--n", "4", "--cutoff", "-5"),
+    # a far z, whose (cz + d)^(n+2) leaves the float range, or a non-finite
+    # one: refused before any coefficient is computed
+    ("modularity", "--n", "100", "--im", "1000"),
+    ("modularity", "--n", "4", "--im", "1e200"),
+    ("modularity", "--n", "4", "--im", "inf"),
+    ("modularity", "--n", "4", "--im", "nan")])
 def test_refused_input_exits_one_with_one_line(tmp_path, capsys, argv):
     # a refused flag or library input is one stderr line naming the
     # command, not a traceback, and no artifact is written

@@ -440,7 +440,7 @@ def _shell_operator(n, N):
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_decomposition_invariants(n):
     dec = decompose(n, primes=(3, 5))
-    assert dec.dim == (n + 1) ** 2
+    assert sum(sp.multiplicity for sp in dec.spaces) == (n + 1) ** 2
     extras = hecke.hecke_eigenvalues(dec, (9, 15))
 
     # the bases of the W_lambda are orthonormal across the decomposition,

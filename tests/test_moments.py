@@ -108,9 +108,10 @@ def test_ascent_matches_one_step_per_call(n, monkeypatch):
         x = sphere_grid(1, seed=seed)[0]
         for steps in (0, 1, 2, 3, 20):
             ref = _ascend_one_step(n, R, x, steps)
+            monkeypatch.setattr(moments, "REFINE_STEPS", steps)
             monkeypatch.setattr(moments, "_block_stats", spy)
             calls.clear()
-            assert moments._ascend(n, R, x, steps) == ref
+            assert moments._ascend(n, R, x) == ref
             monkeypatch.setattr(moments, "_block_stats", stats)
             assert calls[0] == 1 and len(calls) <= 1 + steps
         long_calls += len(calls)  # those of the 20-step ascent

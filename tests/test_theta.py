@@ -355,12 +355,26 @@ def test_modularity_nontrivial():
 
 
 def test_modularity_zero_kernel_degree_two():
-    # the degree-2 diagonal kernel is identically zero; the check must
-    # certify that rather than divide by roundoff noise
-    res = modularity_check(2, ((1, 0), (4, 1)), 0.3 + 0.5j,
-                           x=ONE, y=ONE)
+    # every degree-2 kernel is identically zero (S_4(Gamma0(4)) = 0); the
+    # check must certify that rather than divide by roundoff noise
+    res = modularity_check(2, ((1, 0), (4, 1)), 0.3 + 0.5j)
     assert res.residual == 0.0
     assert res.tail_bound < 1e-8
+
+
+def test_modularity_detects_a_perturbed_coefficient(monkeypatch):
+    # negative control: the true kernel at n = 4 reads a residual of 6.5e-14
+    # at z = i/2; scaling c_1 by 1 + 1e-6 breaks modularity, and the
+    # residual reads 1.2e-4, far above the 1e-6 gate of ``modularity``
+    coefficients = theta.theta_coefficients
+
+    def perturbed(*args):
+        return [dataclasses.replace(tc, value=tc.value * Fraction(1000001, 10 ** 6))
+                if tc.k == 1 else tc for tc in coefficients(*args)]
+
+    monkeypatch.setattr(theta, "theta_coefficients", perturbed)
+    res = modularity_check(4, ((1, 0), (4, 1)), 0.5j)
+    assert res.residual > 1e-6
 
 
 def test_petersson_guard():
