@@ -295,8 +295,7 @@ def cmd_theta_identity(args) -> int:
         thetas = theta_coefficients(n, x, y, ks)
         dec = decompose(n)
         for k, sv, tc in zip(ks, spectral_coefficient(x, y, ks, dec), thetas):
-            # exact at even n; the float theta side cancels at high degree
-            tv = float(tc.value)
+            tv = tc.float_value
             gate = 1e-8 * (1 + abs(tv))
             if not abs(sv - tv) <= gate:
                 misses.append((abs(sv - tv) / gate, n, k, sv, tv, gate))
@@ -325,9 +324,7 @@ def cmd_modularity(args) -> int:
                              K=args.cutoff)
         _write_json(args, f"modularity-{n}", {
             "n": n, "K": r.K, "residual": r.residual,
-            "tail_bound": r.tail_bound,
-            "exact_coefficients": r.exact_coefficients,
-            "max_exact_gap": r.max_exact_gap})
+            "tail_bound": r.tail_bound})
         if not r.residual <= 1e-6:
             misses.append((r.residual / 1e-6, n, r.residual))
     if not misses:

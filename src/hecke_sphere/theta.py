@@ -9,17 +9,16 @@ over the integer quaternion shell.  With x = q_x/sqrt(N_x) for an integral
 q_x and S = sqrt(N_x N_y), W_n(T) = (2S sqrt k)^n U_n(T / (2S sqrt k)) obeys
 the integer recurrence W_m = 2T W_(m-1) - 4 N_x N_y k W_(m-2) (W_0 = 1,
 W_1 = 2T), so c_k = sum cnt * W_n(T) / (2S)^n over the distinct traces T is
-exact whenever (2S)^n is an integer: for every even n, where it is
-2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square, as
-at the one kernel point of ``modularity_check``, (1+2i+2j)/3 and 1.
-Coefficients are computed per block of ``THETA_BLOCK`` values of k: the
-block's traces come from one two-square join over all its shells, projected
-without forming coordinates, then U_n once per distinct (k, T) pair, read
-back per trace and summed per k over its own slice, and one recurrence
-over the same distinct pairs.  The recurrence runs on int64 while every
-term fits, 2n (4 N_x N_y k)^(n/2) < 2^63, and on Python integers above;
-the per-k sums of counts times W_n move to Python integers on their own
-when the number of traces times that bound does not fit; a coefficient
+an exact rational whenever (2S)^n is an integer: for every even n, where it
+is 2^n (N_x N_y)^(n/2), and for odd n when N_x N_y is a perfect square, as
+at the one kernel point of ``modularity_check``, (1+2i+2j)/3 and 1.  Odd n
+with a non-square N_x N_y is refused.  Coefficients are computed per block
+of ``THETA_BLOCK`` values of k: the block's traces come from one two-square
+join over all its shells, projected without forming coordinates, and the
+recurrence runs once per distinct (k, T) pair.  It runs on int64 while
+every term fits, 2n (4 N_x N_y k)^(n/2) < 2^63, and on Python integers
+above; the per-k sums of counts times W_n move to Python integers on their
+own when the number of traces times that bound does not fit; a coefficient
 outside the float range is refused, naming n and k.  The Petersson strips
 (K = 10n by default) are batched per degree over one cached profile table.
 """
@@ -60,46 +59,41 @@ def _block_traces(ks: list, qx: Quaternion, qy: Quaternion):
 #: at most GROUP_BINS_PER_TRACE * traces + GROUP_BINS_FIXED, and sorts with
 #: ``np.unique`` above.  A block's keys take len(ks) (2 t_max + 1) values,
 #: and t_max <= 2 sqrt(N_x N_y k) grows without bound in the input norms.
-#: Counting costs about 1.5 ns a bin on top of its passes over the traces;
-#: sorting costs a fixed 10 us and about 4 ns a trace more, so the point
-#: where sorting wins is affine in the traces.  Measured on an Intel Xeon
-#: core, it lies near 8,700 bins for 1,280 traces (k <= 16), 22,000 for
-#: 6,312 (k = 33..48) and 55,000 for 18,784 (k = 113..128); the bound
-#: (10,752, 20,816 and 45,760 bins there) keeps near or below it, and keeps
-#: the two bin tables (16 bytes a bin) within 32 bytes a trace plus
-#: 128 KiB.  It covers every block the benchmark draws: at most 9,232 bins
-#: on 1,280 traces, at x = y = (3, 3, 3, 3), where the two ways are within
-#: 2 %, and below 2,200 at the default point of ``modularity``.
+#: Counting costs a pass over the bins on top of its passes over the traces;
+#: sorting costs a fixed overhead and more per trace, so the point where
+#: sorting wins grows with the traces.  The bound was placed where that
+#: point lay when both ways also returned each trace's index (near 8,700
+#: bins for 1,280 traces, 22,000 for 6,312, 55,000 for 18,784), and keeps
+#: the bin table (8 bytes a bin) within 16 bytes a trace plus 64 KiB.
+#: Without that index, measured on an Intel Xeon core, counting still wins
+#: on the default point's blocks (48 us to 198 us at k = 113..128: 18,784
+#: traces, 8,464 bins) and sorting on the widest block the benchmark draws
+#: (26 us to 35-40 us at x = y = (3, 3, 3, 3): 1,280 traces, 9,232 bins).
 GROUP_BINS_PER_TRACE = 2
 GROUP_BINS_FIXED = 8192
 
 
 def _group_keys(key: np.ndarray, nbins: int):
-    """(keys, inverse, counts) of an int64 ``key`` with values in
-    [0, nbins), as ``np.unique(key, return_inverse=True,
-    return_counts=True)`` returns them: the sorted distinct values, each
-    entry's index into them and how often each occurs."""
+    """(keys, counts) of an int64 ``key`` with values in [0, nbins), as
+    ``np.unique(key, return_counts=True)`` returns them: the sorted distinct
+    values and how often each occurs."""
     if nbins > GROUP_BINS_PER_TRACE * len(key) + GROUP_BINS_FIXED:
-        return np.unique(key, return_inverse=True, return_counts=True)
+        return np.unique(key, return_counts=True)
     counts = np.bincount(key)
     keys = np.flatnonzero(counts)
-    lookup = np.empty(len(counts), dtype=np.intp)
-    lookup[keys] = np.arange(len(keys))
-    return keys, lookup[key], counts[keys]
+    return keys, counts[keys]
 
 
 @dataclass(frozen=True)
 class ThetaCoefficient:
     n: int
     k: int
-    qx: Quaternion
-    qy: Quaternion
-    value: object  # Fraction, or None for odd n and non-square N_x N_y
-    float_value: float
+    value: Fraction
+    float_value: float  # float(value), refused outside the float range
 
 
 #: values of k per block in ``theta_coefficients``: bounds the traces and
-#: their U_n values held at once (16 shells near k = 128 hold 18,784 traces)
+#: recurrence terms held at once (16 shells near k = 128 hold 18,784 traces)
 THETA_BLOCK = 16
 
 
@@ -137,30 +131,19 @@ def theta_coefficients(n: int, x, y, ks) -> list:
 
 
 def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
-    Nx, Ny = qx.nr(), qy.nr()
+    P = qx.nr() * qy.nr()
+    S = isqrt(P)
+    if n % 2 and S * S != P:
+        raise ValueError(f"n = {n}: an odd degree needs a square N_x N_y, "
+                         f"got N_x N_y = {P}")
     T, sizes = _block_traces(ks, qx, qy)
     # distinct (block index, T) pairs from one 1-D int64 key
     tmax = int(np.abs(T).max())
     span = 2 * tmax + 1
     key = np.repeat(np.arange(len(ks), dtype=np.int64), sizes) * span + (T + tmax)
-    keys, inverse, counts = _group_keys(key, len(ks) * span)
+    keys, counts = _group_keys(key, len(ks) * span)
     idx = keys // span
     Tu = keys % span - tmax
-
-    # float path: U_n at t / (2 sqrt(k N_x N_y)) once per distinct pair,
-    # read back per trace in shell order, then one np.sum per k over its
-    # own slice, so each k sums as it would alone
-    denoms = np.array([2.0 * math.sqrt(float(k) * Nx * Ny) for k in ks])
-    vals = chebyshev_U_vec(n, Tu / denoms[idx])[inverse]
-    ends = np.cumsum(sizes).tolist()
-    fvs = [_as_float(n, k, lambda: float(k) ** (n / 2) * float(
-        np.sum(vals[e - m: e]))) for k, m, e in zip(ks, sizes, ends)]
-
-    P = Nx * Ny
-    S = isqrt(P)
-    if n % 2 and S * S != P:
-        return [ThetaCoefficient(n, k, qx, qy, None, fv)
-                for k, fv in zip(ks, fvs)]
 
     # |T| <= 2 S sqrt(k), so |W_m| <= (m+1) (4Pk)^(m/2): every term of the
     # recurrence is at most 2n (4Pk)^(n/2), and each per-k sum of counts
@@ -182,15 +165,10 @@ def _theta_block(n: int, qx: Quaternion, qy: Quaternion, ks: list) -> list:
     # (2S)^n = 2^n P^(n/2) S^(n mod 2), and S is an integer for odd n
     denom = 2 ** n * P ** (n // 2) * S ** (n % 2)
     out = []
-    for k, fv, num in zip(ks, fvs, sums):
+    for k, num in zip(ks, sums):
         total = Fraction(int(num), denom)
-        if total != 0:
-            tv = _as_float(n, k, lambda: total)
-            rel = abs(fv - tv) / abs(tv)
-            if rel > 1e-9:
-                raise ArithmeticError(
-                    f"exact/float disagreement {rel:.2e} at n={n}, k={k}")
-        out.append(ThetaCoefficient(n, k, qx, qy, total, fv))
+        out.append(ThetaCoefficient(n, k, total,
+                                    _as_float(n, k, lambda: total)))
     return out
 
 
@@ -252,19 +230,19 @@ class ModularityResult:
     K: int
     residual: float
     tail_bound: float
-    exact_coefficients: int  # how many of the K coefficients were exact
-    max_exact_gap: float  # largest relative float/exact gap among them
 
 
 def modularity_check(n: int, gamma, z: complex, K: int = 0) -> ModularityResult:
     """Relative residual |F(gamma z) - (cz+d)^(n+2) F(z)| / |F(z)| of the
-    degree-n kernel at x = ``DEFAULT_X``, y = ``DEFAULT_Y``, where every
-    coefficient is exact (N_x N_y = 9 is a perfect square).
+    degree-n kernel at x = ``DEFAULT_X``, y = ``DEFAULT_Y``, summed from its
+    exact rational coefficients (N_x N_y = 9 is a perfect square, so odd n
+    are exact too).
 
     Both evaluations truncate the Fourier series at K terms, starting at K
     (64 for K = 0); K grows until the certified truncation tail, relative to
     |F(z)|, drops below ``TAIL_TOL``, and returns only then.  A z that is not
-    finite, or a (cz+d)^(n+2) outside the float range, is refused first.
+    finite or not in the upper half-plane, or a (cz+d)^(n+2) outside the
+    float range, is refused before any coefficient is computed.
     """
     if K < 0:
         raise ValueError(
@@ -276,10 +254,11 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0) -> ModularityResult:
         raise ValueError("lower-left entry must be divisible by 4")
     if not cmath.isfinite(z):
         raise ValueError(f"z must be finite, got z = {z}")
+    # Im(gamma z) = Im z / |cz + d|^2, and cz + d = 0 only on the real axis
+    if z.imag <= 0:
+        raise ValueError("both points must lie in the upper half-plane")
     gz = (a * z + b) / (c * z + d)
     ymin = min(z.imag, gz.imag)
-    if ymin <= 0:
-        raise ValueError("both points must lie in the upper half-plane")
     try:
         factor, factor_abs = (c * z + d) ** (n + 2), abs(c * z + d) ** (n + 2)
     except OverflowError:  # a float power overflows; a complex one may be nan
@@ -288,15 +267,11 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0) -> ModularityResult:
         raise ValueError(f"n = {n}: (cz + d)^(n+2) lies outside the float range")
 
     K = K or 64
-    coeffs, gaps = [], []
+    coeffs = []
     while True:
-        for tc in theta_coefficients(n, DEFAULT_X, DEFAULT_Y,
-                                     range(len(coeffs) + 1, K + 1)):
-            # exact rationals kill roundoff: a vanishing kernel stays exactly 0
-            coeffs.append(float(tc.value))
-            # relative float/exact gap; exact zeros count as 0
-            gaps.append(abs(tc.float_value - coeffs[-1])
-                        / (abs(coeffs[-1]) or math.inf))
+        # exact rationals kill roundoff: a vanishing kernel stays exactly 0
+        coeffs += [float(tc.value) for tc in theta_coefficients(
+            n, DEFAULT_X, DEFAULT_Y, range(len(coeffs) + 1, K + 1))]
         # relative to |F(z)| unless the kernel vanishes identically up to K
         residual = 0.0
         tail_bound = _coeff_tail_bound(n, K, ymin) * (1 + factor_abs)
@@ -313,8 +288,7 @@ def modularity_check(n: int, gamma, z: complex, K: int = 0) -> ModularityResult:
             residual = abs(Fgz - factor * Fz) / abs(Fz)
         if tail_bound < TAIL_TOL:
             return ModularityResult(n=n, K=K, residual=residual,
-                                    tail_bound=tail_bound, exact_coefficients=K,
-                                    max_exact_gap=max(gaps))
+                                    tail_bound=tail_bound)
         if K >= 4096:
             raise ValueError(f"n = {n}: tail bound not certified by K=4096")
         K *= 2

@@ -100,7 +100,6 @@ def test_even_degree_is_exact_for_non_square_norms(qx, qy):
         for k in range(1, 41):
             tc = theta_coefficient(n, qx, qy, k)
             assert tc.value == _reexpansion(n, qx, qy, k)
-        assert theta_coefficient(n + 1, qx, qy, 1).value is None
 
 
 def test_non_square_examples():
@@ -119,11 +118,20 @@ def test_reexpansion_oracle_sees_a_perturbed_count(n, k):
         _reexpansion(n, qx, qy, k, bump=1)
 
 
-def test_irrational_norm_product_gives_float_only():
-    # odd n: (2S)^n = 2^n S^n is irrational for S = sqrt 2
-    tc = theta_coefficient(3, (1, 1, 0, 0), ONE, 3)
-    assert tc.value is None
-    assert math.isfinite(tc.float_value)
+def test_odd_degree_with_a_non_square_norm_product_is_refused(monkeypatch):
+    # odd n: (2S)^n = 2^n S^n is irrational for S = sqrt 3, sqrt 2, sqrt 18,
+    # so there is no exact coefficient; the refusal comes before any join
+    def unreachable(*args):
+        raise AssertionError("the shells were joined before the refusal")
+
+    monkeypatch.setattr(theta, "_block_traces", unreachable)
+    for qx, qy in NON_SQUARE_PAIRS:
+        P = qx.nr() * qy.nr()
+        for n in (1, 3, 11):
+            with pytest.raises(ValueError, match=(
+                    rf"^n = {n}: an odd degree needs a square N_x N_y, "
+                    rf"got N_x N_y = {P}$")):
+                theta_coefficients(n, qx, qy, range(1, 20))
 
 
 # a pair whose block keys span about 90 bins per trace at k <= 16
@@ -142,17 +150,23 @@ BATCH_KS = [list(range(1, 41)), [5, 9, 10, 11, 30],
 def test_batch_is_bitwise_the_per_k_coefficient(n):
     for x, y in BATCH_PAIRS:
         for ks in BATCH_KS:
+            P = theta._as_quat(x).nr() * theta._as_quat(y).nr()
+            if n % 2 and math.isqrt(P) ** 2 != P:
+                # no exact value: the package and the oracle both refuse
+                with pytest.raises(ValueError):
+                    theta_coefficients(n, x, y, ks)
+                with pytest.raises(ValueError):
+                    theta_oracle.theta_coefficient_per_k(n, x, y, ks[0])
+                continue
             got = theta_coefficients(n, x, y, ks)
             assert [tc.k for tc in got] == ks
             for tc in got:
+                # the oracle checks its exact value against its float U_n sum
                 want = theta_oracle.theta_coefficient_per_k(n, x, y, tc.k)
                 assert tc == want
-                assert type(tc.value) is type(want.value)
+                assert type(tc.value) is Fraction
                 assert np.float64(tc.float_value).tobytes() == \
                     np.float64(want.float_value).tobytes()
-    # odd n with a non-square norm product has no exact value
-    if n % 2:
-        assert theta_coefficients(n, (1, 1, 1, 0), ONE, [4])[0].value is None
 
 
 def _recurrence_regime(n, ks):
@@ -211,7 +225,7 @@ def test_grouping_branches_give_one_table(monkeypatch, pair, ks):
     monkeypatch.setattr(theta, "_group_keys", spy)
     theta_coefficients(4, *pair, ks)
     (key, nbins), = seen
-    want = np.unique(key, return_inverse=True, return_counts=True)
+    want = np.unique(key, return_counts=True)
     for bound in (0, nbins):  # force the sort, then the count
         monkeypatch.setattr(theta, "GROUP_BINS_PER_TRACE", bound)
         monkeypatch.setattr(theta, "GROUP_BINS_FIXED", 0)
@@ -269,15 +283,18 @@ def test_batch_edge_cases():
         theta_coefficients(4, ONE, ONE, [3, 0])
 
 
-def test_batch_cross_check_sees_a_perturbed_float_path(monkeypatch):
+def test_oracle_cross_check_sees_a_perturbed_float_path(monkeypatch):
+    # negative control of the oracle's exact/float check, which the tests
+    # comparing the package with the oracle rely on
     def perturbed(n, x):
         return chebyshev_U_vec(n, x) * (1 + 1e-6)
 
-    monkeypatch.setattr(theta, "chebyshev_U_vec", perturbed)
+    monkeypatch.setattr(theta_oracle, "chebyshev_U_vec", perturbed)
     with pytest.raises(ArithmeticError):
-        theta_coefficients(4, (1, 2, 2, 0), ONE, range(1, 20))
+        for k in range(1, 20):
+            theta_oracle.theta_coefficient_per_k(4, (1, 2, 2, 0), ONE, k)
     with pytest.raises(ArithmeticError):
-        theta_coefficient(8, ONE, ONE, 5)
+        theta_oracle.theta_coefficient_per_k(8, ONE, ONE, 5)
 
 
 def test_coset_coefficient_examples():
@@ -335,6 +352,13 @@ def test_modularity_input_validation():
         modularity_check(4, ((1, 1), (1, 1)), z)  # det 0
     with pytest.raises(ValueError):
         modularity_check(4, ((1, 0), (2, 1)), z)  # c not divisible by 4
+
+
+def test_modularity_refuses_a_real_z_before_forming_gamma_z():
+    # cz + d = 4 (-1/4) + 1 = 0: gamma z would divide by zero
+    with pytest.raises(ValueError,
+                       match="^both points must lie in the upper half-plane$"):
+        modularity_check(4, ((1, 0), (4, 1)), -0.25)
 
 
 def test_modularity_identity_matrix():

@@ -7,10 +7,10 @@ k whose traces come from one shell join.  This module keeps the earlier
 computations, one shell at a time, so the tests can compare the two: the
 traces of one enumerated shell, the profile table concatenated from per-k
 ``m1_profile`` calls, the per-k strip sum S_k, the per-k theta coefficient
-(float sum and integer recurrence over one shell), and the Chebyshev
-re-expansion of U_n into its integer monomial coefficients, summed power by
-power in ``Fraction``s.  ``chebyshev_U`` evaluates those coefficients
-exactly, the reference for the package's float U_n.
+(integer recurrence over one shell, checked against its float U_n sum), and
+the Chebyshev re-expansion of U_n into its integer monomial coefficients,
+summed power by power in ``Fraction``s.  ``chebyshev_U`` evaluates those
+coefficients exactly, the reference for the package's float U_n.
 """
 
 from __future__ import annotations
@@ -102,18 +102,19 @@ def reexpansion_value(n: int, k: int, P: int, tvals, counts) -> Fraction:
 
 
 def theta_coefficient_per_k(n: int, x, y, k: int) -> ThetaCoefficient:
-    """The k-th theta coefficient from the norm-k shell alone: the float
-    sum of U_n over its traces and the integer recurrence over its
-    distinct traces, with the same 1e-9 exact/float cross-check."""
+    """The k-th theta coefficient from the norm-k shell alone, by the
+    integer recurrence over its distinct traces, cross-checked against the
+    float sum of U_n over its traces to 1e-9 (``ArithmeticError`` above).
+    Odd n with a non-square N_x N_y is refused, as in the package."""
     qx, qy = _as_quat(x), _as_quat(y)
-    Nx, Ny = qx.nr(), qy.nr()
-    traces = trace_values(k, qx, qy)
-    denom = 2.0 * math.sqrt(float(k) * Nx * Ny)
-    fv = float(k) ** (n / 2) * float(np.sum(chebyshev_U_vec(n, traces / denom)))
-    P = Nx * Ny
+    P = qx.nr() * qy.nr()
     S = math.isqrt(P)
     if n % 2 and S * S != P:
-        return ThetaCoefficient(n, k, qx, qy, None, fv)
+        raise ValueError(f"n = {n}: an odd degree needs a square N_x N_y, "
+                         f"got N_x N_y = {P}")
+    traces = trace_values(k, qx, qy)
+    denom = 2.0 * math.sqrt(float(k) * P)
+    fv = float(k) ** (n / 2) * float(np.sum(chebyshev_U_vec(n, traces / denom)))
     tvals, counts = np.unique(traces, return_counts=True)
     T = tvals.astype(object)
     prev, cur = 0 * T, 0 * T + 1
@@ -126,4 +127,4 @@ def theta_coefficient_per_k(n: int, x, y, k: int) -> ThetaCoefficient:
         if rel > 1e-9:
             raise ArithmeticError(
                 f"exact/float disagreement {rel:.2e} at n={n}, k={k}")
-    return ThetaCoefficient(n, k, qx, qy, total, fv)
+    return ThetaCoefficient(n, k, total, float(total))
